@@ -11,7 +11,7 @@ space of admissible functions.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt, lcm
 
 from .constants import Constant
 from .errors import (
@@ -113,9 +113,11 @@ class StieltjesCondition:
 
     @classmethod
     def from_json(cls, data: dict) -> "StieltjesCondition":
+        if not isinstance(data, dict):
+            raise ParseError("condition must be a JSON object")
         try:
             local = [
-                (parse_rational(entry["point"]), int(entry["order"]),
+                (parse_rational(entry["point"]), _derivative_order(entry["order"]),
                  Constant.from_rational(parse_rational(entry["coeff"])))
                 for entry in data.get("local", ())
             ]
@@ -127,6 +129,13 @@ class StieltjesCondition:
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad condition document: {exc}") from exc
         return cls(local, glob)
+
+
+def _derivative_order(order) -> int:
+    # bool is an int subclass; -1 would silently act as order 0
+    if type(order) is not int or order < 0:
+        raise ParseError(f"derivative order must be a nonnegative integer, got {order!r}")
+    return order
 
 
 class FundamentalSystem:
@@ -201,9 +210,7 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction] | None:
         roots.append(Fraction(0))
         coeffs = coeffs[1:]
     while len(coeffs) > 1:
-        denom = 1
-        for c in coeffs:
-            denom = denom * c.denominator // _gcd(denom, c.denominator)
+        denom = lcm(*(c.denominator for c in coeffs))
         ints = [int(c * denom) for c in coeffs]
         lead, const = ints[-1], ints[0]
         if const == 0:
@@ -222,14 +229,10 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction] | None:
     return roots
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+    """The positive divisors of n in ascending order, found in O(sqrt n)."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def _signed_divisors(n: int) -> list[int]:

@@ -114,6 +114,11 @@ def parse_problem(data: dict) -> BoundaryProblem:
         raise ParseError(f"missing field: {exc}") from exc
     if not isinstance(coeff_strings, list) or not coeff_strings:
         raise ParseError("operator.coeffs must be a nonempty list")
+    if not isinstance(condition_docs, list):
+        raise ParseError("conditions must be a list")
+    basis_strings = data.get("fundamental_system")
+    if basis_strings is not None and not isinstance(basis_strings, list):
+        raise ParseError("fundamental_system must be a list")
     coeffs = [parse_exppoly(s) for s in coeff_strings]
     if coeffs[-1] != ExpPoly.one():
         raise ParseError("leading coefficient must be 1")
@@ -122,8 +127,8 @@ def parse_problem(data: dict) -> BoundaryProblem:
         T = T + Operator.derivative(i, c)
     conditions = [StieltjesCondition.from_json(doc) for doc in condition_docs]
     basis = None
-    if data.get("fundamental_system"):
-        basis = [parse_exppoly(s) for s in data["fundamental_system"]]
+    if basis_strings:
+        basis = [parse_exppoly(s) for s in basis_strings]
     try:
         return BoundaryProblem(T, conditions, basis=basis)
     except ValueError as exc:

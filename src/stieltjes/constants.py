@@ -3,243 +3,308 @@
 A scalar is a quotient of two finite sums ``sum_q c_q * e^q`` with rational
 exponents ``q`` and rational coefficients ``c_q``.  The symbols ``e^q`` are
 treated as formally linearly independent over Q, which gives a decidable zero
-test that is sound for the real number e.  Fractions are kept fully reduced,
-so structural equality coincides with field equality.
+test that is sound for the real number e: all exponents of a value are
+multiples of ``1/N`` for some grid ``N``, so numerator and denominator are
+Laurent polynomials in ``t = e^{1/N}``, and ``t`` is transcendental (else
+``e = t^N`` would be algebraic), so such a polynomial vanishes at ``t`` only
+when all its coefficients are zero.  Fractions are kept fully reduced, so
+structural equality coincides with field equality.
+
+Storage.  A value is converted once, when it is built, to its grid ``N`` and
+two integer-coefficient Laurent polynomials in ``t``, held as tuples of
+``(exponent, coefficient)`` integer pairs, largest exponent first.  All
+arithmetic stays in Z[t, 1/t]: gcds are primitive pseudo-remainder sequences
+(Brown-Traub) run on the smallest grid of their two operands, unless a gcd
+modulo one prime already proves the pair coprime; sums use Henrici's method
+(Knuth, TAOCP vol. 2, 4.5.1), products cancel crosswise, and division by a
+primitive gcd is exact over Z by Gauss's lemma.  ``Fraction``
+appears only at the boundary: the constructors, the ``num``/``den``/
+``as_rational``/``as_monomial`` views, the renderers and JSON.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 from .errors import ParseError
 
-Gadict = dict  # Fraction exponent -> Fraction coefficient, zeros never stored
+Poly = dict  # integer Laurent polynomial in t: int exponent -> nonzero int coefficient
+Terms = tuple  # stored form of a Poly: ((exponent, coefficient), ...), largest exponent first
 
 
-def _ga_normalize(d: Gadict) -> Gadict:
-    return {q: c for q, c in d.items() if c != 0}
-
-
-def _ga_add(a: Gadict, b: Gadict) -> Gadict:
+def _padd(a: Poly, b: Poly) -> Poly:
     out = dict(a)
-    for q, c in b.items():
-        s = out.get(q, Fraction(0)) + c
+    for k, c in b.items():
+        s = out.get(k, 0) + c
         if s:
-            out[q] = s
+            out[k] = s
         else:
-            out.pop(q, None)
+            del out[k]
     return out
 
 
-def _ga_neg(a: Gadict) -> Gadict:
-    return {q: -c for q, c in a.items()}
+def _pmul(a: Poly, b: Poly) -> Poly:
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        (ka, ca), = a.items()
+        return {ka + kb: ca * cb for kb, cb in b.items()}
+    out: Poly = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            out[k] = out.get(k, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
 
 
-def _ga_mul(a: Gadict, b: Gadict) -> Gadict:
-    if not a or not b:
-        return {}
-    # integer exponent grid: int keys hash much faster than Fractions
-    n = 1
-    for d in (a, b):
-        for q in d:
-            n = lcm(n, q.denominator)
-    ia = [(int(q * n), c) for q, c in a.items()]
-    ib = [(int(q * n), c) for q, c in b.items()]
-    out: dict[int, Fraction] = {}
-    for qa, ca in ia:
-        for qb, cb in ib:
-            q = qa + qb
-            s = out.get(q, 0) + ca * cb
-            if s:
-                out[q] = s
-            else:
-                out.pop(q, None)
-    return {Fraction(q, n): c for q, c in out.items()}
-
-
-def _ga_scale(a: Gadict, c: Fraction) -> Gadict:
-    if not c:
-        return {}
-    return {q: cq * c for q, cq in a.items()}
-
-
-def _ga_shift(a: Gadict, s: Fraction) -> Gadict:
-    return {q + s: c for q, c in a.items()}
-
-
-# -- integer-exponent polynomial helpers used for gcd reduction ------------
-#
-# Exponents are scaled to a common integer grid and shifted so that the
-# constant term is nonzero; on that grid the elements are ordinary univariate
-# polynomials and a primitive pseudo-remainder sequence over Z computes the
-# gcd without fraction blowup.
-
-
-def _grid(*elems: Gadict) -> int:
-    n = 1
-    for d in elems:
-        for q in d:
-            n = lcm(n, q.denominator)
-    return n
-
-
-def _to_poly(d: Gadict, n: int) -> tuple[dict[int, Fraction], Fraction]:
-    """Return (integer-exponent dict, shift) with minimal exponent zero."""
-    if not d:
-        return {}, Fraction(0)
-    shift = min(d)
-    return {int((q - shift) * n): c for q, c in d.items()}, shift
-
-
-def _poly_divmod(a: dict[int, Fraction], b: dict[int, Fraction]):
-    quot: dict[int, Fraction] = {}
-    rem = dict(a)
-    db = max(b)
-    lb = b[db]
-    while rem and max(rem) >= db:
-        dr = max(rem)
-        f = rem[dr] / lb
-        quot[dr - db] = f
-        for k, c in b.items():
-            s = rem.get(dr - db + k, Fraction(0)) - f * c
-            if s:
-                rem[dr - db + k] = s
-            else:
-                rem.pop(dr - db + k, None)
-    return quot, rem
-
-
-def _int_primitive(p: dict[int, int]) -> dict[int, int]:
-    if not p:
+def _anchored(p: Poly, step: int = 1) -> Poly:
+    """``p / t^min(p)`` as a polynomial in ``t^step``."""
+    s = min(p)
+    if s == 0 and step == 1:
         return p
-    g = 0
-    for c in p.values():
-        g = gcd(g, c)
+    return {(k - s) // step: c for k, c in p.items()}
+
+
+def _primitive(p: Poly) -> Poly:
+    """p over its content, signed so that the leading coefficient is positive."""
+    g = gcd(*p.values())
     if p[max(p)] < 0:
         g = -g
-    return {k: c // g for k, c in p.items()}
+    return p if g == 1 else {k: c // g for k, c in p.items()}
 
 
-def _int_prem(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """Pseudo-remainder of a by b over Z."""
-    db = max(b)
-    lb = b[db]
-    rem = dict(a)
-    while rem and max(rem) >= db:
-        dr = max(rem)
-        lr = rem[dr]
-        # lb * rem - lr * x^{dr-db} * b kills the leading term
-        out: dict[int, int] = {}
-        for k, c in rem.items():
-            out[k] = lb * c
-        for k, c in b.items():
-            kk = dr - db + k
-            s = out.get(kk, 0) - lr * c
-            if s:
-                out[kk] = s
-            else:
-                out.pop(kk, None)
-        rem = out
-    return rem
+def _subtract_shifted(r: Poly, f: int, s: int, tail: list) -> None:
+    """``r -= f * t^s * tail`` in place, for ``tail`` a list of terms."""
+    for k, c in tail:
+        x = r.get(k + s, 0) - f * c
+        if x:
+            r[k + s] = x
+        else:
+            del r[k + s]
 
 
-def _poly_gcd(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
-    """Monic gcd over Q, computed by a primitive PRS over Z."""
-    def to_int(p):
-        denom = 1
-        for c in p.values():
-            denom = lcm(denom, c.denominator)
-        return _int_primitive({k: int(c * denom) for k, c in p.items()})
+def _prem(u: Poly, v: Poly) -> Poly:
+    """A nonzero integer multiple of the remainder of u by v, {} if v | u."""
+    dv = max(v)
+    lv = v[dv]
+    tail = [(k, c) for k, c in v.items() if k != dv]
+    r = dict(u)
+    while r:
+        dr = max(r)
+        if dr < dv:
+            break
+        lr = r.pop(dr)
+        # r <- m * r - f * t^(dr-dv) * v kills the leading term
+        g = gcd(lr, lv)
+        m, f = lv // g, lr // g
+        if m != 1:
+            r = {k: c * m for k, c in r.items()}
+        _subtract_shifted(r, f, dr - dv, tail)
+    return r
 
-    pa, pb = to_int(a), to_int(b)
-    while pb:
-        pa, pb = pb, _int_primitive(_int_prem(pa, pb))
-    if not pa:
-        return {}
-    lead = pa[max(pa)]
-    return {k: Fraction(c, lead) for k, c in pa.items()}
+
+_P = 2**30 - 35  # the largest prime below 2^30: residues stay one-digit ints
+_DENSE_MAX = 1 << 12  # longest coefficient list the modular test builds
 
 
-def _ga_reduce(num: Gadict, den: Gadict) -> tuple[Gadict, Gadict]:
-    """Cancel the gcd of numerator and denominator."""
+def _coprime_mod_p(u: Poly, v: Poly) -> bool:
+    """True when u and v (anchored at exponent 0) are certainly coprime over
+    Q: their gcd modulo _P is a constant and _P divides neither leading
+    coefficient.
+
+    The primitive gcd g over Z keeps its degree modulo _P (its leading
+    coefficient divides theirs) and divides both reductions, so it is a
+    constant.  False means only "not proved"; the PRS then decides."""
+    p, du, dv = _P, max(u), max(v)
+    if max(du, dv) > _DENSE_MAX or not (u[du] % p and v[dv] % p):
+        return False
+    a, b = [0] * (du + 1), [0] * (dv + 1)
+    for k, c in u.items():
+        a[k] = c % p
+    for k, c in v.items():
+        b[k] = c % p
+    if du < dv:
+        a, b = b, a
+    while len(b) > 1:
+        inv = pow(b[-1], -1, p)
+        low = [c * inv % p for c in b[:-1]]
+        db = len(low)
+        for i in range(len(a) - 1, db - 1, -1):
+            f = a[i]
+            if f:
+                s = i - db
+                a[s:i] = [(x - f * y) % p for x, y in zip(a[s:i], low)]
+        del a[db:]
+        while a and not a[-1]:
+            a.pop()
+        if not a:
+            return False
+        a, b = b, a
+    return True
+
+
+def _poly_gcd(a: Poly, b: Poly) -> Poly | None:
+    """The primitive gcd of a and b in Z[t, 1/t], anchored at exponent 0 with
+    a positive leading coefficient, or None when it is a unit (a monomial).
+
+    The PRS runs on the smallest grid of the two operands: the exponents are
+    shifted to start at 0 and divided by their gcd first.  Most pairs met in
+    a solve are coprime, which a gcd modulo one prime proves far faster.
+    """
+    if len(a) == 1 or len(b) == 1:
+        return None
+    sa, sb = min(a), min(b)
+    step = gcd(*(k - sa for k in a), *(k - sb for k in b))
+    u, v = _primitive(_anchored(a, step)), _primitive(_anchored(b, step))
+    if max(u) < max(v):
+        u, v = v, u
+    if u != v and _coprime_mod_p(u, v):
+        return None
+    while True:
+        r = _prem(u, v)
+        if not r:
+            break
+        # t divides neither u nor v, so it may be cancelled from r
+        r = _primitive(_anchored(r))
+        if len(r) == 1:
+            return None
+        u, v = v, r
+    return {k * step: c for k, c in v.items()}
+
+
+def _exact_div(a: Poly, g: Poly) -> Poly:
+    """a / g for a primitive g anchored at exponent 0 that divides a.
+
+    By Gauss's lemma the quotient has integer coefficients, so every
+    coefficient division below is exact."""
+    dg = max(g)
+    lg = g[dg]
+    tail = [(k, c) for k, c in g.items() if k != dg]
+    low = min(a)
+    r = dict(a)
+    out: Poly = {}
+    while r:
+        dr = max(r)
+        s = dr - dg
+        if s < low:
+            raise ArithmeticError("inexact polynomial division")
+        out[s] = r.pop(dr) // lg
+        _subtract_shifted(r, out[s], s, tail)
+    return out
+
+
+def _canonical(n: int, num: Poly, den: Poly) -> tuple[int, Terms, Terms]:
+    """The stored form of ``num/den`` on grid ``n``; the fraction must already
+    be reduced up to units (monomials and integers)."""
     if not num:
-        return {}, {Fraction(0): Fraction(1)}
-    # a single-term factor is cancelled by the exponent anchoring alone
-    if len(num) == 1 or len(den) == 1:
-        return num, den
-    n = _grid(num, den)
-    pn, sn = _to_poly(num, n)
-    pd, sd = _to_poly(den, n)
-    g = _poly_gcd(pn, pd)
-    if g and max(g) > 0:
-        qn, rn = _poly_divmod(pn, g)
-        qd, rd = _poly_divmod(pd, g)
-        assert not rn and not rd
-        pn, pd = qn, qd
-    num = {Fraction(k, n) + sn: c for k, c in pn.items()}
-    den = {Fraction(k, n) + sd: c for k, c in pd.items()}
-    return num, den
+        return 1, (), ((0, 1),)
+    s = min(den)
+    if s:
+        num = {k - s: c for k, c in num.items()}
+        den = {k - s: c for k, c in den.items()}
+    g = gcd(*num.values(), *den.values())
+    if den[max(den)] < 0:
+        g = -g
+    if g != 1:
+        num = {k: c // g for k, c in num.items()}
+        den = {k: c // g for k, c in den.items()}
+    if n > 1:
+        step = gcd(n, *num, *den)
+        if step > 1:
+            n //= step
+            num = {k // step: c for k, c in num.items()}
+            den = {k // step: c for k, c in den.items()}
+    return n, tuple(sorted(num.items(), reverse=True)), tuple(sorted(den.items(), reverse=True))
+
+
+def _make(n: int, num: Poly, den: Poly) -> "Constant":
+    return _stored(*_canonical(n, num, den))
+
+
+def _stored(n: int, num: Terms, den: Terms) -> "Constant":
+    c = Constant.__new__(Constant)
+    c._n, c._num, c._den = n, num, den
+    return c
 
 
 class Constant:
-    """An element of the scalar field, kept in canonical reduced form.
+    """An element of the scalar field, stored in canonical form.
 
-    Canonical form: the fraction is reduced, the denominator's smallest
-    exponent is zero and its leading (largest-exponent) coefficient is one.
+    With ``t = e^{1/N}``, the value is ``_num(t) / _den(t)`` for integer
+    Laurent polynomials held as tuples of ``(exponent, coefficient)`` integer
+    pairs, largest exponent first.  The stored form is canonical: the
+    fraction is reduced, the denominator's lowest exponent is 0 and its
+    leading coefficient is positive, the integer content of numerator and
+    denominator together is 1, and the grid ``N`` is minimal.  So a rational
+    ``p/q`` is stored as ``p`` over ``q``.
+
+    The ``num`` and ``den`` views differ from the stored form: they are
+    ``Fraction -> Fraction`` dicts (exponent ``k/N`` to coefficient) scaled
+    so that the denominator is monic.
     """
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_n", "_num", "_den")
 
-    def __init__(self, num: Gadict, den: Gadict | None = None, _reduced: bool = False):
-        num = _ga_normalize(dict(num))
-        den = _ga_normalize(dict(den)) if den is not None else {Fraction(0): Fraction(1)}
+    def __init__(self, num: dict, den: dict | None = None):
+        num = {Fraction(q): Fraction(c) for q, c in num.items() if c}
+        if den is None:
+            den = {Fraction(0): Fraction(1)}
+        else:
+            den = {Fraction(q): Fraction(c) for q, c in den.items() if c}
         if not den:
             raise ZeroDivisionError("zero divisor")
-        if not _reduced:
-            num, den = _ga_reduce(num, den)
-        if num:
-            shift = -min(den)
-            if shift:
-                num = _ga_shift(num, shift)
-                den = _ga_shift(den, shift)
-            lead = den[max(den)]
-            if lead != 1:
-                num = _ga_scale(num, 1 / lead)
-                den = _ga_scale(den, 1 / lead)
-        else:
-            den = {Fraction(0): Fraction(1)}
-        self._num = tuple(sorted(num.items(), reverse=True))
-        self._den = tuple(sorted(den.items(), reverse=True))
+        n = lcm(*(q.denominator for q in chain(num, den)))
+        m = lcm(*(c.denominator for c in chain(num.values(), den.values())))
+        inum, iden = ({q.numerator * (n // q.denominator): c.numerator * (m // c.denominator)
+                       for q, c in terms.items()} for terms in (num, den))
+        g = _poly_gcd(inum, iden) if inum else None
+        if g is not None:
+            inum, iden = _exact_div(inum, g), _exact_div(iden, g)
+        self._n, self._num, self._den = _canonical(n, inum, iden)
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls) -> "Constant":
-        return cls({})
+        return _ZERO
 
     @classmethod
     def one(cls) -> "Constant":
-        return cls({Fraction(0): Fraction(1)})
+        return _ONE
 
     @classmethod
     def from_rational(cls, q) -> "Constant":
-        return cls({Fraction(0): Fraction(q)})
+        q = Fraction(q)
+        if not q:
+            return _ZERO
+        return _stored(1, ((0, q.numerator),), ((0, q.denominator),))
 
     @classmethod
     def e_power(cls, q, coeff=1) -> "Constant":
         """The scalar ``coeff * e^q``."""
-        return cls({Fraction(q): Fraction(coeff)})
+        q, coeff = Fraction(q), Fraction(coeff)
+        if not coeff:
+            return _ZERO
+        return _stored(q.denominator, ((q.numerator, coeff.numerator),),
+                       ((0, coeff.denominator),))
 
     # -- views ------------------------------------------------------------
 
-    @property
-    def num(self) -> Gadict:
-        return dict(self._num)
+    def _view(self, terms: Terms) -> dict:
+        n, lead = self._n, self._den[0][1]
+        return {Fraction(k, n): Fraction(c, lead) for k, c in terms}
 
     @property
-    def den(self) -> Gadict:
-        return dict(self._den)
+    def num(self) -> dict:
+        """Numerator as ``Fraction -> Fraction``, over the monic ``den``."""
+        return self._view(self._num)
+
+    @property
+    def den(self) -> dict:
+        """Denominator as ``Fraction -> Fraction``, leading coefficient 1."""
+        return self._view(self._den)
 
     def is_zero(self) -> bool:
         return not self._num
@@ -251,17 +316,15 @@ class Constant:
         """The value as a Fraction, or None if it involves e-symbols."""
         if not self._num:
             return Fraction(0)
-        if self._den == ((Fraction(0), Fraction(1)),) and len(self._num) == 1:
-            q, c = self._num[0]
-            if q == 0:
-                return c
+        if len(self._den) == 1 and len(self._num) == 1 and self._num[0][0] == 0:
+            return Fraction(self._num[0][1], self._den[0][1])
         return None
 
     def as_monomial(self) -> tuple[Fraction, Fraction] | None:
         """Return (exponent, coefficient) if the value is ``c * e^q``."""
-        if len(self._num) == 1 and self._den == ((Fraction(0), Fraction(1)),):
-            q, c = self._num[0]
-            return q, c
+        if len(self._num) == 1 and len(self._den) == 1:
+            (k, c), = self._num
+            return Fraction(k, self._n), Fraction(c, self._den[0][1])
         return None
 
     # -- arithmetic -------------------------------------------------------
@@ -274,6 +337,13 @@ class Constant:
             return Constant.from_rational(other)
         return None
 
+    def _polys(self, n: int) -> tuple[Poly, Poly]:
+        """Numerator and denominator on the grid ``n``, a multiple of ``_n``."""
+        f = n // self._n
+        if f == 1:
+            return dict(self._num), dict(self._den)
+        return {k * f: c for k, c in self._num}, {k * f: c for k, c in self._den}
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -282,16 +352,27 @@ class Constant:
             return other
         if not other._num:
             return self
-        if self._den == other._den:
+        n = lcm(self._n, other._n)
+        n1, d1 = self._polys(n)
+        n2, d2 = other._polys(n)
+        if d1 == d2:
             # common case (e.g. matrix rows over one determinant)
-            return Constant(_ga_add(self.num, other.num), self.den)
-        num = _ga_add(_ga_mul(self.num, other.den), _ga_mul(other.num, self.den))
-        return Constant(num, _ga_mul(self.den, other.den))
+            num, den, g = _padd(n1, n2), d1, d1
+        else:
+            # Henrici: with g = gcd(d1, d2), only gcd(num, g) can cancel
+            g = _poly_gcd(d1, d2)
+            e1, e2 = (d1, d2) if g is None else (_exact_div(d1, g), _exact_div(d2, g))
+            num, den = _padd(_pmul(n1, e2), _pmul(n2, e1)), _pmul(d1, e2)
+        if num and g is not None:
+            h = _poly_gcd(num, g)
+            if h is not None:
+                num, den = _exact_div(num, h), _exact_div(den, h)
+        return _make(n, num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Constant(_ga_neg(self.num), self.den, _reduced=True)
+        return _stored(self._n, tuple((k, -c) for k, c in self._num), self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -311,10 +392,17 @@ class Constant:
             return NotImplemented
         if not self._num or not other._num:
             return _ZERO
+        n = lcm(self._n, other._n)
+        n1, d1 = self._polys(n)
+        n2, d2 = other._polys(n)
         # inputs are reduced; cross-cancel so the product needs no gcd
-        n1, d2 = _ga_reduce(self.num, other.den)
-        n2, d1 = _ga_reduce(other.num, self.den)
-        return Constant(_ga_mul(n1, n2), _ga_mul(d1, d2), _reduced=True)
+        g = _poly_gcd(n1, d2)
+        if g is not None:
+            n1, d2 = _exact_div(n1, g), _exact_div(d2, g)
+        g = _poly_gcd(n2, d1)
+        if g is not None:
+            n2, d1 = _exact_div(n2, g), _exact_div(d1, g)
+        return _make(n, _pmul(n1, n2), _pmul(d1, d2))
 
     __rmul__ = __mul__
 
@@ -335,23 +423,24 @@ class Constant:
     def inverse(self) -> "Constant":
         if self.is_zero():
             raise ZeroDivisionError("zero divisor")
-        return Constant(self.den, self.num, _reduced=True)
+        return _make(self._n, dict(self._den), dict(self._num))
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._num == other._num and self._den == other._den
+        return (self._num == other._num and self._den == other._den
+                and self._n == other._n)
 
     def __hash__(self):
-        return hash((self._num, self._den))
+        return hash((self._n, self._num, self._den))
 
     # -- rendering --------------------------------------------------------
 
     @staticmethod
-    def _ga_text(terms) -> str:
+    def _ga_text(terms: dict) -> str:
         parts = []
-        for q, c in terms:
+        for q, c in terms.items():
             if q == 0:
                 piece = str(c)
             elif c == 1:
@@ -367,15 +456,15 @@ class Constant:
         return "".join(parts) if parts else "0"
 
     def to_text(self) -> str:
-        num = self._ga_text(self._num)
-        if self._den == ((Fraction(0), Fraction(1)),):
+        num = self._ga_text(self.num)
+        if len(self._den) == 1:
             return num
-        return f"({num})/({self._ga_text(self._den)})"
+        return f"({num})/({self._ga_text(self.den)})"
 
     @staticmethod
-    def _ga_latex(terms) -> str:
+    def _ga_latex(terms: dict) -> str:
         parts = []
-        for q, c in terms:
+        for q, c in terms.items():
             if q == 0:
                 piece = _frac_latex(c)
             elif abs(c) == 1:
@@ -389,10 +478,10 @@ class Constant:
         return "".join(parts) if parts else "0"
 
     def to_latex(self) -> str:
-        num = self._ga_latex(self._num)
-        if self._den == ((Fraction(0), Fraction(1)),):
+        num = self._ga_latex(self.num)
+        if len(self._den) == 1:
             return num
-        return rf"\frac{{{num}}}{{{self._ga_latex(self._den)}}}"
+        return rf"\frac{{{num}}}{{{self._ga_latex(self.den)}}}"
 
     def __repr__(self):
         return f"Constant({self.to_text()})"
@@ -404,8 +493,8 @@ class Constant:
 
     def to_json(self) -> dict:
         return {
-            "num": {str(q): str(c) for q, c in self._num},
-            "den": {str(q): str(c) for q, c in self._den},
+            "num": {str(q): str(c) for q, c in self.num.items()},
+            "den": {str(q): str(c) for q, c in self.den.items()},
         }
 
     @classmethod
@@ -437,5 +526,5 @@ def const_arith(a: Constant, b: Constant, kind: str) -> Constant:
     raise ValueError(f"unknown kind {kind!r}")
 
 
-_ONE = Constant({Fraction(0): Fraction(1)})
-_ZERO = Constant({})
+_ONE = _stored(1, ((0, 1),), ((0, 1),))
+_ZERO = _stored(1, (), ((0, 1),))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .constants import Constant
+from .constants import Constant, _frac_latex
 
 # A monomial key for the second tensor factor: (frequency, power).
 Monomial = tuple[Fraction, int]
@@ -323,14 +323,6 @@ def _linear_latex(freq, var, yfreq, yvar, offset) -> str:
     for p in pieces[1:]:
         text += p if p.startswith("-") else f"+{p}"
     return text
-
-
-def _frac_latex(c: Fraction) -> str:
-    c = Fraction(c)
-    if c.denominator == 1:
-        return str(c.numerator)
-    sign = "-" if c < 0 else ""
-    return rf"{sign}\tfrac{{{abs(c.numerator)}}}{{{c.denominator}}}"
 
 
 class BivariateExpPoly:

@@ -26,6 +26,8 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|(x(?:i)?|exp)|([()+\-*/^])|(\S))")
 
 
 def _tokenize(text: str) -> list[str]:
+    if not isinstance(text, str):
+        raise ParseError(f"expression must be a string, got {text!r}")
     tokens = []
     text = text.strip()
     pos = 0

@@ -237,3 +237,50 @@ def test_console_entry_point():
         input=json.dumps(INTRO_SPEC), capture_output=True, text=True)
     assert result.returncode == 0
     assert json.loads(result.stdout)["report"]["verified"] is True
+
+
+def _intro_with_order(order):
+    doc = json.loads(json.dumps(INTRO_SPEC))
+    doc["conditions"][0]["local"][0]["order"] = order
+    return doc
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("order", [-1, True, 1.5, "1", None])
+def test_bad_derivative_order_exit_2(tmp_path, capsys, command, order):
+    # "order": -1 used to be read as order 0 and verified a different problem
+    assert main([command, write_spec(tmp_path, _intro_with_order(order))]) == 2
+    captured = capsys.readouterr()
+    assert "derivative order must be a nonnegative integer" in captured.err
+    assert "verified" not in captured.out
+
+
+@pytest.mark.parametrize("doc", [
+    {"operator": {"coeffs": [0, "0", "1"]}, "conditions": INTRO_SPEC["conditions"]},
+    {"operator": {"coeffs": ["0", "0", "1"]},
+     "conditions": [5, INTRO_SPEC["conditions"][1]]},
+    {"operator": {"coeffs": ["0", "0", "1"]}, "conditions": 5},
+    {"operator": {"coeffs": ["0", "0", "1"]}, "conditions": INTRO_SPEC["conditions"],
+     "fundamental_system": 5},
+    {"operator": {"coeffs": ["0", "0", "1"]}, "conditions": INTRO_SPEC["conditions"],
+     "fundamental_system": ["1", 1]},
+    {"operator": {"coeffs": ["0", "0", "1"]},
+     "conditions": [INTRO_SPEC["conditions"][0],
+                    {"local": [], "global": [{"lower": "0", "upper": "1", "integrand": 1}]}]},
+], ids=["int-coeff", "int-condition", "int-conditions", "int-system", "int-basis-entry",
+        "int-integrand"])
+def test_wrong_json_types_exit_2(tmp_path, capsys, doc):
+    assert main(["solve", write_spec(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_large_constant_term_root_search(tmp_path, capsys):
+    import time
+
+    doc = {"operator": {"coeffs": ["-100000007", "1"]},
+           "conditions": [{"local": [{"point": "0", "order": 0, "coeff": "1"}]}]}
+    start = time.perf_counter()
+    assert main(["solve", write_spec(tmp_path, doc)]) == 2
+    # the divisor scan of 100000007 used to take seconds
+    assert time.perf_counter() - start < 3
+    assert "degenerate domain" in capsys.readouterr().err
