@@ -11,7 +11,7 @@ space of admissible functions.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, isqrt, lcm
+from math import isqrt, lcm
 
 from .constants import Constant
 from .errors import (
@@ -22,7 +22,7 @@ from .errors import (
 )
 from .exppoly import ExpPoly, _coerce_constant
 from .linalg import mat_det, mat_from_rows, mat_inv, left_kernel
-from .operators import Operator
+from .operators import Operator, _leibniz
 from .parsing import parse_exppoly, parse_rational
 
 
@@ -294,6 +294,27 @@ def fundamental_system(T: Operator) -> FundamentalSystem:
     return FundamentalSystem(u)
 
 
+# The scalar field stores e^(lambda*p) on the minimal grid of its exponents,
+# and its gcds step through that grid one degree at a time, so solve time grows
+# faster than the spread, and faster still with the order: 2*10^5 steps, from
+# one evaluation point at 10^5, do not finish in minutes.  The worked examples
+# and the seeded test problems stay below 60 steps.
+MAX_EXPONENT_SPREAD = 500
+
+
+def check_exponent_spread(fs: FundamentalSystem, points) -> None:
+    """Reject exponents lambda*p (lambda a frequency of ``fs``, p one of
+    ``points``) that span more than MAX_EXPONENT_SPREAD steps of their
+    minimal grid, before any arithmetic on them."""
+    exponents = {lam * Fraction(p) for u in fs.u for lam, _n, _c in u.terms() for p in points}
+    if exponents:
+        spread = (max(exponents) - min(exponents)) * lcm(*(q.denominator for q in exponents))
+        if spread > MAX_EXPONENT_SPREAD:
+            raise ParseError(f"the exponents of the fundamental system at the evaluation points "
+                             f"span {spread} grid steps, more than the cap "
+                             f"MAX_EXPONENT_SPREAD = {MAX_EXPONENT_SPREAD}")
+
+
 class BoundaryProblem:
     """A monic differential operator of order n with n boundary conditions."""
 
@@ -385,9 +406,7 @@ def fri_derivative(fs: FundamentalSystem, k: int, basepoint):
     residues = fri_residues(fs, k)
     for j, rho in enumerate(residues, start=1):
         # d^{k-j} * rho expanded by Leibniz into normal form
-        order = k - j
-        for m in range(order + 1):
-            out = out + Operator.derivative(m, rho.derive(order - m) * Fraction(comb(order, m)))
+        out = out + Operator(diff=dict(_leibniz(k - j, rho)))
     return out, residues
 
 

@@ -22,6 +22,7 @@ from fractions import Fraction
 from .boundary import (
     BoundaryProblem,
     StieltjesCondition,
+    check_exponent_spread,
     greens_operator,
     kernel_relations,
 )
@@ -197,6 +198,8 @@ def _spec_from_args(args) -> ProblemSpec:
         test_functions = tuple(s.strip() for s in args.test_functions.split(",") if s.strip())
         for text in test_functions:
             parse_exppoly(text)
+    extra = [basepoint] if basepoint is not None else []
+    check_exponent_spread(problem.system(), problem.evaluation_points().union(extra))
     return ProblemSpec(
         problem=problem,
         basepoint=basepoint,

@@ -438,50 +438,28 @@ class Constant:
     # -- rendering --------------------------------------------------------
 
     @staticmethod
-    def _ga_text(terms: dict) -> str:
-        parts = []
+    def _ga_markup(terms: dict, fmt: dict) -> str:
+        pieces = []
         for q, c in terms.items():
             if q == 0:
-                piece = str(c)
-            elif c == 1:
-                piece = f"exp({q})"
-            elif c == -1:
-                piece = f"-exp({q})"
+                pieces.append(fmt["coeff"](c))
+            elif abs(c) == 1:
+                pieces.append(("-" if c < 0 else "") + fmt["exp"].format(q))
             else:
-                piece = f"{c}*exp({q})"
-            if parts:
-                parts.append(f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}")
-            else:
-                parts.append(piece)
-        return "".join(parts) if parts else "0"
+                pieces.append(fmt["scaled"].format(fmt["coeff"](c), fmt["exp"].format(q)))
+        return _join_signed(pieces, *fmt["join"])
 
     def to_text(self) -> str:
-        num = self._ga_text(self.num)
+        num = self._ga_markup(self.num, _TEXT)
         if len(self._den) == 1:
             return num
-        return f"({num})/({self._ga_text(self.den)})"
-
-    @staticmethod
-    def _ga_latex(terms: dict) -> str:
-        parts = []
-        for q, c in terms.items():
-            if q == 0:
-                piece = _frac_latex(c)
-            elif abs(c) == 1:
-                piece = ("-" if c < 0 else "") + f"e^{{{q}}}"
-            else:
-                piece = f"{_frac_latex(c)} e^{{{q}}}"
-            if parts and not piece.startswith("-"):
-                parts.append("+" + piece)
-            else:
-                parts.append(piece)
-        return "".join(parts) if parts else "0"
+        return f"({num})/({self._ga_markup(self.den, _TEXT)})"
 
     def to_latex(self) -> str:
-        num = self._ga_latex(self.num)
+        num = self._ga_markup(self.num, _LATEX)
         if len(self._den) == 1:
             return num
-        return rf"\frac{{{num}}}{{{self._ga_latex(self.den)}}}"
+        return rf"\frac{{{num}}}{{{self._ga_markup(self.den, _LATEX)}}}"
 
     def __repr__(self):
         return f"Constant({self.to_text()})"
@@ -513,6 +491,21 @@ def _frac_latex(c: Fraction) -> str:
         return str(c.numerator)
     sign = "-" if c < 0 else ""
     return rf"{sign}\tfrac{{{abs(c.numerator)}}}{{{c.denominator}}}"
+
+
+def _join_signed(pieces, plus: str, minus: str, empty: str = "0") -> str:
+    """Join rendered terms: ``plus`` goes before a later term, and ``minus``
+    replaces the leading ``-`` of a negative one."""
+    pieces = list(pieces)
+    if not pieces:
+        return empty
+    return pieces[0] + "".join(minus + p[1:] if p.startswith("-") else plus + p
+                               for p in pieces[1:])
+
+
+# Per-format markup of the sums of ``c*e^q`` that make up a Constant.
+_TEXT = {"coeff": str, "exp": "exp({})", "scaled": "{}*{}", "join": (" + ", " - ")}
+_LATEX = {"coeff": _frac_latex, "exp": "e^{{{}}}", "scaled": "{} {}", "join": ("+", "-")}
 
 
 def const_arith(a: Constant, b: Constant, kind: str) -> Constant:

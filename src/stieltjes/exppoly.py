@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .constants import Constant, _frac_latex
+from .constants import Constant, _frac_latex, _join_signed
 
 # A monomial key for the second tensor factor: (frequency, power).
 Monomial = tuple[Fraction, int]
@@ -204,26 +204,10 @@ class ExpPoly:
     # -- rendering --------------------------------------------------------
 
     def to_text(self) -> str:
-        parts = []
-        for freq, power, c in self.terms():
-            parts.append(_term_text(c, power, freq, "x"))
-        if not parts:
-            return "0"
-        text = parts[0]
-        for piece in parts[1:]:
-            text += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
-        return text
+        return _render(self.terms(), _TEXT)
 
     def to_latex(self) -> str:
-        parts = []
-        for freq, power, c in self.terms():
-            parts.append(_term_latex(c, power, freq, "x"))
-        if not parts:
-            return "0"
-        out = parts[0]
-        for piece in parts[1:]:
-            out += piece if piece.startswith("-") else "+" + piece
-        return out
+        return _render(self.terms(), _LATEX)
 
     def __repr__(self):
         return f"ExpPoly({self.to_text()})"
@@ -232,9 +216,37 @@ class ExpPoly:
         return self.to_text()
 
 
-def _term_text(c: Constant, power: int, freq: Fraction, var: str, ypower: int = 0,
-                yfreq: Fraction = Fraction(0), yvar: str = "xi") -> str:
-    """Render ``c * var^power * yvar^ypower * exp(freq*var + yfreq*yvar)``."""
+# One row per output format: the markup of a term c * x^n * xi^m * exp(...).
+_TEXT = {
+    "coeff": str,
+    "constant": lambda c: f"({c.to_text()})",
+    "power": "{}^{}",
+    "exp": "exp({})",
+    "product": "*",
+    "scaled": "{}*{}",
+    "yvar": "xi",
+    "join": (" + ", " - "),
+}
+_LATEX = {
+    "coeff": _frac_latex,
+    "constant": lambda c: rf"\left({c.to_latex()}\right)",
+    "power": "{}^{{{}}}",
+    "exp": "e^{{{}}}",
+    "product": " ",
+    "scaled": "{}{}",
+    "yvar": r"\xi",
+    "join": ("+", "-"),
+}
+
+
+def _render(terms, fmt: dict) -> str:
+    """Render (freq, power, c[, yfreq, ypower]) terms as a signed sum."""
+    return _join_signed((_term_markup(fmt, *term) for term in terms), *fmt["join"])
+
+
+def _term_markup(fmt: dict, freq: Fraction, power: int, c: Constant,
+                 yfreq: Fraction = Fraction(0), ypower: int = 0) -> str:
+    """Render ``c * x^power * yvar^ypower * exp(freq*x + yfreq*yvar)``."""
     factors = []
     mono = c.as_monomial()
     offset = Fraction(0)
@@ -243,86 +255,23 @@ def _term_text(c: Constant, power: int, freq: Fraction, var: str, ypower: int = 
         sign = "-" if coeff < 0 else ""
         coeff = abs(coeff)
         if coeff != 1 or (power == 0 and ypower == 0 and freq == 0 and yfreq == 0 and offset == 0):
-            factors.append(str(coeff))
+            factors.append(fmt["coeff"](coeff))
     else:
         sign = ""
-        factors.append(f"({c.to_text()})")
-    if power:
-        factors.append(var if power == 1 else f"{var}^{power}")
-    if ypower:
-        factors.append(yvar if ypower == 1 else f"{yvar}^{ypower}")
-    arg = _linear_text(freq, var, yfreq, yvar, offset)
-    if arg:
-        factors.append(f"exp({arg})")
-    return sign + "*".join(factors)
-
-
-def _linear_text(freq, var, yfreq, yvar, offset) -> str:
+        factors.append(fmt["constant"](c))
+    for n, var in ((power, "x"), (ypower, fmt["yvar"])):
+        if n:
+            factors.append(var if n == 1 else fmt["power"].format(var, n))
     pieces = []
-    for coeff, name in ((freq, var), (yfreq, yvar)):
-        if not coeff:
-            continue
-        if coeff == 1:
-            term = name
-        elif coeff == -1:
-            term = f"-{name}"
-        else:
-            term = f"{coeff}*{name}"
-        pieces.append(term)
+    for coeff, var in ((freq, "x"), (yfreq, fmt["yvar"])):
+        if coeff:
+            pieces.append(var if coeff == 1 else f"-{var}" if coeff == -1
+                          else fmt["scaled"].format(fmt["coeff"](coeff), var))
     if offset:
-        pieces.append(str(offset))
-    if not pieces:
-        return ""
-    text = pieces[0]
-    for p in pieces[1:]:
-        text += p if p.startswith("-") else f"+{p}"
-    return text
-
-
-def _term_latex(c: Constant, power: int, freq: Fraction, var: str, ypower: int = 0,
-                 yfreq: Fraction = Fraction(0), yvar: str = r"\xi") -> str:
-    mono = c.as_monomial()
-    factors = []
-    offset = Fraction(0)
-    if mono is not None:
-        offset, coeff = mono
-        sign = "-" if coeff < 0 else ""
-        coeff = abs(coeff)
-        if coeff != 1 or (power == 0 and ypower == 0 and freq == 0 and yfreq == 0 and offset == 0):
-            factors.append(_frac_latex(coeff))
-    else:
-        sign = ""
-        factors.append(rf"\left({c.to_latex()}\right)")
-    if power:
-        factors.append(var if power == 1 else f"{var}^{{{power}}}")
-    if ypower:
-        factors.append(yvar if ypower == 1 else f"{yvar}^{{{ypower}}}")
-    arg = _linear_latex(freq, var, yfreq, yvar, offset)
-    if arg:
-        factors.append(f"e^{{{arg}}}")
-    return sign + " ".join(factors)
-
-
-def _linear_latex(freq, var, yfreq, yvar, offset) -> str:
-    pieces = []
-    for coeff, name in ((freq, var), (yfreq, yvar)):
-        if not coeff:
-            continue
-        if coeff == 1:
-            term = name
-        elif coeff == -1:
-            term = f"-{name}"
-        else:
-            term = f"{_frac_latex(coeff)}{name}"
-        pieces.append(term)
-    if offset:
-        pieces.append(_frac_latex(offset))
-    if not pieces:
-        return ""
-    text = pieces[0]
-    for p in pieces[1:]:
-        text += p if p.startswith("-") else f"+{p}"
-    return text
+        pieces.append(fmt["coeff"](offset))
+    if pieces:
+        factors.append(fmt["exp"].format(_join_signed(pieces, "+", "-")))
+    return sign + fmt["product"].join(factors)
 
 
 class BivariateExpPoly:
@@ -437,30 +386,15 @@ class BivariateExpPoly:
     # -- rendering --------------------------------------------------------
 
     def to_text(self) -> str:
-        parts = []
-        for (yfreq, ypower) in sorted(self._terms):
-            f = self._terms[(yfreq, ypower)]
-            for freq, power, c in f.terms():
-                parts.append(_term_text(c, power, freq, "x", ypower, yfreq, "xi"))
-        if not parts:
-            return "0"
-        text = parts[0]
-        for piece in parts[1:]:
-            text += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
-        return text
+        return _render(self._markup_terms(), _TEXT)
 
     def to_latex(self) -> str:
-        parts = []
+        return _render(self._markup_terms(), _LATEX)
+
+    def _markup_terms(self):
         for (yfreq, ypower) in sorted(self._terms):
-            f = self._terms[(yfreq, ypower)]
-            for freq, power, c in f.terms():
-                parts.append(_term_latex(c, power, freq, "x", ypower, yfreq, r"\xi"))
-        if not parts:
-            return "0"
-        out = parts[0]
-        for piece in parts[1:]:
-            out += piece if piece.startswith("-") else "+" + piece
-        return out
+            for freq, power, c in self._terms[(yfreq, ypower)].terms():
+                yield freq, power, c, yfreq, ypower
 
     def __repr__(self):
         return f"BivariateExpPoly({self.to_text()})"

@@ -11,19 +11,22 @@ left coefficient ``f`` and rational points::
 Right factors ``g`` are kept as monic monomials ``x^n exp(nu*x)``; their
 scalar coefficients are folded into the left factor, so equality is
 structural equality of the four part dictionaries.  Global terms are
-presentation sugar (``f <p> int_a g = f int_a g - f int_p g``); ring products
-always return the canonical global-free form, which is unique, while
-``to_standard`` rebuilds the single-basepoint presentation with globals.
+presentation sugar (``f <p> int_a g = f int_a g - f int_p g``): the equitable
+form without them is unique, and ``to_standard`` rebuilds the
+single-basepoint presentation with globals.
 
-Multiplication is composition (``(u*v)(h) = u(v(h))``) and is computed by a
-terminating rewrite of term pairs.  The key single-step rules are::
+Multiplication is composition (``(u*v)(h) = u(v(h))``).  Both factors are
+taken to equitable form first, and the product of each pair of D, I and L
+terms is computed by a terminating rewrite whose results are again
+equitable (the skew-polynomial presentation of Regensburger, Rosenkranz and
+Middeke).  The single-step rules are::
 
     d*f        -> f*d + f'
     d*int_a    -> 1
     int_a f d  -> f - int_a f' - f(a)*<a>
     int_a f int_b -> F*int_b - int_a*F          with F = int_a f
     <p>*f      -> f(p)*<p>,  <p><q> -> <q>,  d^k <p> -> 0 (k >= 1)
-    <p>*int_a  -> global term,  <p>*int_p -> 0
+    <p>*int_a  -> int_a - int_p,  <p>*int_p -> 0
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
+from .constants import _join_signed
 from .errors import ParseError
 from .exppoly import ExpPoly, Monomial, _coerce_constant
 from .parsing import parse_exppoly
@@ -54,6 +58,22 @@ def _merge(target: dict, key, value: ExpPoly):
         target.pop(key, None)
     else:
         target[key] = total
+
+
+def _sum(ops) -> "Operator":
+    """The sum of operators, merged in one pass over their part dictionaries."""
+    parts = ({}, {}, {}, {})
+    for op in ops:
+        for target, source in zip(parts, (op._diff, op._integ, op._local, op._global)):
+            for key, f in source.items():
+                _merge(target, key, f)
+    return Operator(*parts)
+
+
+def _leibniz(n: int, g: ExpPoly):
+    """Yield (k, comb(n, k) * g^(n-k)), the summands of d^n g = sum_k ... d^k."""
+    for k in range(n + 1):
+        yield k, g.derive(n - k) * comb(n, k)
 
 
 class Operator:
@@ -184,17 +204,7 @@ class Operator:
     def __add__(self, other):
         if not isinstance(other, Operator):
             return NotImplemented
-        diff, integ = dict(self._diff), dict(self._integ)
-        local, glob = dict(self._local), dict(self._global)
-        for i, f in other._diff.items():
-            _merge(diff, i, f)
-        for key, f in other._integ.items():
-            _merge(integ, key, f)
-        for key, f in other._local.items():
-            _merge(local, key, f)
-        for key, f in other._global.items():
-            _merge(glob, key, f)
-        return Operator(diff, integ, local, glob)
+        return _sum((self, other))
 
     def __neg__(self):
         return Operator(
@@ -221,16 +231,12 @@ class Operator:
         )
 
     def __mul__(self, other):
-        # Products are returned in the canonical global-free normal form:
-        # <q>*int_a pairs and int_a - int_q pairs present the same element,
-        # so composition results are normalized through the equitable
-        # translation to make normal forms unique (and hence associative).
+        # Composing in the unique equitable form keeps products unique (and
+        # hence associative); the term rewrites never create a global term.
         if isinstance(other, Operator):
-            total = Operator.zero()
-            for t1 in self._terms():
-                for t2 in other._terms():
-                    total = total + _mul_terms(t1, t2)
-            return total.to_equitable()
+            right = list(other.to_equitable()._terms())
+            return _sum(_mul_terms(t1, t2)
+                        for t1 in self.to_equitable()._terms() for t2 in right)
         f = _as_exppoly(other)
         if f is None:
             return NotImplemented
@@ -251,14 +257,15 @@ class Operator:
     # -- term iteration -------------------------------------------------------
 
     def _terms(self):
+        """Yield (kind, left factor, *key) for every term, in sorted order."""
         for i in sorted(self._diff):
-            yield ("D", i, self._diff[i])
-        for (a, m) in sorted(self._integ):
-            yield ("I", a, self._integ[(a, m)], m)
-        for (p, i) in sorted(self._local):
-            yield ("L", p, i, self._local[(p, i)])
-        for (p, a, m) in sorted(self._global):
-            yield ("G", p, a, self._global[(p, a, m)], m)
+            yield "D", self._diff[i], i
+        for key in sorted(self._integ):
+            yield "I", self._integ[key], *key
+        for key in sorted(self._local):
+            yield "L", self._local[key], *key
+        for key in sorted(self._global):
+            yield "G", self._global[key], *key
 
     # -- action on functions ----------------------------------------------------
 
@@ -278,49 +285,30 @@ class Operator:
 
     def to_equitable(self) -> "Operator":
         """Eliminate global terms: f*<p>*int_a*g = f*int_a*g - f*int_p*g."""
-        out = Operator(self._diff, self._integ, self._local)
-        for (p, a, m), f in self._global.items():
-            out = out + Operator(integ={(a, m): f}) - Operator(integ={(p, m): f})
-        return out
+        if not self._global:
+            return self
+        return _sum([Operator(self._diff, self._integ, self._local)]
+                    + [Operator(integ={(a, m): f, (p, m): -f})
+                       for (p, a, m), f in self._global.items()])
 
     def to_standard(self, basepoint) -> "Operator":
         """Move every integral to the distinguished basepoint:
         f*int_a*g = f*int_e*g - f*<a>*int_e*g."""
         e = Fraction(basepoint)
-        out = Operator(self._diff, local=self._local)
-        for (a, m), f in self._integ.items():
-            out = out + Operator(integ={(e, m): f})
-            if a != e:
-                out = out - Operator(glob={(a, e, m): f})
-        for (p, a, m), f in self._global.items():
-            out = out + Operator(glob={(p, e, m): f})
-            if a != e:
-                out = out - Operator(glob={(a, e, m): f})
-        return out
+        # <e>*int_e vanishes, and the constructor drops it
+        return _sum([Operator(self._diff, local=self._local)]
+                    + [Operator(integ={(e, m): f}, glob={(a, e, m): -f})
+                       for (a, m), f in self._integ.items()]
+                    + [Operator(glob={(p, e, m): f, (a, e, m): -f})
+                       for (p, a, m), f in self._global.items()])
 
     # -- rendering ----------------------------------------------------------------
 
     def to_text(self) -> str:
-        parts = []
-        for term in self._terms():
-            parts.append(_term_to_text(term))
-        if not parts:
-            return "0"
-        text = parts[0]
-        for piece in parts[1:]:
-            text += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
-        return text
+        return _render(self, _TEXT)
 
     def to_latex(self) -> str:
-        parts = []
-        for term in self._terms():
-            parts.append(_term_to_latex(term))
-        if not parts:
-            return "0"
-        out = parts[0]
-        for piece in parts[1:]:
-            out += piece if piece.startswith("-") else " + " + piece
-        return out
+        return _render(self, _LATEX)
 
     def __repr__(self):
         return f"Operator({self.to_text()})"
@@ -382,49 +370,22 @@ def _as_exppoly(value) -> ExpPoly | None:
     return None
 
 
-# -- composition of normal-form terms ----------------------------------------
-
-
-def _expand_diff_after_mult(order: int, g: ExpPoly) -> Operator:
-    """d^order composed with multiplication by g, in normal form (Leibniz)."""
-    total = Operator.zero()
-    for k in range(order + 1):
-        coeff = g.derive(order - k) * Fraction(comb(order, k))
-        total = total + Operator.derivative(k, coeff)
-    return total
+# -- composition of equitable terms ---------------------------------------------
 
 
 def _diff_after_term(order: int, term) -> Operator:
-    """d^order composed with a single normal-form term."""
-    kind = term[0]
+    """d^order composed with a single D, I or L term."""
+    kind, p = term[:2]
     if kind == "D":
-        _, j, p = term
-        total = Operator.zero()
-        for k in range(order + 1):
-            coeff = p.derive(order - k) * Fraction(comb(order, k))
-            total = total + Operator.derivative(k + j, coeff)
-        return total
+        return Operator(diff={k + term[2]: c for k, c in _leibniz(order, p)})
     if kind == "I":
-        _, a, p, m = term
-        total = Operator.zero()
-        for k in range(order + 1):
-            coeff = p.derive(order - k) * Fraction(comb(order, k))
-            if k == 0:
-                total = total + Operator(integ={(a, m): coeff})
-            else:
-                # d^k int_a g = d^{k-1} g  (one derivative cancels the integral)
-                total = total + _expand_diff_after_mult(k - 1, _mono(m)).left_mul(coeff)
-        return total
-    if kind == "L":
-        _, q, i, p = term
-        if order == 0:
-            return Operator(local={(q, i): p})
-        # d <q> = 0: only the k = 0 Leibniz summand survives
-        return Operator(local={(q, i): p.derive(order)})
-    _, q, a, p, m = term
-    if order == 0:
-        return Operator(glob={(q, a, m): p})
-    return Operator(glob={(q, a, m): p.derive(order)})
+        a, m = term[2:]
+        # d^k int_a g = d^{k-1} g  (one derivative cancels the integral)
+        return _sum(Operator(integ={(a, m): c}) if k == 0
+                    else Operator(diff=dict(_leibniz(k - 1, _mono(m)))).left_mul(c)
+                    for k, c in _leibniz(order, p))
+    # d <q> = 0: only the k = 0 Leibniz summand survives
+    return Operator(local={term[2:]: p.derive(order)})
 
 
 def _int_diff(a: Fraction, q: ExpPoly, j: int) -> Operator:
@@ -440,55 +401,44 @@ def _int_diff(a: Fraction, q: ExpPoly, j: int) -> Operator:
 
 
 def _int_after_term(a: Fraction, g: ExpPoly, term) -> Operator:
-    """int_a * g composed with a single normal-form term."""
-    kind = term[0]
+    """int_a * g composed with a single D, I or L term."""
+    kind, p = term[:2]
     if kind == "D":
-        _, j, p = term
-        return _int_diff(a, g * p, j)
-    if kind == "I":
-        _, b, p, m = term
-        F = (g * p).integrate_from(a)
-        return Operator.integral(b, F, _mono(m)) - Operator.integral(a, ExpPoly.one(), F * _mono(m))
-    if kind == "L":
-        _, q, i, p = term
-        F = (g * p).integrate_from(a)
-        return Operator(local={(q, i): F})
-    _, q, b, p, m = term
+        return _int_diff(a, g * p, term[2])
     F = (g * p).integrate_from(a)
-    return Operator(glob={(q, b, m): F})
+    if kind == "I":
+        b, m = term[2:]
+        return Operator.integral(b, F, _mono(m)) - Operator.integral(a, ExpPoly.one(), F * _mono(m))
+    return Operator(local={term[2:]: F})
 
 
 def _absorb_evaluation(point: Fraction, op: Operator) -> Operator:
-    """Compose <point> with a normal-form operator from the left."""
-    glob: dict[GlobalKey, ExpPoly] = {}
+    """Compose <point> with an equitable operator from the left."""
+    integ: dict[IntKey, ExpPoly] = {}
     local: dict[LocalKey, ExpPoly] = {}
     for i, f in op._diff.items():
         _merge(local, (point, i), ExpPoly.const(f.eval_at(point)))
     for (a, m), f in op._integ.items():
+        # <p>*int_a = int_a - int_p, and <p>*int_p = 0
         if point != a:
-            _merge(glob, (point, a, m), ExpPoly.const(f.eval_at(point)))
+            c = ExpPoly.const(f.eval_at(point))
+            _merge(integ, (a, m), c)
+            _merge(integ, (point, m), -c)
     for (p, i), f in op._local.items():
         _merge(local, (p, i), ExpPoly.const(f.eval_at(point)))
-    for (p, a, m), f in op._global.items():
-        _merge(glob, (p, a, m), ExpPoly.const(f.eval_at(point)))
-    return Operator(local=local, glob=glob)
+    return Operator(integ=integ, local=local)
 
 
 def _mul_terms(t1, t2) -> Operator:
-    kind = t1[0]
+    """The product of two D, I or L terms."""
+    kind, f = t1[:2]
     if kind == "D":
-        _, i, f = t1
-        return _diff_after_term(i, t2).left_mul(f)
+        return _diff_after_term(t1[2], t2).left_mul(f)
     if kind == "I":
-        _, a, f, m = t1
+        a, m = t1[2:]
         return _int_after_term(a, _mono(m), t2).left_mul(f)
-    if kind == "L":
-        _, p, i, f = t1
-        inner = _diff_after_term(i, t2)
-        return _absorb_evaluation(p, inner).left_mul(f)
-    _, p, a, f, m = t1
-    inner = _int_after_term(a, _mono(m), t2)
-    return _absorb_evaluation(p, inner).left_mul(f)
+    p, i = t1[2:]
+    return _absorb_evaluation(p, _diff_after_term(i, t2)).left_mul(f)
 
 
 # -- function-style aliases ----------------------------------------------------
@@ -516,79 +466,58 @@ def to_standard(u: Operator, basepoint) -> Operator:
 
 # -- rendering helpers ---------------------------------------------------------
 
+# One row per output format: how a left factor is rendered and grouped, and
+# the markup of d, int_a, <p> and a right factor.
+_TEXT = {
+    "render": ExpPoly.to_text,
+    "group": "({})",
+    "needs_group": lambda t: ("+" in t.strip("+-") or " - " in t or "*" in t or "/" in t
+                              or t.lstrip("-").count("x") > 1),
+    "d": ("D", "D^{}"),
+    "int": "int[{}]",
+    "ev": "ev[{}]",
+    "after_ev": "*",
+    "right": "*{}",
+    "join": (" + ", " - "),
+}
+_LATEX = {
+    "render": ExpPoly.to_latex,
+    "group": r"\left({}\right)",
+    "needs_group": lambda t: "+" in t.strip("+-") or "-" in t[1:],
+    "d": (r"\partial", r"\partial^{{{}}}"),
+    "int": r"{{\textstyle\int_{{{}}}}}",
+    "ev": r"\lfloor {} \rfloor",
+    "after_ev": "",
+    "right": r"\,{}",
+    "join": (" + ", "-"),
+}
 
-def _left_text(f: ExpPoly) -> str:
+
+def _markup(term, fmt: dict) -> str:
+    """One term of ``Operator._terms`` in the notation of ``fmt``."""
+    kind, f, *key = term
     if f == ExpPoly.one():
-        return ""
-    if f == -ExpPoly.one():
-        return "-"
-    text = f.to_text()
-    if ("+" in text.strip("+-") or " - " in text or "*" in text or "/" in text
-            or text.lstrip("-").count("x") > 1):
-        return f"({text})"
-    return text
-
-
-def _term_to_text(term) -> str:
-    kind = term[0]
-    if kind == "D":
-        _, i, f = term
-        head = _left_text(f)
-        if i == 0:
-            return f.to_text() if not head else head
-        dpart = "D" if i == 1 else f"D^{i}"
-        return f"{head}{dpart}" if head else dpart
-    if kind == "I":
-        _, a, f, m = term
-        head = _left_text(f)
+        head = ""
+    elif f == -ExpPoly.one():
+        head = "-"
+    else:
+        text = fmt["render"](f)
+        head = fmt["group"].format(text) if fmt["needs_group"](text) else text
+    if kind == "D" and key[0] == 0:
+        return head or fmt["render"](f)
+    body = []
+    if kind in ("L", "G"):
+        body.append(fmt["ev"].format(key.pop(0)))
+    if kind in ("D", "L") and key[0]:
+        body.append(fmt["d"][0] if key[0] == 1 else fmt["d"][1].format(key[0]))
+    tail = ""
+    if kind in ("I", "G"):
+        a, m = key
+        body.append(fmt["int"].format(a))
         g = _mono(m)
-        tail = "" if g == ExpPoly.one() else f"*{g.to_text()}"
-        return f"{head}int[{a}]{tail}" if head else f"int[{a}]{tail}"
-    if kind == "L":
-        _, p, i, f = term
-        head = _left_text(f)
-        dpart = "" if i == 0 else ("*D" if i == 1 else f"*D^{i}")
-        return f"{head}ev[{p}]{dpart}" if head else f"ev[{p}]{dpart}"
-    _, p, a, f, m = term
-    head = _left_text(f)
-    g = _mono(m)
-    tail = "" if g == ExpPoly.one() else f"*{g.to_text()}"
-    return f"{head}ev[{p}]*int[{a}]{tail}" if head else f"ev[{p}]*int[{a}]{tail}"
+        tail = "" if g == ExpPoly.one() else fmt["right"].format(fmt["render"](g))
+    return head + fmt["after_ev"].join(body) + tail
 
 
-def _left_latex(f: ExpPoly) -> str:
-    if f == ExpPoly.one():
-        return ""
-    if f == -ExpPoly.one():
-        return "-"
-    text = f.to_latex()
-    if "+" in text.strip("+-") or "-" in text[1:]:
-        return rf"\left({text}\right)"
-    return text
-
-
-def _term_to_latex(term) -> str:
-    kind = term[0]
-    if kind == "D":
-        _, i, f = term
-        head = _left_latex(f)
-        if i == 0:
-            return f.to_latex() if not head else head
-        dpart = r"\partial" if i == 1 else rf"\partial^{{{i}}}"
-        return f"{head}{dpart}"
-    if kind == "I":
-        _, a, f, m = term
-        head = _left_latex(f)
-        g = _mono(m)
-        tail = "" if g == ExpPoly.one() else rf"\,{g.to_latex()}"
-        return head + rf"{{\textstyle\int_{{{a}}}}}" + tail
-    if kind == "L":
-        _, p, i, f = term
-        head = _left_latex(f)
-        dpart = "" if i == 0 else (r"\partial" if i == 1 else rf"\partial^{{{i}}}")
-        return head + rf"\lfloor {p} \rfloor" + dpart
-    _, p, a, f, m = term
-    head = _left_latex(f)
-    g = _mono(m)
-    tail = "" if g == ExpPoly.one() else rf"\,{g.to_latex()}"
-    return head + rf"\lfloor {p} \rfloor{{\textstyle\int_{{{a}}}}}" + tail
+def _render(op: Operator, fmt: dict) -> str:
+    return _join_signed((_markup(term, fmt) for term in op._terms()), *fmt["join"])

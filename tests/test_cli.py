@@ -284,3 +284,38 @@ def test_large_constant_term_root_search(tmp_path, capsys):
     # the divisor scan of 100000007 used to take seconds
     assert time.perf_counter() - start < 3
     assert "degenerate domain" in capsys.readouterr().err
+
+
+# u'' - u = f with u(0) + u(1) = 0 and u(100000) = 0: the exponents +-1*p
+# span 2*10^5 steps, and solving used to run for minutes
+SPREAD_SPEC = {
+    "operator": {"coeffs": ["-1", "0", "1"]},
+    "conditions": [
+        {"local": [{"point": "0", "order": 0, "coeff": "1"},
+                   {"point": "1", "order": 0, "coeff": "1"}]},
+        {"local": [{"point": "100000", "order": 0, "coeff": "1"}]},
+    ],
+}
+
+
+@pytest.mark.parametrize("doc, argv", [
+    (SPREAD_SPEC, ["solve"]),
+    (SPREAD_SPEC, ["verify"]),
+    (NONLOCAL_SPEC, ["solve", "--basepoint", "10000000"]),
+], ids=["solve", "verify", "basepoint"])
+def test_exponent_spread_cap_exit_2(tmp_path, capsys, doc, argv):
+    import time
+
+    argv = [argv[0], write_spec(tmp_path, doc), *argv[1:]]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 2
+    assert "MAX_EXPONENT_SPREAD" in capsys.readouterr().err
+
+
+def test_exponent_spread_at_cap_solves(tmp_path, capsys):
+    # the exponents +-1*p at p = 0, 1, 250 span exactly the 500 steps allowed
+    doc = json.loads(json.dumps(SPREAD_SPEC))
+    doc["conditions"][1]["local"][0]["point"] = "250"
+    assert main(["solve", write_spec(tmp_path, doc), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["verified"] is True

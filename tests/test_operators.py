@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 
+import pytest
 from conftest import random_operator
 
 from stieltjes import (
@@ -200,3 +201,54 @@ def test_apply_left_coefficient_scaling():
     a = Operator.integral(0, X, ExpPoly.const(2))
     b = Operator.integral(0, X * 2, ONE)
     assert a == b
+
+
+def _rule_cases():
+    """One case (u, v, normal form of u*v) per single-step rule of the
+    ``stieltjes.operators`` docstring."""
+    a, b, p, q = F(1, 2), F(-1), F(2), F(1, 3)
+    f = X * ExpPoly.exponential(1) + ONE
+    F_a = f.integrate_from(a)
+    ev, integral, mult = Operator.evaluation, Operator.integral, Operator.multiplication
+    return {
+        # d*f -> f*d + f'
+        "d-f": (D, mult(f), Operator.derivative(1, f) + mult(f.derive())),
+        # d*int_a -> 1
+        "d-int": (D, integral(a), Operator.identity()),
+        # int_a f d -> f - int_a f' - f(a)*<a>
+        "int-f-d": (integral(a, ONE, f), D,
+                    mult(f) - integral(a, ONE, f.derive()) - ev(a, 0, ExpPoly.const(f.eval_at(a)))),
+        # int_a f int_b -> F*int_b - int_a*F with F = int_a f
+        "int-f-int": (integral(a, ONE, f), integral(b),
+                      integral(b, F_a) - integral(a, ONE, F_a)),
+        # <p>*f -> f(p)*<p>
+        "ev-f": (ev(p), mult(f), ev(p, 0, ExpPoly.const(f.eval_at(p)))),
+        # <p><q> -> <q>
+        "ev-ev": (ev(p), ev(q, 1), ev(q, 1)),
+        # d^k <p> -> 0
+        "d-ev": (Operator.derivative(2), ev(p), Operator.zero()),
+        # <p>*int_a -> int_a - int_p
+        "ev-int": (ev(p), integral(a, ONE, X), integral(a, ONE, X) - integral(p, ONE, X)),
+        # <p>*int_p -> 0
+        "ev-int-own-point": (ev(p), integral(p, ONE, X), Operator.zero()),
+    }
+
+
+@pytest.mark.parametrize("rule", list(_rule_cases()))
+def test_single_step_rewrite_rules(rule):
+    u, v, expected = _rule_cases()[rule]
+    got = op_mul(u, v)
+    assert got == expected
+    assert got.is_equitable()
+    for h in (ONE, X, ExpPoly.exponential(1)):
+        assert apply(got, h) == apply(u, apply(v, h)) == apply(expected, h)
+
+
+def test_ring_products_are_equitable():
+    # the seed-4096 triples of criterion 7, which mix in global terms
+    rng = random.Random(4096)
+    for _ in range(100):
+        u, v, w = (random_operator(rng) for _ in range(3))
+        uv = op_mul(u, v)
+        for product in (uv, op_mul(v, w), op_mul(uv, w)):
+            assert product.is_equitable()
