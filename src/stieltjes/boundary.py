@@ -75,20 +75,14 @@ class StieltjesCondition:
         return not self.global_terms
 
     def apply(self, u: ExpPoly) -> Constant:
-        total = Constant.zero()
-        for p, i, c in self.local_terms:
-            total = total + c * u.derive(i).eval_at(p)
-        for a, b, w in self.global_terms:
-            total = total + (w * u).integrate_from(a).eval_at(b)
-        return total
+        return sum([c * u.derive(i).eval_at(p) for p, i, c in self.local_terms]
+                   + [(w * u).integrate_from(a).eval_at(b) for a, b, w in self.global_terms],
+                   Constant.zero())
 
     def as_operator(self) -> Operator:
-        out = Operator.zero()
-        for p, i, c in self.local_terms:
-            out = out + Operator.evaluation(p, i, ExpPoly.const(c))
-        for a, b, w in self.global_terms:
-            out = out + Operator.global_term(b, a, ExpPoly.one(), w)
-        return out
+        return Operator.sum(
+            [Operator.evaluation(p, i, ExpPoly.const(c)) for p, i, c in self.local_terms]
+            + [Operator.global_term(b, a, ExpPoly.one(), w) for a, b, w in self.global_terms])
 
     def __eq__(self, other):
         if not isinstance(other, StieltjesCondition):
@@ -178,17 +172,14 @@ class FundamentalSystem:
 
 def _exp_det(rows: list[list[ExpPoly]]) -> ExpPoly:
     """Determinant over the (commutative) function algebra, by expansion."""
-    n = len(rows)
-    if n == 1:
+    if len(rows) == 1:
         return rows[0][0]
-    total = ExpPoly.zero()
-    for j in range(n):
-        if rows[0][j].is_zero():
-            continue
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = rows[0][j] * _exp_det(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+    terms = []
+    for j, entry in enumerate(rows[0]):
+        if not entry.is_zero():
+            term = entry * _exp_det([row[:j] + row[j + 1:] for row in rows[1:]])
+            terms.append(-term if j % 2 else term)
+    return ExpPoly.sum(terms)
 
 
 def _monomial_inverse(f: ExpPoly) -> ExpPoly | None:
@@ -376,22 +367,15 @@ def is_regular(problem: BoundaryProblem) -> bool:
 
 def fundamental_right_inverse(fs: FundamentalSystem, basepoint) -> Operator:
     """Variation of constants: sum_j u_j int_b (cofactor_j / d)."""
-    out = Operator.zero()
-    for uj, ratio in zip(fs.u, fs.ratios()):
-        out = out + Operator.integral(basepoint, uj, ratio)
-    return out
+    return Operator.sum(Operator.integral(basepoint, uj, ratio)
+                        for uj, ratio in zip(fs.u, fs.ratios()))
 
 
 def fri_residues(fs: FundamentalSystem, k: int) -> list[ExpPoly]:
     """The functions rho_1..rho_k with rho_j = (1/d) sum u_i^{(j-1)} cof_i."""
     inv = _monomial_inverse(fs.d)
-    out = []
-    for j in range(1, k + 1):
-        total = ExpPoly.zero()
-        for ui, cof in zip(fs.u, fs.cofactors):
-            total = total + ui.derive(j - 1) * cof
-        out.append(total * inv)
-    return out
+    return [ExpPoly.sum(ui.derive(j - 1) * cof for ui, cof in zip(fs.u, fs.cofactors)) * inv
+            for j in range(1, k + 1)]
 
 
 def fri_derivative(fs: FundamentalSystem, k: int, basepoint):
@@ -400,14 +384,13 @@ def fri_derivative(fs: FundamentalSystem, k: int, basepoint):
 
     Returns (operator, [rho_1, ..., rho_k]).
     """
-    out = Operator.zero()
-    for uj, ratio in zip(fs.u, fs.ratios()):
-        out = out + Operator.integral(basepoint, uj.derive(k), ratio)
     residues = fri_residues(fs, k)
-    for j, rho in enumerate(residues, start=1):
-        # d^{k-j} * rho expanded by Leibniz into normal form
-        out = out + Operator(diff=dict(_leibniz(k - j, rho)))
-    return out, residues
+    # d^{k-j} * rho_j expanded by Leibniz into normal form
+    op = Operator.sum([Operator.integral(basepoint, uj.derive(k), ratio)
+                       for uj, ratio in zip(fs.u, fs.ratios())]
+                      + [Operator(diff=dict(_leibniz(k - j, rho)))
+                         for j, rho in enumerate(residues, start=1)])
+    return op, residues
 
 
 def projector(conditions, fs: FundamentalSystem) -> Operator:
@@ -418,13 +401,9 @@ def projector(conditions, fs: FundamentalSystem) -> Operator:
         minv = mat_inv(m)
     except ValueError:
         raise NotRegularError("boundary problem not regular", matrix=m) from None
-    out = Operator.zero()
-    for j, uj in enumerate(fs.u):
-        for i, cond in enumerate(conditions):
-            scale = minv[j][i]
-            if scale.is_zero():
-                continue
-            out = out + cond.as_operator().left_mul(uj * scale)
+    out = Operator.sum(cond.as_operator().left_mul(uj * minv[j][i])
+                       for j, uj in enumerate(fs.u) for i, cond in enumerate(conditions)
+                       if not minv[j][i].is_zero())
     # canonical global-free form, so that P * P == P structurally
     return out.to_equitable()
 

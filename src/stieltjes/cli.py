@@ -47,11 +47,11 @@ class ProblemSpec:
     """A parsed problem document plus the command-line options."""
 
     problem: BoundaryProblem
+    test_functions: tuple[tuple[str, ExpPoly], ...]  # (text, parsed) forcing functions
     basepoint: Fraction | None = None
     interval: tuple[Fraction, Fraction] | None = None
     fmt: str = "text"
     verify: bool = True
-    test_functions: tuple[str, ...] = DEFAULT_TEST_FUNCTIONS
 
 
 @dataclass
@@ -123,9 +123,7 @@ def parse_problem(data: dict) -> BoundaryProblem:
     coeffs = [parse_exppoly(s) for s in coeff_strings]
     if coeffs[-1] != ExpPoly.one():
         raise ParseError("leading coefficient must be 1")
-    T = Operator.zero()
-    for i, c in enumerate(coeffs):
-        T = T + Operator.derivative(i, c)
+    T = Operator.sum(Operator.derivative(i, c) for i, c in enumerate(coeffs))
     conditions = [StieltjesCondition.from_json(doc) for doc in condition_docs]
     basis = None
     if basis_strings:
@@ -145,16 +143,17 @@ def solve_problem(problem: BoundaryProblem, basepoint=None, interval=None):
 
 
 def verify_problem(problem: BoundaryProblem, G: Operator, gf: GreensFunction,
-                   test_functions=DEFAULT_TEST_FUNCTIONS) -> VerificationReport:
-    report = VerificationReport(regular=True, test_functions=list(test_functions))
+                   test_functions) -> VerificationReport:
+    """Residuals on the (text, parsed function) pairs of ``test_functions``."""
+    report = VerificationReport(regular=True,
+                                test_functions=[text for text, _f in test_functions])
     report.branch_count = gf.branch_count
     report.breakpoints = [str(p) for p in gf.breakpoints]
     report.dirac_terms = [
         f"order {i} at {p}: {c.to_text()}" for p, i, c in gf.dirac
     ]
     report.diagonal_terms = [f"order {i}: {c.to_text()}" for i, c in gf.diagonal]
-    for text in test_functions:
-        f = parse_exppoly(text)
+    for text, f in test_functions:
         u = G.apply(f)
         report.operator_residuals[text] = (problem.T.apply(u) - f).to_text()
         report.condition_residuals[text] = [
@@ -193,20 +192,19 @@ def _spec_from_args(args) -> ProblemSpec:
         interval = (parse_rational(pieces[0]), parse_rational(pieces[1]))
         if interval[0] >= interval[1]:
             raise ParseError("interval must satisfy a < b")
-    test_functions = DEFAULT_TEST_FUNCTIONS
+    texts = DEFAULT_TEST_FUNCTIONS
     if getattr(args, "test_functions", None):
-        test_functions = tuple(s.strip() for s in args.test_functions.split(",") if s.strip())
-        for text in test_functions:
-            parse_exppoly(text)
+        texts = tuple(s.strip() for s in args.test_functions.split(",") if s.strip())
+    test_functions = tuple((text, parse_exppoly(text)) for text in texts)
     extra = [basepoint] if basepoint is not None else []
     check_exponent_spread(problem.system(), problem.evaluation_points().union(extra))
     return ProblemSpec(
         problem=problem,
+        test_functions=test_functions,
         basepoint=basepoint,
         interval=interval,
         fmt=getattr(args, "format", "text"),
         verify=not getattr(args, "no_verify", False),
-        test_functions=test_functions,
     )
 
 

@@ -40,7 +40,7 @@ class ExpPoly:
             while coeffs and coeffs[-1].is_zero():
                 coeffs.pop()
             if coeffs:
-                clean[Fraction(freq)] = tuple(coeffs)
+                clean[freq] = tuple(coeffs)
         self._terms = clean
 
     # -- constructors -----------------------------------------------------
@@ -100,20 +100,24 @@ class ExpPoly:
 
     # -- arithmetic -------------------------------------------------------
 
+    @classmethod
+    def sum(cls, items) -> "ExpPoly":
+        """The sum of exponential polynomials, merged in one pass."""
+        out: dict[Fraction, list[Constant]] = {}
+        for item in items:
+            for freq, coeffs in item._terms.items():
+                cur = out.setdefault(freq, [])
+                for i, c in enumerate(coeffs):
+                    if i < len(cur):
+                        cur[i] = cur[i] + c
+                    else:
+                        cur.append(c)
+        return cls(out)
+
     def __add__(self, other):
         if not isinstance(other, ExpPoly):
             return NotImplemented
-        out: dict[Fraction, list[Constant]] = {
-            f: list(cs) for f, cs in self._terms.items()
-        }
-        for freq, coeffs in other._terms.items():
-            cur = out.setdefault(freq, [])
-            for i, c in enumerate(coeffs):
-                if i < len(cur):
-                    cur[i] = cur[i] + c
-                else:
-                    cur.append(c)
-        return ExpPoly(out)
+        return ExpPoly.sum((self, other))
 
     def __neg__(self):
         return ExpPoly({f: [-c for c in cs] for f, cs in self._terms.items()})
@@ -174,20 +178,17 @@ class ExpPoly:
         return result
 
     def antiderivative(self) -> "ExpPoly":
-        out = ExpPoly.zero()
+        parts = []
         for freq, power, c in self.terms():
             if freq == 0:
-                out = out + ExpPoly.monomial(0, power + 1, c / Fraction(power + 1))
-            else:
-                # int x^n e^{lx} = x^n e^{lx}/l - (n/l) int x^{n-1} e^{lx}
-                n, acc = power, ExpPoly.zero()
-                coeff = c / freq
-                while n >= 0:
-                    acc = acc + ExpPoly.monomial(freq, n, coeff)
-                    coeff = coeff * Fraction(-n, 1) / freq
-                    n -= 1
-                out = out + acc
-        return out
+                parts.append(ExpPoly.monomial(0, power + 1, c / Fraction(power + 1)))
+                continue
+            # int x^n e^{lx} = x^n e^{lx}/l - (n/l) int x^{n-1} e^{lx}
+            coeff = c / freq
+            for n in range(power, -1, -1):
+                parts.append(ExpPoly.monomial(freq, n, coeff))
+                coeff = coeff * Fraction(-n, 1) / freq
+        return ExpPoly.sum(parts)
 
     def integrate_from(self, a) -> "ExpPoly":
         """The antiderivative F with F(a) = 0."""
@@ -196,10 +197,8 @@ class ExpPoly:
 
     def eval_at(self, q) -> Constant:
         q = Fraction(q)
-        total = Constant.zero()
-        for freq, power, c in self.terms():
-            total = total + c * Constant.e_power(freq * q, Fraction(q) ** power if power else 1)
-        return total
+        return sum((c * Constant.e_power(freq * q, q ** power if power else 1)
+                    for freq, power, c in self.terms()), Constant.zero())
 
     # -- rendering --------------------------------------------------------
 
@@ -295,19 +294,20 @@ class BivariateExpPoly:
 
     @classmethod
     def tensor(cls, f: ExpPoly, g: ExpPoly) -> "BivariateExpPoly":
-        out: dict[Monomial, ExpPoly] = {}
-        for freq, power, c in g.terms():
-            key = (freq, power)
-            cur = out.get(key, ExpPoly.zero())
-            out[key] = cur + f * c
-        return cls(out)
+        return cls({(freq, power): f * c for freq, power, c in g.terms()})
 
     @classmethod
     def from_pairs(cls, pairs) -> "BivariateExpPoly":
-        total = cls.zero()
-        for f, g in pairs:
-            total = total + cls.tensor(f, g)
-        return total
+        return cls.sum(cls.tensor(f, g) for f, g in pairs)
+
+    @classmethod
+    def sum(cls, items) -> "BivariateExpPoly":
+        """The sum of tensor sums, merged in one pass."""
+        out: dict[Monomial, list[ExpPoly]] = {}
+        for item in items:
+            for key, f in item._terms.items():
+                out.setdefault(key, []).append(f)
+        return cls({key: ExpPoly.sum(fs) for key, fs in out.items()})
 
     def pairs(self) -> list[tuple[ExpPoly, ExpPoly]]:
         """The canonical (x-factor, xi-monomial) decomposition."""
@@ -324,10 +324,7 @@ class BivariateExpPoly:
     def __add__(self, other):
         if not isinstance(other, BivariateExpPoly):
             return NotImplemented
-        out = dict(self._terms)
-        for key, f in other._terms.items():
-            out[key] = out.get(key, ExpPoly.zero()) + f
-        return BivariateExpPoly(out)
+        return BivariateExpPoly.sum((self, other))
 
     def __neg__(self):
         return BivariateExpPoly({k: -f for k, f in self._terms.items()})
@@ -359,29 +356,21 @@ class BivariateExpPoly:
         return BivariateExpPoly({k: f.derive() for k, f in self._terms.items()})
 
     def dy(self) -> "BivariateExpPoly":
-        total = BivariateExpPoly.zero()
-        for (freq, power), f in self._terms.items():
-            mono = ExpPoly.monomial(freq, power)
-            total = total + BivariateExpPoly.tensor(f, mono.derive())
-        return total
+        return BivariateExpPoly.sum(BivariateExpPoly.tensor(f, ExpPoly.monomial(*key).derive())
+                                    for key, f in self._terms.items())
 
     def ix(self, a) -> "BivariateExpPoly":
         return BivariateExpPoly({k: f.integrate_from(a) for k, f in self._terms.items()})
 
     def iy(self, a) -> "BivariateExpPoly":
-        total = BivariateExpPoly.zero()
-        for (freq, power), f in self._terms.items():
-            mono = ExpPoly.monomial(freq, power)
-            total = total + BivariateExpPoly.tensor(f, mono.integrate_from(a))
-        return total
+        return BivariateExpPoly.sum(
+            BivariateExpPoly.tensor(f, ExpPoly.monomial(*key).integrate_from(a))
+            for key, f in self._terms.items())
 
     def eval_at(self, x, xi) -> Constant:
         xi = Fraction(xi)
-        total = Constant.zero()
-        for (freq, power), f in self._terms.items():
-            factor = Constant.e_power(freq * xi, Fraction(xi) ** power if power else 1)
-            total = total + f.eval_at(x) * factor
-        return total
+        return sum((f.eval_at(x) * Constant.e_power(freq * xi, xi ** power if power else 1)
+                    for (freq, power), f in self._terms.items()), Constant.zero())
 
     # -- rendering --------------------------------------------------------
 

@@ -7,6 +7,18 @@ kernel ``g(x, xi)`` as follows.  Every integral term ``f int_a g`` turns into
 2(m-1) case branches.  A local boundary term ``f <p> d^i`` becomes the
 distribution ``(-1)^i f(x) delta^(i)(xi - p)`` and a differential term
 ``f d^i`` becomes the diagonal distribution ``(-1)^i f(x) delta^(i)(x - xi)``.
+
+Applying the kernel to a function ``f`` integrates each xi-monomial ``B`` of
+the branches once, from the first breakpoint: ``F_B = int_{p_0} B f``, with
+its values at the breakpoints ``p_0 < ... < p_{m-1}``.  A branch term
+``A(x) B(xi)`` on the strip ``[p_{i-1}, p_i]`` then gives
+``A (F_B(p_i) - F_B(p_{i-1}))`` over the whole strip,
+``A (F_B - F_B(p_{i-1}))`` from ``p_{i-1}`` up to ``x`` and
+``A (F_B(p_i) - F_B)`` from ``x`` up to ``p_i``.  For ``x`` in cell ``c`` the
+result sums the whole lower strips left of ``c``, the lower branch of ``c`` up
+to ``x``, its upper branch from ``x``, the whole upper strips right of ``c``
+and the distributional terms.  Kernels read off an operator give the same
+function in every cell, which ``apply_to`` checks exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +34,31 @@ from .parsing import parse_bivariate, parse_exppoly, parse_rational
 
 REGION_LOWER = "xi<=x"
 REGION_UPPER = "x<=xi"
-_XI_LATEX = r"\xi"
+
+# One row per output format: the markup of a case row (lo <= xi <= hi, region:
+# branch) and of a distributional term sign * (coeff) * delta^(order)(argument).
+_TEXT = {
+    "case": "{} <= xi <= {}, {}: {}",
+    "region": {REGION_LOWER: "xi <= x", REGION_UPPER: "x <= xi"},
+    "branch": BivariateExpPoly.to_text,
+    "term": "{}({}) * delta{}({})",
+    "sign": ("", "-"),
+    "coeff": ExpPoly.to_text,
+    "prime": lambda i: "'" * i,
+    "xi": "xi",
+    "diagonal": "x - xi",
+}
+_LATEX = {
+    "case": r"{} \le \xi \le {},\ {} & {}\\\hline",
+    "region": {REGION_LOWER: r"\xi \le x", REGION_UPPER: r"x \le \xi"},
+    "branch": BivariateExpPoly.to_latex,
+    "term": r"{}\left({}\right)\,\delta{}({})",
+    "sign": ("+", "-"),
+    "coeff": ExpPoly.to_latex,
+    "prime": lambda i: "" if i == 0 else "'" if i == 1 else rf"^{{({i})}}",
+    "xi": r"\xi",
+    "diagonal": r"x-\xi",
+}
 
 
 def _shift_text(var: str, p) -> str:
@@ -133,35 +169,37 @@ class GreensFunction:
         The result must be one smooth function on the whole domain (true for
         kernels extracted from operators); otherwise a ValueError is raised.
         """
-        candidates = []
-        m = len(self.breakpoints)
-        extra = ExpPoly.zero()
-        for p, i, coeff in self.dirac:
-            extra = extra + coeff * f.derive(i).eval_at(p)
-        for i, coeff in self.diagonal:
-            extra = extra + coeff * f.derive(i)
-        for cell in range(1, m):
-            total = ExpPoly.zero()
-            for i in range(1, m):
-                p_lo, p_hi = self.breakpoints[i - 1], self.breakpoints[i]
-                if i < cell:
-                    total = total + _strip_integral(
-                        self.branch(i, REGION_LOWER), f, p_lo, p_hi)
-                elif i > cell:
-                    total = total + _strip_integral(
-                        self.branch(i, REGION_UPPER), f, p_lo, p_hi)
-                else:
-                    for A, B in self.branch(i, REGION_LOWER).pairs():
-                        total = total + A * (B * f).integrate_from(p_lo)
-                    for A, B in self.branch(i, REGION_UPPER).pairs():
-                        anti = (B * f).integrate_from(p_lo)
-                        total = total + A * (
-                            ExpPoly.const(anti.eval_at(p_hi)) - anti)
-            candidates.append(total + extra)
-        first = candidates[0]
-        for other in candidates[1:]:
-            if other != first:
-                raise ValueError("kernel is not smooth across breakpoints")
+        pts, m = self.breakpoints, len(self.breakpoints)
+        anti: dict[ExpPoly, tuple[ExpPoly, list[Constant]]] = {}
+
+        def pieces(i: int, region: str):
+            """(A, F_B, F_B at the breakpoints) for each pair A(x) B(xi) of a
+            branch; F_B(p_0) = 0 by construction."""
+            for A, B in self.branch(i, region).pairs():
+                if B not in anti:
+                    F = (B * f).integrate_from(pts[0])
+                    anti[B] = F, [Constant.zero()] + [F.eval_at(p) for p in pts[1:]]
+                yield A, *anti[B]
+
+        def full(i: int, region: str) -> ExpPoly:
+            return ExpPoly.sum(A * (at[i] - at[i - 1]) for A, _F, at in pieces(i, region))
+
+        # whole strips: lower ones left of a cell, upper ones right of it
+        lower = [full(i, REGION_LOWER) for i in range(1, m - 1)]
+        upper = [full(i, REGION_UPPER) for i in range(2, m)]
+        dist = ([coeff * f.derive(i).eval_at(p) for p, i, coeff in self.dirac]
+                + [coeff * f.derive(i) for i, coeff in self.diagonal])
+        # cell c: its own strip split at x, from p_{c-1} to x and from x to p_c
+        first, *rest = (
+            ExpPoly.sum(lower[:c - 1]
+                        + [A * (F - ExpPoly.const(at[c - 1]))
+                           for A, F, at in pieces(c, REGION_LOWER)]
+                        + [A * (ExpPoly.const(at[c]) - F)
+                           for A, F, at in pieces(c, REGION_UPPER)]
+                        + upper[c - 1:] + dist)
+            for c in range(1, m))
+        if any(other != first for other in rest):
+            raise ValueError("kernel is not smooth across breakpoints")
         return first
 
     # -- rendering ---------------------------------------------------------------
@@ -176,43 +214,30 @@ class GreensFunction:
         return rows
 
     def to_text(self) -> str:
-        lines = []
-        for lo, hi, region, term in self.case_rows():
-            cond = f"{lo} <= xi <= {hi}, " + ("xi <= x" if region == REGION_LOWER else "x <= xi")
-            lines.append(f"{cond}: {term.to_text()}")
-        for p, i, coeff in self.dirac:
-            sign = "-" if i % 2 else ""
-            prime = "'" * i
-            lines.append(f"dirac: {sign}({coeff.to_text()}) * delta{prime}({_shift_text('xi', p)})")
-        for i, coeff in self.diagonal:
-            sign = "-" if i % 2 else ""
-            prime = "'" * i
-            lines.append(f"diagonal: {sign}({coeff.to_text()}) * delta{prime}(x - xi)")
-        return "\n".join(lines)
+        return "\n".join(self._cases(_TEXT) + [f"{label}: {term}" for label, term
+                                               in self._distributional(_TEXT)])
 
     def to_latex(self) -> str:
-        lines = [r"\begin{array}{|l|l|}", r"\hline", r"\text{Case} & \text{Term}\\\hline"]
-        for lo, hi, region, term in self.case_rows():
-            cond = (rf"{lo} \le \xi \le {hi},\ \xi \le x" if region == REGION_LOWER
-                    else rf"{lo} \le \xi \le {hi},\ x \le \xi")
-            lines.append(rf"{cond} & {term.to_latex()}\\\hline")
-        lines.append(r"\end{array}")
-        if self.dirac or self.diagonal:
-            parts = []
-            for p, i, coeff in self.dirac:
-                sign = "-" if i % 2 else "+"
-                deriv = "" if i == 0 else (rf"^{{({i})}}" if i > 1 else "'")
-                parts.append(
-                    rf"{sign}\left({coeff.to_latex()}\right)"
-                    rf"\,\delta{deriv}({_shift_text(_XI_LATEX, p)})")
-            for i, coeff in self.diagonal:
-                sign = "-" if i % 2 else "+"
-                deriv = "" if i == 0 else (rf"^{{({i})}}" if i > 1 else "'")
-                parts.append(
-                    rf"{sign}\left({coeff.to_latex()}\right)\,\delta{deriv}(x-\xi)")
-            joined = "".join(parts).lstrip("+")
-            lines.append(r"\text{distributional part: } " + joined)
+        lines = [r"\begin{array}{|l|l|}", r"\hline", r"\text{Case} & \text{Term}\\\hline",
+                 *self._cases(_LATEX), r"\end{array}"]
+        if self.has_distributional_part():
+            joined = "".join(term for _label, term in self._distributional(_LATEX))
+            lines.append(r"\text{distributional part: } " + joined.lstrip("+"))
         return "\n".join(lines)
+
+    def _cases(self, fmt: dict) -> list[str]:
+        """The case rows in the notation of ``fmt``."""
+        return [fmt["case"].format(lo, hi, fmt["region"][region], fmt["branch"](term))
+                for lo, hi, region, term in self.case_rows()]
+
+    def _distributional(self, fmt: dict):
+        """Yield (label, markup) for each dirac and diagonal term in the
+        notation of ``fmt``."""
+        terms = ([("dirac", i, c, _shift_text(fmt["xi"], p)) for p, i, c in self.dirac]
+                 + [("diagonal", i, c, fmt["diagonal"]) for i, c in self.diagonal])
+        for label, i, coeff, arg in terms:
+            yield label, fmt["term"].format(fmt["sign"][i % 2], fmt["coeff"](coeff),
+                                            fmt["prime"](i), arg)
 
     # -- serialization --------------------------------------------------------------
 
@@ -262,15 +287,6 @@ class GreensFunction:
         return cls.from_json_dict(json.loads(text))
 
 
-def _strip_integral(branch: BivariateExpPoly, f: ExpPoly, lo: Fraction, hi: Fraction) -> ExpPoly:
-    """int_lo^hi branch(x, xi) f(xi) dxi as a function of x."""
-    total = ExpPoly.zero()
-    for A, B in branch.pairs():
-        value = (B * f).integrate_from(lo).eval_at(hi)
-        total = total + A * value
-    return total
-
-
 def extract(op: Operator, interval=None) -> GreensFunction:
     """Read off the Green's function of an equitable-form operator.
 
@@ -291,18 +307,13 @@ def extract(op: Operator, interval=None) -> GreensFunction:
     if len(points) < 2:
         raise DegenerateDomainError("degenerate domain: supply explicit interval")
     breakpoints = sorted(points)
+    tensors = [(a, BivariateExpPoly.tensor(left, right)) for a, left, right in op.integral_part]
     branches: dict[tuple[int, str], BivariateExpPoly] = {}
-    integral_terms = op.integral_part
     for i in range(1, len(breakpoints)):
-        lower = BivariateExpPoly.zero()
-        upper = BivariateExpPoly.zero()
-        for a, left, right in integral_terms:
-            if a <= breakpoints[i - 1]:
-                lower = lower + BivariateExpPoly.tensor(left, right)
-            if a >= breakpoints[i]:
-                upper = upper - BivariateExpPoly.tensor(left, right)
-        branches[(i, REGION_LOWER)] = lower
-        branches[(i, REGION_UPPER)] = upper
+        branches[(i, REGION_LOWER)] = BivariateExpPoly.sum(
+            t for a, t in tensors if a <= breakpoints[i - 1])
+        branches[(i, REGION_UPPER)] = -BivariateExpPoly.sum(
+            t for a, t in tensors if a >= breakpoints[i])
     dirac = [(p, i, f) for f, p, i in op.local_boundary]
     diagonal = [(i, f) for i, f in sorted(op.diff_part.items())]
     return GreensFunction(breakpoints, branches, dirac, diagonal)

@@ -92,10 +92,4 @@ def left_kernel(m: Matrix) -> list[tuple[Constant, ...]]:
 
 
 def mat_vec(m: Matrix, v) -> tuple[Constant, ...]:
-    out = []
-    for row in m:
-        total = Constant.zero()
-        for a, b in zip(row, v):
-            total = total + a * b
-        out.append(total)
-    return tuple(out)
+    return tuple(sum((a * b for a, b in zip(row, v)), Constant.zero()) for row in m)

@@ -60,16 +60,6 @@ def _merge(target: dict, key, value: ExpPoly):
         target[key] = total
 
 
-def _sum(ops) -> "Operator":
-    """The sum of operators, merged in one pass over their part dictionaries."""
-    parts = ({}, {}, {}, {})
-    for op in ops:
-        for target, source in zip(parts, (op._diff, op._integ, op._local, op._global)):
-            for key, f in source.items():
-                _merge(target, key, f)
-    return Operator(*parts)
-
-
 def _leibniz(n: int, g: ExpPoly):
     """Yield (k, comb(n, k) * g^(n-k)), the summands of d^n g = sum_k ... d^k."""
     for k in range(n + 1):
@@ -123,10 +113,8 @@ class Operator:
         """The term ``left * int_basepoint * right``."""
         left = left if left is not None else ExpPoly.one()
         right = right if right is not None else ExpPoly.one()
-        integ: dict[IntKey, ExpPoly] = {}
-        for freq, power, c in right.terms():
-            _merge(integ, (Fraction(basepoint), (freq, power)), left * c)
-        return cls(integ=integ)
+        return cls(integ={(basepoint, (freq, power)): left * c
+                          for freq, power, c in right.terms()})
 
     @classmethod
     def evaluation(cls, point, order: int = 0, left: ExpPoly | None = None) -> "Operator":
@@ -140,10 +128,8 @@ class Operator:
         """The term ``left * <point> * int_basepoint * integrand``."""
         left = left if left is not None else ExpPoly.one()
         integrand = integrand if integrand is not None else ExpPoly.one()
-        glob: dict[GlobalKey, ExpPoly] = {}
-        for freq, power, c in integrand.terms():
-            _merge(glob, (Fraction(point), Fraction(basepoint), (freq, power)), left * c)
-        return cls(glob=glob)
+        return cls(glob={(point, basepoint, (freq, power)): left * c
+                         for freq, power, c in integrand.terms()})
 
     # -- views --------------------------------------------------------------
 
@@ -201,10 +187,20 @@ class Operator:
 
     # -- module structure -----------------------------------------------------
 
+    @classmethod
+    def sum(cls, ops) -> "Operator":
+        """The sum of operators, merged in one pass over their part dictionaries."""
+        parts = ({}, {}, {}, {})
+        for op in ops:
+            for target, source in zip(parts, (op._diff, op._integ, op._local, op._global)):
+                for key, f in source.items():
+                    target.setdefault(key, []).append(f)
+        return cls(*({key: ExpPoly.sum(fs) for key, fs in part.items()} for part in parts))
+
     def __add__(self, other):
         if not isinstance(other, Operator):
             return NotImplemented
-        return _sum((self, other))
+        return Operator.sum((self, other))
 
     def __neg__(self):
         return Operator(
@@ -235,8 +231,8 @@ class Operator:
         # hence associative); the term rewrites never create a global term.
         if isinstance(other, Operator):
             right = list(other.to_equitable()._terms())
-            return _sum(_mul_terms(t1, t2)
-                        for t1 in self.to_equitable()._terms() for t2 in right)
+            return Operator.sum(_mul_terms(t1, t2)
+                                for t1 in self.to_equitable()._terms() for t2 in right)
         f = _as_exppoly(other)
         if f is None:
             return NotImplemented
@@ -270,16 +266,12 @@ class Operator:
     # -- action on functions ----------------------------------------------------
 
     def apply(self, h: ExpPoly) -> ExpPoly:
-        total = ExpPoly.zero()
-        for i, f in self._diff.items():
-            total = total + f * h.derive(i)
-        for (a, m), f in self._integ.items():
-            total = total + f * (_mono(m) * h).integrate_from(a)
-        for (p, i), f in self._local.items():
-            total = total + f * h.derive(i).eval_at(p)
-        for (p, a, m), f in self._global.items():
-            total = total + f * (_mono(m) * h).integrate_from(a).eval_at(p)
-        return total
+        return ExpPoly.sum(
+            [f * h.derive(i) for i, f in self._diff.items()]
+            + [f * (_mono(m) * h).integrate_from(a) for (a, m), f in self._integ.items()]
+            + [f * h.derive(i).eval_at(p) for (p, i), f in self._local.items()]
+            + [f * (_mono(m) * h).integrate_from(a).eval_at(p)
+               for (p, a, m), f in self._global.items()])
 
     # -- translation between standard and equitable form ------------------------
 
@@ -287,20 +279,20 @@ class Operator:
         """Eliminate global terms: f*<p>*int_a*g = f*int_a*g - f*int_p*g."""
         if not self._global:
             return self
-        return _sum([Operator(self._diff, self._integ, self._local)]
-                    + [Operator(integ={(a, m): f, (p, m): -f})
-                       for (p, a, m), f in self._global.items()])
+        return Operator.sum([Operator(self._diff, self._integ, self._local)]
+                            + [Operator(integ={(a, m): f, (p, m): -f})
+                               for (p, a, m), f in self._global.items()])
 
     def to_standard(self, basepoint) -> "Operator":
         """Move every integral to the distinguished basepoint:
         f*int_a*g = f*int_e*g - f*<a>*int_e*g."""
         e = Fraction(basepoint)
         # <e>*int_e vanishes, and the constructor drops it
-        return _sum([Operator(self._diff, local=self._local)]
-                    + [Operator(integ={(e, m): f}, glob={(a, e, m): -f})
-                       for (a, m), f in self._integ.items()]
-                    + [Operator(glob={(p, e, m): f, (a, e, m): -f})
-                       for (p, a, m), f in self._global.items()])
+        return Operator.sum([Operator(self._diff, local=self._local)]
+                            + [Operator(integ={(e, m): f}, glob={(a, e, m): -f})
+                               for (a, m), f in self._integ.items()]
+                            + [Operator(glob={(p, e, m): f, (a, e, m): -f})
+                               for (p, a, m), f in self._global.items()])
 
     # -- rendering ----------------------------------------------------------------
 
@@ -342,21 +334,18 @@ class Operator:
     @classmethod
     def from_json(cls, data: dict) -> "Operator":
         try:
-            out = cls.zero()
-            for entry in data.get("diff", ()):
-                out = out + cls.derivative(int(entry["order"]), parse_exppoly(entry["coeff"]))
-            for entry in data.get("integral", ()):
-                out = out + cls.integral(Fraction(entry["basepoint"]),
-                                         parse_exppoly(entry["left"]),
-                                         parse_exppoly(entry["right"]))
-            for entry in data.get("local", ()):
-                out = out + cls.evaluation(Fraction(entry["point"]), int(entry["order"]),
-                                           parse_exppoly(entry["left"]))
-            for entry in data.get("global", ()):
-                out = out + cls.global_term(Fraction(entry["point"]), Fraction(entry["basepoint"]),
-                                            parse_exppoly(entry["left"]),
-                                            parse_exppoly(entry["integrand"]))
-            return out
+            return cls.sum(
+                [cls.derivative(int(entry["order"]), parse_exppoly(entry["coeff"]))
+                 for entry in data.get("diff", ())]
+                + [cls.integral(Fraction(entry["basepoint"]), parse_exppoly(entry["left"]),
+                                parse_exppoly(entry["right"]))
+                   for entry in data.get("integral", ())]
+                + [cls.evaluation(Fraction(entry["point"]), int(entry["order"]),
+                                  parse_exppoly(entry["left"]))
+                   for entry in data.get("local", ())]
+                + [cls.global_term(Fraction(entry["point"]), Fraction(entry["basepoint"]),
+                                   parse_exppoly(entry["left"]), parse_exppoly(entry["integrand"]))
+                   for entry in data.get("global", ())])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad operator document: {exc}") from exc
 
@@ -381,9 +370,9 @@ def _diff_after_term(order: int, term) -> Operator:
     if kind == "I":
         a, m = term[2:]
         # d^k int_a g = d^{k-1} g  (one derivative cancels the integral)
-        return _sum(Operator(integ={(a, m): c}) if k == 0
-                    else Operator(diff=dict(_leibniz(k - 1, _mono(m)))).left_mul(c)
-                    for k, c in _leibniz(order, p))
+        return Operator.sum(Operator(integ={(a, m): c}) if k == 0
+                            else Operator(diff=dict(_leibniz(k - 1, _mono(m)))).left_mul(c)
+                            for k, c in _leibniz(order, p))
     # d <q> = 0: only the k = 0 Leibniz summand survives
     return Operator(local={term[2:]: p.derive(order)})
 

@@ -155,11 +155,8 @@ def _as_constant(value: BivariateExpPoly) -> Constant | None:
 
 
 def _biv_mul(a: BivariateExpPoly, b: BivariateExpPoly) -> BivariateExpPoly:
-    total = BivariateExpPoly.zero()
-    for fa, ga in a.pairs():
-        for fb, gb in b.pairs():
-            total = total + BivariateExpPoly.tensor(fa * fb, ga * gb)
-    return total
+    return BivariateExpPoly.sum(BivariateExpPoly.tensor(fa * fb, ga * gb)
+                                for fa, ga in a.pairs() for fb, gb in b.pairs())
 
 
 def _exp_of(arg: BivariateExpPoly) -> BivariateExpPoly:
@@ -198,12 +195,8 @@ def parse_bivariate(text: str) -> BivariateExpPoly:
 def parse_exppoly(text: str) -> ExpPoly:
     """Parse an expression in x alone into an ExpPoly."""
     value = _Parser(_tokenize(text), allow_xi=False).parse()
-    total = ExpPoly.zero()
-    for f, g in value.pairs():
-        c = g.as_constant()
-        assert c is not None  # xi was rejected during parsing
-        total = total + f * c
-    return total
+    # xi was rejected during parsing, so every xi-factor is the monomial 1
+    return ExpPoly.sum(f for f, _one in value.pairs())
 
 
 def parse_rational(text: str) -> Fraction:

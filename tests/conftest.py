@@ -61,6 +61,28 @@ def nonlocal_problem() -> BoundaryProblem:
     )
 
 
+
+def four_breakpoint_operator() -> Operator:
+    """Integral terms at 0, 1/2, 1 and 2 plus a dirac and a diagonal term."""
+    e = parse_exppoly
+    return (Operator.integral(0, X, e("exp(-x)"))
+            + Operator.integral(F(1, 2), e("exp(x)"), X)
+            - Operator.integral(1, ONE, e("x*exp(x)") + ONE)
+            + Operator.integral(2, e("x^2 - 1"), e("exp(2*x)"))
+            + Operator.evaluation(1, 1, e("3*x"))
+            + Operator.derivative(2, e("exp(-x)")))
+
+
+def exponential_four_point_problem() -> BoundaryProblem:
+    """u'' - u = f with u(0) + 2u(1/2) = 0 and u'(1) + int_1/2^3/2 t u(t) dt = 0."""
+    return BoundaryProblem(
+        Operator.derivative(2) - Operator.identity(),
+        [
+            StieltjesCondition([(0, 0, 1), (F(1, 2), 0, 2)]),
+            StieltjesCondition([(1, 1, 1)], [(F(1, 2), F(3, 2), X)]),
+        ],
+    )
+
 TEST_FUNCTIONS = ("1", "x", "x^2", "exp(x)", "x*exp(-x)")
 
 

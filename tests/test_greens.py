@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     forcing_functions,
+    four_breakpoint_operator,
     four_point_problem,
     intro_problem,
     nonlocal_problem,
@@ -259,3 +260,76 @@ def test_interval_extends_breakpoints():
     G = greens_operator(intro_problem())
     for f in forcing_functions():
         assert apply_greens(g, f) == G.apply(f)
+
+
+def distributional_function() -> GreensFunction:
+    """Three cells with dirac terms of order 0, 1 and 2 and diagonal terms."""
+    return GreensFunction(
+        [-1, 0, F(1, 2)],
+        {(1, REGION_LOWER): parse_bivariate("x*xi"),
+         (2, REGION_UPPER): parse_bivariate("exp(x-xi)")},
+        dirac=[(-1, 0, parse_exppoly("3/2")), (0, 1, parse_exppoly("x*exp(-x)")),
+               (F(1, 2), 2, parse_exppoly("-x + 1"))],
+        diagonal=[(0, parse_exppoly("x^2")), (1, parse_exppoly("-2")),
+                  (2, parse_exppoly("exp(2*x)/3"))],
+    )
+
+
+class TestDistributionalRender:
+    """The exact strings of the dirac and diagonal renderings."""
+
+    def test_text(self):
+        assert distributional_function().to_text() == "\n".join([
+            "-1 <= xi <= 0, xi <= x: x*xi",
+            "-1 <= xi <= 0, x <= xi: 0",
+            "0 <= xi <= 1/2, xi <= x: 0",
+            "0 <= xi <= 1/2, x <= xi: exp(x-xi)",
+            "dirac: (3/2) * delta(xi + 1)",
+            "dirac: -(x*exp(-x)) * delta'(xi)",
+            "dirac: (1 - x) * delta''(xi - 1/2)",
+            "diagonal: (x^2) * delta(x - xi)",
+            "diagonal: -(-2) * delta'(x - xi)",
+            "diagonal: (1/3*exp(2*x)) * delta''(x - xi)",
+        ])
+
+    def test_latex(self):
+        assert distributional_function().to_latex() == "\n".join([
+            r"\begin{array}{|l|l|}",
+            r"\hline",
+            r"\text{Case} & \text{Term}\\\hline",
+            r"-1 \le \xi \le 0,\ \xi \le x & x \xi\\\hline",
+            r"-1 \le \xi \le 0,\ x \le \xi & 0\\\hline",
+            r"0 \le \xi \le 1/2,\ \xi \le x & 0\\\hline",
+            r"0 \le \xi \le 1/2,\ x \le \xi & e^{x-\xi}\\\hline",
+            r"\end{array}",
+            r"\text{distributional part: } \left(\tfrac{3}{2}\right)\,\delta(\xi + 1)"
+            r"-\left(x e^{-x}\right)\,\delta'(\xi)"
+            r"+\left(1-x\right)\,\delta^{(2)}(\xi - 1/2)"
+            r"+\left(x^{2}\right)\,\delta(x-\xi)"
+            r"-\left(-2\right)\,\delta'(x-\xi)"
+            r"+\left(\tfrac{1}{3} e^{2x}\right)\,\delta^{(2)}(x-\xi)",
+        ])
+
+    def test_diagonal_only(self):
+        g = GreensFunction([0, 1], {}, diagonal=[(3, X)])
+        assert g.to_text().splitlines()[-1] == "diagonal: -(x) * delta'''(x - xi)"
+        assert g.to_latex().splitlines()[-1] == (
+            r"\text{distributional part: } -\left(x\right)\,\delta^{(3)}(x-\xi)")
+
+
+class TestApplyToCells:
+    def test_agreement_on_three_cells(self):
+        op = four_breakpoint_operator()
+        g = extract(op)
+        assert g.breakpoints == (F(0), F(1, 2), F(1), F(2))
+        for text in ("1", "x", "exp(x)", "x*exp(-x)"):
+            f = parse_exppoly(text)
+            assert apply_greens(g, f) == op.apply(f)
+
+    def test_non_matching_branches_rejected(self):
+        branches = {(1, REGION_LOWER): parse_bivariate("x*xi"),
+                    (2, REGION_LOWER): parse_bivariate("xi"),
+                    (3, REGION_UPPER): parse_bivariate("exp(x)*xi^2")}
+        g = GreensFunction([0, 1, 2, 3], branches)
+        with pytest.raises(ValueError, match="not smooth across breakpoints"):
+            g.apply_to(ONE)
