@@ -20,7 +20,7 @@ from .errors import (
     ParseError,
     WronskianError,
 )
-from .exppoly import ExpPoly, _coerce_constant
+from .exppoly import ExpPoly
 from .linalg import mat_det, mat_from_rows, mat_inv, left_kernel
 from .operators import Operator, _leibniz
 from .parsing import parse_exppoly, parse_rational
@@ -37,15 +37,11 @@ class StieltjesCondition:
     __slots__ = ("local_terms", "global_terms")
 
     def __init__(self, local_terms=(), global_terms=()):
-        merged_local: dict[tuple[Fraction, int], Constant] = {}
+        collected: dict[tuple[Fraction, int], list[Constant]] = {}
         for point, order, coeff in local_terms:
-            key = (Fraction(point), int(order))
-            coeff = _coerce_constant(coeff)
-            cur = merged_local.get(key, Constant.zero()) + coeff
-            if cur.is_zero():
-                merged_local.pop(key, None)
-            else:
-                merged_local[key] = cur
+            collected.setdefault((Fraction(point), int(order)), []).append(coeff)
+        merged_local = {key: c for key, coeffs in collected.items()
+                        if not (c := Constant.sum(coeffs)).is_zero()}
         merged_global: dict[tuple[Fraction, Fraction], ExpPoly] = {}
         for lower, upper, integrand in global_terms:
             key = (Fraction(lower), Fraction(upper))
@@ -75,9 +71,9 @@ class StieltjesCondition:
         return not self.global_terms
 
     def apply(self, u: ExpPoly) -> Constant:
-        return sum([c * u.derive(i).eval_at(p) for p, i, c in self.local_terms]
-                   + [(w * u).integrate_from(a).eval_at(b) for a, b, w in self.global_terms],
-                   Constant.zero())
+        return Constant.sum([c * u.derive(i).eval_at(p) for p, i, c in self.local_terms]
+                            + [(w * u).integrate_from(a).eval_at(b)
+                               for a, b, w in self.global_terms])
 
     def as_operator(self) -> Operator:
         return Operator.sum(
@@ -129,6 +125,9 @@ def _derivative_order(order) -> int:
     # bool is an int subclass; -1 would silently act as order 0
     if type(order) is not int or order < 0:
         raise ParseError(f"derivative order must be a nonnegative integer, got {order!r}")
+    if order > MAX_DERIVATIVE_ORDER:
+        raise ParseError(f"derivative order {order} exceeds the cap "
+                         f"MAX_DERIVATIVE_ORDER = {MAX_DERIVATIVE_ORDER}")
     return order
 
 
@@ -291,6 +290,13 @@ def fundamental_system(T: Operator) -> FundamentalSystem:
 # one evaluation point at 10^5, do not finish in minutes.  The worked examples
 # and the seeded test problems stay below 60 steps.
 MAX_EXPONENT_SPREAD = 500
+
+# A condition's derivative order is applied by differentiating the
+# fundamental system that many times, and the evaluation matrix, its inverse
+# and the projector grow with it: order 60 takes over a second to solve and
+# 1000 does not finish in minutes.  The worked examples and the seeded test problems
+# use orders up to 4.
+MAX_DERIVATIVE_ORDER = 40
 
 
 def check_exponent_spread(fs: FundamentalSystem, points) -> None:

@@ -8,16 +8,35 @@ the extraction step need.
 
 ``BivariateExpPoly`` represents finite sums ``sum f_i(x) * g_i(xi)``; it is
 stored with the ``xi`` factor split into monomials so equality is structural.
+
+Terms are keyed by frequency, and a frequency is stored as an ``int`` when it
+is integral and as a ``Fraction`` otherwise.  An ``int`` and the equal
+``Fraction`` compare and hash alike, so dict lookups, ``==``, ``hash`` and
+sorting are the same as with ``Fraction`` keys throughout, and ``str`` gives
+the same text; but hashing and adding ``int`` keys stays in C, which matters
+because every product adds the frequencies of all term pairs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 
 from .constants import Constant, _frac_latex, _join_signed
 
-# A monomial key for the second tensor factor: (frequency, power).
-Monomial = tuple[Fraction, int]
+# A frequency key: an int when integral, else a Fraction (see above).
+Freq = int | Fraction
+# A monomial key for the second tensor factor: (frequency, power), with the
+# frequency an int when integral, else a Fraction.
+Monomial = tuple[Freq, int]
+
+
+def _freq(q) -> Freq:
+    """The frequency key of a rational: an int when its denominator is 1."""
+    if type(q) is int:
+        return q
+    q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _coerce_constant(c) -> Constant | None:
@@ -33,8 +52,8 @@ class ExpPoly:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: dict[Fraction, list[Constant]] | None = None):
-        clean: dict[Fraction, tuple[Constant, ...]] = {}
+    def __init__(self, terms: dict[Freq, list[Constant]] | None = None):
+        clean: dict[Freq, tuple[Constant, ...]] = {}
         for freq, coeffs in (terms or {}).items():
             coeffs = list(coeffs)
             while coeffs and coeffs[-1].is_zero():
@@ -60,7 +79,7 @@ class ExpPoly:
     @classmethod
     def const(cls, c) -> "ExpPoly":
         c = _coerce_constant(c)
-        return cls({Fraction(0): [c]})
+        return cls({0: [c]})
 
     @classmethod
     def exponential(cls, freq) -> "ExpPoly":
@@ -70,7 +89,7 @@ class ExpPoly:
     def monomial(cls, freq, power: int, coeff=1) -> "ExpPoly":
         c = _coerce_constant(coeff)
         coeffs = [Constant.zero()] * power + [c]
-        return cls({Fraction(freq): coeffs})
+        return cls({_freq(freq): coeffs})
 
     # -- views ------------------------------------------------------------
 
@@ -82,7 +101,7 @@ class ExpPoly:
                     yield freq, power, c
 
     def coefficient(self, freq, power: int) -> Constant:
-        coeffs = self._terms.get(Fraction(freq), ())
+        coeffs = self._terms.get(freq, ())
         if power < len(coeffs):
             return coeffs[power]
         return Constant.zero()
@@ -94,25 +113,24 @@ class ExpPoly:
         """The value as a Constant if it has no x-dependence, else None."""
         if not self._terms:
             return Constant.zero()
-        if set(self._terms) == {Fraction(0)} and len(self._terms[Fraction(0)]) == 1:
-            return self._terms[Fraction(0)][0]
+        if set(self._terms) == {0} and len(self._terms[0]) == 1:
+            return self._terms[0][0]
         return None
 
     # -- arithmetic -------------------------------------------------------
 
     @classmethod
     def sum(cls, items) -> "ExpPoly":
-        """The sum of exponential polynomials, merged in one pass."""
-        out: dict[Fraction, list[Constant]] = {}
+        """The sum of exponential polynomials, merged in one pass: the
+        coefficients of each (frequency, power) slot that several summands
+        share are added by one ``Constant.sum``."""
+        rows: dict[Freq, list[tuple[Constant, ...]]] = {}
         for item in items:
             for freq, coeffs in item._terms.items():
-                cur = out.setdefault(freq, [])
-                for i, c in enumerate(coeffs):
-                    if i < len(cur):
-                        cur[i] = cur[i] + c
-                    else:
-                        cur.append(c)
-        return cls(out)
+                rows.setdefault(freq, []).append(coeffs)
+        return cls({freq: cs[0] if len(cs) == 1 else
+                    [Constant.sum(slot) for slot in zip_longest(*cs, fillvalue=Constant.zero())]
+                    for freq, cs in rows.items()})
 
     def __add__(self, other):
         if not isinstance(other, ExpPoly):
@@ -129,10 +147,12 @@ class ExpPoly:
 
     def __mul__(self, other):
         if isinstance(other, ExpPoly):
-            out: dict[Fraction, list[Constant]] = {}
+            out: dict[Freq, list[Constant]] = {}
             for f1, cs1 in self._terms.items():
                 for f2, cs2 in other._terms.items():
                     freq = f1 + f2
+                    if type(freq) is not int and freq.denominator == 1:
+                        freq = freq.numerator
                     cur = out.setdefault(freq, [])
                     need = len(cs1) + len(cs2) - 1
                     while len(cur) < need:
@@ -164,7 +184,7 @@ class ExpPoly:
         """The derivative: d/dx(x^n e^{lx}) = n x^{n-1} e^{lx} + l x^n e^{lx}."""
         result = self
         for _ in range(times):
-            out: dict[Fraction, list[Constant]] = {}
+            out: dict[Freq, list[Constant]] = {}
             for freq, coeffs in result._terms.items():
                 cur = out.setdefault(freq, [Constant.zero()] * len(coeffs))
                 for n, c in enumerate(coeffs):
@@ -197,8 +217,8 @@ class ExpPoly:
 
     def eval_at(self, q) -> Constant:
         q = Fraction(q)
-        return sum((c * Constant.e_power(freq * q, q ** power if power else 1)
-                    for freq, power, c in self.terms()), Constant.zero())
+        return Constant.sum(c * Constant.e_power(freq * q, q ** power if power else 1)
+                            for freq, power, c in self.terms())
 
     # -- rendering --------------------------------------------------------
 
@@ -243,8 +263,8 @@ def _render(terms, fmt: dict) -> str:
     return _join_signed((_term_markup(fmt, *term) for term in terms), *fmt["join"])
 
 
-def _term_markup(fmt: dict, freq: Fraction, power: int, c: Constant,
-                 yfreq: Fraction = Fraction(0), ypower: int = 0) -> str:
+def _term_markup(fmt: dict, freq: Freq, power: int, c: Constant,
+                 yfreq: Freq = 0, ypower: int = 0) -> str:
     """Render ``c * x^power * yvar^ypower * exp(freq*x + yfreq*yvar)``."""
     factors = []
     mono = c.as_monomial()
@@ -369,8 +389,8 @@ class BivariateExpPoly:
 
     def eval_at(self, x, xi) -> Constant:
         xi = Fraction(xi)
-        return sum((f.eval_at(x) * Constant.e_power(freq * xi, xi ** power if power else 1)
-                    for (freq, power), f in self._terms.items()), Constant.zero())
+        return Constant.sum(f.eval_at(x) * Constant.e_power(freq * xi, xi ** power if power else 1)
+                            for (freq, power), f in self._terms.items())
 
     # -- rendering --------------------------------------------------------
 

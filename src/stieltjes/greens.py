@@ -85,11 +85,14 @@ class GreensFunction:
         if len(pts) < 2:
             raise DegenerateDomainError("degenerate domain: supply explicit interval")
         self.breakpoints = tuple(pts)
-        self._branches: dict[tuple[int, str], BivariateExpPoly] = {}
-        for i in range(1, len(pts)):
-            for region in (REGION_LOWER, REGION_UPPER):
-                self._branches[(i, region)] = branches.get(
-                    (i, region), BivariateExpPoly.zero())
+        self._branches: dict[tuple[int, str], BivariateExpPoly] = {
+            (i, region): BivariateExpPoly.zero()
+            for i in range(1, len(pts)) for region in (REGION_LOWER, REGION_UPPER)}
+        unknown = [key for key in branches if key not in self._branches]
+        if unknown:
+            raise ValueError(f"branch keys {', '.join(map(repr, unknown))} name no interval "
+                             f"1..{len(pts) - 1} and region {REGION_LOWER!r} or {REGION_UPPER!r}")
+        self._branches.update(branches)
         self.dirac = tuple(sorted(
             ((Fraction(p), int(i), c) for p, i, c in dirac if not c.is_zero()),
             key=lambda t: (t[0], t[1]),
@@ -278,9 +281,9 @@ class GreensFunction:
                 (int(entry["order"]), parse_exppoly(entry["coeff"]))
                 for entry in data.get("diagonal", ())
             ]
+            return cls(breakpoints, branches, dirac, diagonal)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad Green's function document: {exc}") from exc
-        return cls(breakpoints, branches, dirac, diagonal)
 
     @classmethod
     def from_json(cls, text: str) -> "GreensFunction":

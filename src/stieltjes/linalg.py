@@ -92,4 +92,4 @@ def left_kernel(m: Matrix) -> list[tuple[Constant, ...]]:
 
 
 def mat_vec(m: Matrix, v) -> tuple[Constant, ...]:
-    return tuple(sum((a * b for a, b in zip(row, v)), Constant.zero()) for row in m)
+    return tuple(Constant.sum(a * b for a, b in zip(row, v)) for row in m)

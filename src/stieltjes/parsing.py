@@ -22,6 +22,13 @@ from .constants import Constant
 from .errors import ParseError
 from .exppoly import BivariateExpPoly, ExpPoly
 
+# Powers are expanded by repeated multiplication, and everything downstream
+# (products, antiderivatives, condition integrals) grows with the degree: an
+# integrand x^100 takes over a second to solve.  The worked examples use
+# powers up to 2.  So the exponent n of a power and the degree in x and xi
+# of every product are capped.
+MAX_POWER = 50
+
 _TOKEN = re.compile(r"\s*(?:(\d+)|(x(?:i)?|exp)|([()+\-*/^])|(\S))")
 
 
@@ -89,6 +96,7 @@ class _Parser:
             rhs = self.factor()
             if op == "*":
                 value = _biv_mul(value, rhs)
+                _check_degree(value)
             else:
                 c = _as_constant(rhs)
                 if c is None:
@@ -110,7 +118,12 @@ class _Parser:
             exp_tok = self.next()
             if not exp_tok.isdigit():
                 raise ParseError(f"exponent must be a nonnegative integer, got {exp_tok!r}")
-            power = int(exp_tok)
+            # compare lengths first: int() refuses literals of over 4300 digits
+            digits = exp_tok.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_POWER)) or int(digits) > MAX_POWER:
+                raise ParseError(f"exponent exceeds the cap MAX_POWER = {MAX_POWER}")
+            power = int(digits)
+            _check_degree(value, power)
             result = _biv_const(1)
             for _ in range(power):
                 result = _biv_mul(result, value)
@@ -137,6 +150,13 @@ class _Parser:
             self.expect(")")
             return value
         raise ParseError(f"unexpected token {tok!r}")
+
+
+def _check_degree(value: BivariateExpPoly, power: int = 1) -> None:
+    """Reject ``value^power`` when its total degree in x and xi exceeds MAX_POWER."""
+    degree = power * max((n + m for _f, n, _c, _yf, m in value._markup_terms()), default=0)
+    if degree > MAX_POWER:
+        raise ParseError(f"degree {degree} in x and xi exceeds the cap MAX_POWER = {MAX_POWER}")
 
 
 def _biv_const(c) -> BivariateExpPoly:

@@ -319,3 +319,54 @@ def test_exponent_spread_at_cap_solves(tmp_path, capsys):
     doc["conditions"][1]["local"][0]["point"] = "250"
     assert main(["solve", write_spec(tmp_path, doc), "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["report"]["verified"] is True
+
+
+# u'' - u = f with u(0) = 0 and u(1) + int_0^1 w u = 0 for an integrand w, or
+# with a derivative of the given order at 0: x^n and the order are capped
+def _capped_spec(integrand="1", order=0):
+    return {
+        "operator": {"coeffs": ["-1", "0", "1"]},
+        "conditions": [
+            {"local": [{"point": "0", "order": order, "coeff": "1"}]},
+            {"local": [{"point": "1", "order": 0, "coeff": "1"}],
+             "global": [{"lower": "0", "upper": "1", "integrand": integrand}]},
+        ],
+    }
+
+
+@pytest.mark.parametrize("doc, cap", [
+    (_capped_spec(integrand="x^51"), "MAX_POWER"),
+    (_capped_spec(integrand="x^100000000000"), "MAX_POWER"),
+    (_capped_spec(integrand="x^" + "9" * 5000), "MAX_POWER"),
+    (_capped_spec(integrand="exp(x)^100000000"), "MAX_POWER"),
+    (_capped_spec(integrand="(x^10)^6"), "MAX_POWER"),
+    (_capped_spec(integrand="x^50*x"), "MAX_POWER"),
+    (_capped_spec(order=41), "MAX_DERIVATIVE_ORDER"),
+    (_capped_spec(order=10**12), "MAX_DERIVATIVE_ORDER"),
+], ids=["power", "huge-power", "5000-digit-power", "exp-power", "nested-power", "product-degree", "order",
+        "huge-order"])
+def test_power_and_order_caps_exit_2(tmp_path, capsys, doc, cap):
+    import time
+
+    start = time.perf_counter()
+    assert main(["solve", write_spec(tmp_path, doc)]) == 2
+    assert time.perf_counter() - start < 1
+    assert cap in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    _capped_spec(integrand="x^50"),
+    _capped_spec(integrand="x^25*x^25"),
+    _capped_spec(order=40),
+], ids=["power", "product-degree", "order"])
+def test_power_and_order_at_cap_solve(tmp_path, capsys, doc):
+    import time
+
+    from stieltjes.boundary import MAX_DERIVATIVE_ORDER
+    from stieltjes.parsing import MAX_POWER
+
+    assert (MAX_POWER, MAX_DERIVATIVE_ORDER) == (50, 40)
+    start = time.perf_counter()
+    assert main(["solve", write_spec(tmp_path, doc), "--format", "json"]) == 0
+    assert time.perf_counter() - start < 2
+    assert json.loads(capsys.readouterr().out)["report"]["verified"] is True

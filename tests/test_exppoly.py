@@ -117,3 +117,44 @@ class TestBivariate:
     def test_zero_factors_dropped(self):
         assert BivariateExpPoly.tensor(ExpPoly.zero(), X).is_zero()
         assert (BivariateExpPoly.tensor(X, X) - BivariateExpPoly.tensor(X, X)).is_zero()
+
+
+class TestFrequencyKeys:
+    """Integral frequencies are stored as int keys, others as Fraction keys;
+    the two compare and hash alike, so no result depends on the choice."""
+
+    def test_integral_frequency_is_an_int_key(self):
+        a, b = ExpPoly.monomial(F(2), 0), ExpPoly.monomial(2, 0)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert [type(freq) for freq, _n, _c in a.terms()] == [int]
+        assert [type(freq) for freq, _n, _c in ExpPoly.monomial(F(1, 2), 1).terms()] == [F]
+        # a hand-built Fraction key is the same polynomial
+        assert ExpPoly({F(2): [Constant.one()]}) == a
+        assert hash(ExpPoly({F(2): [Constant.one()]})) == hash(a)
+        assert ExpPoly.const(3).as_constant() == Constant.from_rational(3)
+        assert a.coefficient(F(2), 0) == a.coefficient(2, 0) == Constant.one()
+
+    def test_fractional_frequencies_that_add_up_to_an_integer(self):
+        from stieltjes import parse_exppoly
+
+        product = parse_exppoly("exp(x/2)") * parse_exppoly("exp(3*x/2)")
+        assert product == parse_exppoly("exp(2*x)") == ExpPoly.exponential(2)
+        assert hash(product) == hash(ExpPoly.exponential(2))
+        assert [type(freq) for freq, _n, _c in product.terms()] == [int]
+
+    def test_rendering_does_not_depend_on_the_key_type(self):
+        from stieltjes import Operator
+
+        c = Constant.from_rational(F(-1, 3))
+        for freq in (2, -1, 0):
+            as_int = ExpPoly.monomial(freq, 2, c) + ExpPoly.monomial(F(1, 2), 1)
+            as_fraction = ExpPoly({F(freq): [Constant.zero(), Constant.zero(), c],
+                                   F(1, 2): [Constant.zero(), Constant.one()]})
+            assert as_int == as_fraction
+            assert as_int.to_text() == as_fraction.to_text()
+            assert as_int.to_latex() == as_fraction.to_latex()
+            assert (Operator.multiplication(as_int).to_json()
+                    == Operator.multiplication(as_fraction).to_json())
+            mono = BivariateExpPoly.tensor(ONE, as_int)
+            assert mono.to_text() == BivariateExpPoly.tensor(ONE, as_fraction).to_text()

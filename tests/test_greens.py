@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -333,3 +334,29 @@ class TestApplyToCells:
         g = GreensFunction([0, 1, 2, 3], branches)
         with pytest.raises(ValueError, match="not smooth across breakpoints"):
             g.apply_to(ONE)
+
+
+def test_branch_keys_outside_the_intervals_are_rejected():
+    # a misspelled region and an interval past the last breakpoint used to
+    # load silently as the zero kernel
+    doc = {
+        "breakpoints": ["0", "1"],
+        "branches": [
+            {"interval": 1, "region": "xi<x", "term": "x*xi"},
+            {"interval": 7, "region": REGION_LOWER, "term": "x"},
+        ],
+    }
+    from stieltjes import ParseError
+
+    with pytest.raises(ParseError, match="name no interval"):
+        GreensFunction.from_json_dict(doc)
+    with pytest.raises(ParseError, match="name no interval"):
+        GreensFunction.from_json(json.dumps(doc))
+    term = parse_bivariate("x*xi")
+    for key in [(1, "xi<x"), (7, REGION_LOWER), (0, REGION_UPPER)]:
+        with pytest.raises(ValueError, match="name no interval"):
+            GreensFunction([0, 1], {key: term})
+    # the known keys still load, and a missing one is the zero branch
+    g = GreensFunction([0, 1], {(1, REGION_LOWER): term})
+    assert g.branch(1, REGION_LOWER) == term
+    assert g.branch(1, REGION_UPPER).is_zero()
