@@ -15,8 +15,8 @@ two integer-coefficient Laurent polynomials in ``t``, held as tuples of
 ``(exponent, coefficient)`` integer pairs, largest exponent first.  All
 arithmetic stays in Z[t, 1/t]: gcds are primitive pseudo-remainder sequences
 (Brown-Traub) run on the smallest grid of their two operands, unless a gcd
-modulo one prime already proves the pair coprime; products cancel
-crosswise, and division by a primitive gcd is exact over Z by Gauss's lemma.
+modulo one prime already proves the pair coprime, and division by a
+primitive gcd is exact over Z by Gauss's lemma.
 ``Fraction`` appears only at the boundary: the constructors, the
 ``num``/``den``/``as_rational``/``as_monomial`` views, the renderers and JSON.
 
@@ -29,6 +29,15 @@ numerators are added as integer polynomials, and the group is reduced once,
 by ``gcd(num, D)``, which is skipped for one member or ``D = 1``.  Only the
 partial sums of different ``D`` are added by Henrici's method (Knuth, TAOCP
 vol. 2, 4.5.1): with ``g = gcd(d1, d2)``, only ``gcd(num, g)`` can cancel.
+
+Products.  A unit ``p/q * t^k``, one numerator term over one denominator
+term, has no divisors but units, so no polynomial gcd can cancel against
+it: its product with a reduced ``N/D`` is ``p*t^k*N / (q*D)``, reduced up to
+an integer and a power of ``t``.  ``_canonical`` removes both: its joint
+content gcd cancels ``p`` against the content of ``D`` and ``q`` against
+that of ``N``, and its grid reduction puts ``e^(1/2) * e^(1/2)`` on grid 1.
+Two rationals take one integer gcd.  Only two non-units cancel crosswise,
+by ``gcd(N1, D2)`` and ``gcd(N2, D1)``, so the product needs no further gcd.
 """
 
 from __future__ import annotations
@@ -286,10 +295,11 @@ class Constant:
 
     @classmethod
     def from_rational(cls, q) -> "Constant":
-        q = Fraction(q)
-        if not q:
-            return _ZERO
-        return _stored(1, ((0, q.numerator),), ((0, q.denominator),))
+        c = _SMALL.get(q)
+        if c is None:
+            q = Fraction(q)
+            c = _stored(1, ((0, q.numerator),), ((0, q.denominator),))
+        return c
 
     @classmethod
     def e_power(cls, q, coeff=1) -> "Constant":
@@ -443,6 +453,19 @@ class Constant:
             return NotImplemented
         if not self._num or not other._num:
             return _ZERO
+        a, b = (other, self) if len(other._num) == len(other._den) == 1 else (self, other)
+        if len(a._num) == len(a._den) == 1:
+            # a = p/q * t^k is a unit: no gcd is needed (see the module docstring)
+            (k, p), = a._num
+            q = a._den[0][1]
+            if not k and len(b._num) == len(b._den) == 1 and not b._num[0][0]:
+                x, y = p * b._num[0][1], q * b._den[0][1]
+                g = gcd(x, y)
+                return _stored(1, ((0, x // g),), ((0, y // g),))
+            n = lcm(a._n, b._n)
+            k, f = k * (n // a._n), n // b._n
+            return _make(n, {e * f + k: c * p for e, c in b._num},
+                         {e * f: c * q for e, c in b._den})
         n = lcm(self._n, other._n)
         n1, d1 = self._polys(n)
         n2, d2 = other._polys(n)
@@ -593,6 +616,8 @@ def const_arith(a: Constant, b: Constant, kind: str) -> Constant:
     raise ValueError(f"unknown kind {kind!r}")
 
 
-_ONE = _stored(1, ((0, 1),), ((0, 1),))
 _ZERO = _stored(1, (), ((0, 1),))
+# the small integers, built once: the operator rewrites coerce the same few
+_SMALL = {i: _stored(1, ((0, i),), ((0, 1),)) if i else _ZERO for i in range(-64, 65)}
+_ONE = _SMALL[1]
 _UNIT = ((0, 1),)  # the primitive part of an integer denominator

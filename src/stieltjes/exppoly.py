@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 
-from .constants import Constant, _frac_latex, _join_signed
+from .constants import _ONE, Constant, _frac_latex, _join_signed
 
 # A frequency key: an int when integral, else a Fraction (see above).
 Freq = int | Fraction
@@ -35,16 +35,9 @@ def _freq(q) -> Freq:
     """The frequency key of a rational: an int when its denominator is 1."""
     if type(q) is int:
         return q
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     return q.numerator if q.denominator == 1 else q
-
-
-def _coerce_constant(c) -> Constant | None:
-    if isinstance(c, Constant):
-        return c
-    if isinstance(c, (int, Fraction)):
-        return Constant.from_rational(c)
-    return None
 
 
 class ExpPoly:
@@ -78,7 +71,7 @@ class ExpPoly:
 
     @classmethod
     def const(cls, c) -> "ExpPoly":
-        c = _coerce_constant(c)
+        c = Constant._coerce(c)
         return cls({0: [c]})
 
     @classmethod
@@ -86,9 +79,8 @@ class ExpPoly:
         return cls.monomial(freq, 0)
 
     @classmethod
-    def monomial(cls, freq, power: int, coeff=1) -> "ExpPoly":
-        c = _coerce_constant(coeff)
-        coeffs = [Constant.zero()] * power + [c]
+    def monomial(cls, freq, power: int, coeff=_ONE) -> "ExpPoly":
+        coeffs = [Constant.zero()] * power + [Constant._coerce(coeff)]
         return cls({_freq(freq): coeffs})
 
     # -- views ------------------------------------------------------------
@@ -163,7 +155,7 @@ class ExpPoly:
                         for j, c2 in enumerate(cs2):
                             cur[i + j] = cur[i + j] + c1 * c2
             return ExpPoly(out)
-        c = _coerce_constant(other)
+        c = Constant._coerce(other)
         if c is None:
             return NotImplemented
         return ExpPoly({f: [ci * c for ci in cs] for f, cs in self._terms.items()})
@@ -355,7 +347,7 @@ class BivariateExpPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        c = _coerce_constant(other)
+        c = Constant._coerce(other)
         if c is None:
             return NotImplemented
         return BivariateExpPoly({k: f * c for k, f in self._terms.items()})

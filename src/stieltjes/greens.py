@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .constants import Constant
 from .errors import DegenerateDomainError, NotEquitableError, ParseError
-from .exppoly import BivariateExpPoly, ExpPoly, _coerce_constant
+from .exppoly import BivariateExpPoly, ExpPoly
 from .operators import Operator
 from .parsing import parse_bivariate, parse_exppoly, parse_rational
 
@@ -125,7 +125,7 @@ class GreensFunction:
         return {(p, i) for p, i, _c in self.dirac}
 
     def scale(self, c) -> "GreensFunction":
-        c = _coerce_constant(c)
+        c = Constant._coerce(c)
         return GreensFunction(
             self.breakpoints,
             {key: b * c for key, b in self._branches.items()},

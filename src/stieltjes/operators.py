@@ -34,16 +34,18 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .constants import _join_signed
+from .constants import Constant, _join_signed
 from .errors import ParseError
-from .exppoly import ExpPoly, Monomial, _coerce_constant
+from .exppoly import ExpPoly, Freq, Monomial, _freq
 from .parsing import parse_exppoly
 
 # Part dictionaries: keys identify a term, values are left ExpPoly factors.
 DiffKey = int                                   # derivative order
-IntKey = tuple[Fraction, Monomial]              # (basepoint, right monomial)
-LocalKey = tuple[Fraction, int]                 # (point, derivative order)
-GlobalKey = tuple[Fraction, Fraction, Monomial]  # (point, basepoint, monomial)
+# Points and basepoints are keyed like ExpPoly frequencies: an int when
+# integral, else a Fraction, which compare, hash and print alike.
+IntKey = tuple[Freq, Monomial]              # (basepoint, right monomial)
+LocalKey = tuple[Freq, int]                 # (point, derivative order)
+GlobalKey = tuple[Freq, Freq, Monomial]     # (point, basepoint, monomial)
 
 
 def _mono(key: Monomial) -> ExpPoly:
@@ -81,13 +83,14 @@ class Operator:
                 self._diff[int(i)] = f
         for (a, mono), f in (integ or {}).items():
             if not f.is_zero():
-                self._integ[(Fraction(a), mono)] = f
+                self._integ[(_freq(a), mono)] = f
         for (p, i), f in (local or {}).items():
             if not f.is_zero():
-                self._local[(Fraction(p), int(i))] = f
+                self._local[(_freq(p), int(i))] = f
         for (p, a, mono), f in (glob or {}).items():
-            if Fraction(p) != Fraction(a) and not f.is_zero():
-                self._global[(Fraction(p), Fraction(a), mono)] = f
+            p, a = _freq(p), _freq(a)
+            if p != a and not f.is_zero():
+                self._global[(p, a, mono)] = f
 
     # -- construction -------------------------------------------------------
 
@@ -120,7 +123,7 @@ class Operator:
     def evaluation(cls, point, order: int = 0, left: ExpPoly | None = None) -> "Operator":
         """The term ``left * <point> * d^order``."""
         left = left if left is not None else ExpPoly.one()
-        return cls(local={(Fraction(point), order): left})
+        return cls(local={(point, order): left})
 
     @classmethod
     def global_term(cls, point, basepoint, left: ExpPoly | None = None,
@@ -138,15 +141,15 @@ class Operator:
         return dict(self._diff)
 
     @property
-    def integral_part(self) -> list[tuple[Fraction, ExpPoly, ExpPoly]]:
+    def integral_part(self) -> list[tuple[Freq, ExpPoly, ExpPoly]]:
         return [(a, f, _mono(m)) for (a, m), f in sorted(self._integ.items())]
 
     @property
-    def local_boundary(self) -> list[tuple[ExpPoly, Fraction, int]]:
+    def local_boundary(self) -> list[tuple[ExpPoly, Freq, int]]:
         return [(f, p, i) for (p, i), f in sorted(self._local.items())]
 
     @property
-    def global_boundary(self) -> list[tuple[ExpPoly, Fraction, Fraction, ExpPoly]]:
+    def global_boundary(self) -> list[tuple[ExpPoly, Freq, Freq, ExpPoly]]:
         return [(f, p, a, _mono(m)) for (p, a, m), f in sorted(self._global.items())]
 
     def is_zero(self) -> bool:
@@ -161,12 +164,12 @@ class Operator:
     def is_equitable(self) -> bool:
         return not self._global
 
-    def basepoints(self) -> set[Fraction]:
+    def basepoints(self) -> set[Freq]:
         points = {a for (a, _m) in self._integ}
         points.update(a for (_p, a, _m) in self._global)
         return points
 
-    def boundary_points(self) -> set[Fraction]:
+    def boundary_points(self) -> set[Freq]:
         points = {p for (p, _i) in self._local}
         points.update(p for (p, _a, _m) in self._global)
         return points
@@ -286,7 +289,7 @@ class Operator:
     def to_standard(self, basepoint) -> "Operator":
         """Move every integral to the distinguished basepoint:
         f*int_a*g = f*int_e*g - f*<a>*int_e*g."""
-        e = Fraction(basepoint)
+        e = _freq(basepoint)
         # <e>*int_e vanishes, and the constructor drops it
         return Operator.sum([Operator(self._diff, local=self._local)]
                             + [Operator(integ={(e, m): f}, glob={(a, e, m): -f})
@@ -353,7 +356,7 @@ class Operator:
 def _as_exppoly(value) -> ExpPoly | None:
     if isinstance(value, ExpPoly):
         return value
-    c = _coerce_constant(value)
+    c = Constant._coerce(value)
     if c is not None:
         return ExpPoly.const(c)
     return None
@@ -377,7 +380,7 @@ def _diff_after_term(order: int, term) -> Operator:
     return Operator(local={term[2:]: p.derive(order)})
 
 
-def _int_diff(a: Fraction, q: ExpPoly, j: int) -> Operator:
+def _int_diff(a: Freq, q: ExpPoly, j: int) -> Operator:
     """int_a * q * d^j in normal form."""
     if j == 0:
         return Operator.integral(a, ExpPoly.one(), q)
@@ -389,7 +392,7 @@ def _int_diff(a: Fraction, q: ExpPoly, j: int) -> Operator:
     return head * Operator.derivative(j - 1)
 
 
-def _int_after_term(a: Fraction, g: ExpPoly, term) -> Operator:
+def _int_after_term(a: Freq, g: ExpPoly, term) -> Operator:
     """int_a * g composed with a single D, I or L term."""
     kind, p = term[:2]
     if kind == "D":
@@ -401,7 +404,7 @@ def _int_after_term(a: Fraction, g: ExpPoly, term) -> Operator:
     return Operator(local={term[2:]: F})
 
 
-def _absorb_evaluation(point: Fraction, op: Operator) -> Operator:
+def _absorb_evaluation(point: Freq, op: Operator) -> Operator:
     """Compose <point> with an equitable operator from the left."""
     integ: dict[IntKey, ExpPoly] = {}
     local: dict[LocalKey, ExpPoly] = {}

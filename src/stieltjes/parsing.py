@@ -133,7 +133,11 @@ class _Parser:
     def atom(self) -> BivariateExpPoly:
         tok = self.next()
         if tok.isdigit():
-            return _biv_const(Fraction(int(tok)))
+            try:
+                value = int(tok)
+            except ValueError as exc:  # over 4300 digits, Python's conversion limit
+                raise ParseError(f"integer literal too long ({len(tok)} digits)") from exc
+            return _biv_const(value)
         if tok == "x":
             return BivariateExpPoly.tensor(ExpPoly.x(), ExpPoly.one())
         if tok == "xi":

@@ -370,3 +370,12 @@ def test_power_and_order_at_cap_solve(tmp_path, capsys, doc):
     assert main(["solve", write_spec(tmp_path, doc), "--format", "json"]) == 0
     assert time.perf_counter() - start < 2
     assert json.loads(capsys.readouterr().out)["report"]["verified"] is True
+
+
+def test_integer_literal_over_the_digit_limit_exit_2(tmp_path, capsys):
+    # int() refuses literals of over 4300 digits with a bare ValueError
+    doc = _capped_spec(integrand="9" * 5000 + "*x")
+    assert main(["solve", write_spec(tmp_path, doc), "--no-verify"]) == 2
+    err = capsys.readouterr().err
+    assert "integer literal too long (5000 digits)" in err
+    assert "Traceback" not in err
