@@ -303,8 +303,7 @@ class Constant:
 
     @classmethod
     def e_power(cls, q, coeff=1) -> "Constant":
-        """The scalar ``coeff * e^q``."""
-        q, coeff = Fraction(q), Fraction(coeff)
+        """The scalar ``coeff * e^q``, for ``int`` or ``Fraction`` q and coeff."""
         if not coeff:
             return _ZERO
         return _stored(q.denominator, ((q.numerator, coeff.numerator),),

@@ -40,6 +40,11 @@ def _freq(q) -> Freq:
     return q.numerator if q.denominator == 1 else q
 
 
+def _slot_sum(products: list[Constant]) -> Constant:
+    """The products meeting in one (frequency, power) slot, added at once."""
+    return products[0] if len(products) == 1 else Constant.sum(products)
+
+
 class ExpPoly:
     """A univariate exponential polynomial in canonical form."""
 
@@ -139,22 +144,22 @@ class ExpPoly:
 
     def __mul__(self, other):
         if isinstance(other, ExpPoly):
-            out: dict[Freq, list[Constant]] = {}
+            out: dict[Freq, list[list[Constant]]] = {}
             for f1, cs1 in self._terms.items():
                 for f2, cs2 in other._terms.items():
                     freq = f1 + f2
                     if type(freq) is not int and freq.denominator == 1:
                         freq = freq.numerator
-                    cur = out.setdefault(freq, [])
+                    slots = out.setdefault(freq, [])
                     need = len(cs1) + len(cs2) - 1
-                    while len(cur) < need:
-                        cur.append(Constant.zero())
+                    if len(slots) < need:
+                        slots.extend([[] for _ in range(need - len(slots))])
                     for i, c1 in enumerate(cs1):
                         if c1.is_zero():
                             continue
                         for j, c2 in enumerate(cs2):
-                            cur[i + j] = cur[i + j] + c1 * c2
-            return ExpPoly(out)
+                            slots[i + j].append(c1 * c2)
+            return ExpPoly({freq: [_slot_sum(s) for s in slots] for freq, slots in out.items()})
         c = Constant._coerce(other)
         if c is None:
             return NotImplemented
@@ -178,14 +183,15 @@ class ExpPoly:
         for _ in range(times):
             out: dict[Freq, list[Constant]] = {}
             for freq, coeffs in result._terms.items():
-                cur = out.setdefault(freq, [Constant.zero()] * len(coeffs))
+                slots = [[] for _ in coeffs]
                 for n, c in enumerate(coeffs):
                     if c.is_zero():
                         continue
                     if n >= 1:
-                        cur[n - 1] = cur[n - 1] + c * n
+                        slots[n - 1].append(c * n)
                     if freq:
-                        cur[n] = cur[n] + c * freq
+                        slots[n].append(c * freq)
+                out[freq] = [_slot_sum(s) for s in slots]
             result = ExpPoly(out)
         return result
 

@@ -8,6 +8,12 @@ kernel ``g(x, xi)`` as follows.  Every integral term ``f int_a g`` turns into
 distribution ``(-1)^i f(x) delta^(i)(xi - p)`` and a differential term
 ``f d^i`` becomes the diagonal distribution ``(-1)^i f(x) delta^(i)(x - xi)``.
 
+``to_operator`` inverts this reading: the terms at a basepoint are the
+difference of neighbouring lower branches, and ``lower - upper`` is the full
+sum on every interval.  So a kernel and an operator act alike on every
+function exactly when ``g.to_operator() == op``, the agreement check of
+``stieltjes verify``.
+
 Applying the kernel to a function ``f`` integrates each xi-monomial ``B`` of
 the branches once, from the first breakpoint: ``F_B = int_{p_0} B f``, with
 its values at the breakpoints ``p_0 < ... < p_{m-1}``.  A branch term
@@ -132,6 +138,22 @@ class GreensFunction:
             [(p, i, f * c) for p, i, f in self.dirac],
             [(i, f * c) for i, f in self.diagonal],
         )
+
+    def to_operator(self) -> Operator:
+        """The equitable operator of this kernel, the inverse of ``extract``;
+        a ValueError unless ``lower(i) - upper(i)`` is one bivariate for all i."""
+        lower = [self._branches[(i, REGION_LOWER)] for i in range(1, len(self.breakpoints))]
+        upper = [self._branches[(i, REGION_UPPER)] for i in range(1, len(self.breakpoints))]
+        full = [lo - up for lo, up in zip(lower, upper)]
+        if any(other != full[0] for other in full[1:]):
+            raise ValueError("kernel is not smooth across breakpoints")
+        # the terms at p_0, at each p_j in between, and at p_{m-1}
+        at = [lower[0]] + [b - a for a, b in zip(lower, lower[1:])] + [-upper[-1]]
+        integ = {(p, mono): left for p, t in zip(self.breakpoints, at)
+                 for mono, left in t._terms.items()}
+        return Operator.sum([Operator(integ=integ)]
+                            + [Operator.evaluation(p, i, c) for p, i, c in self.dirac]
+                            + [Operator.derivative(i, c) for i, c in self.diagonal])
 
     def __eq__(self, other):
         if not isinstance(other, GreensFunction):
