@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .boundary import (
+    MAX_OPERATOR_ORDER,
     BoundaryProblem,
     StieltjesCondition,
     check_exponent_spread,
@@ -116,6 +117,9 @@ def parse_problem(data: dict) -> BoundaryProblem:
         raise ParseError(f"missing field: {exc}") from exc
     if not isinstance(coeff_strings, list) or not coeff_strings:
         raise ParseError("operator.coeffs must be a nonempty list")
+    if len(coeff_strings) - 1 > MAX_OPERATOR_ORDER:
+        raise ParseError(f"operator order {len(coeff_strings) - 1} exceeds the cap "
+                         f"MAX_OPERATOR_ORDER = {MAX_OPERATOR_ORDER}")
     if not isinstance(condition_docs, list):
         raise ParseError("conditions must be a list")
     basis_strings = data.get("fundamental_system")

@@ -195,6 +195,13 @@ class ExpPoly:
             result = ExpPoly(out)
         return result
 
+    def derivatives(self, n: int) -> list["ExpPoly"]:
+        """``[f, f', ..., f^(n)]``, each derived once from the one before."""
+        out = [self]
+        for _ in range(n):
+            out.append(out[-1].derive())
+        return out
+
     def antiderivative(self) -> "ExpPoly":
         parts = []
         for freq, power, c in self.terms():
@@ -329,10 +336,7 @@ class BivariateExpPoly:
 
     def pairs(self) -> list[tuple[ExpPoly, ExpPoly]]:
         """The canonical (x-factor, xi-monomial) decomposition."""
-        out = []
-        for (freq, power) in sorted(self._terms):
-            out.append((self._terms[(freq, power)], ExpPoly.monomial(freq, power)))
-        return out
+        return [(self._terms[key], ExpPoly.monomial(*key)) for key in sorted(self._terms)]
 
     def is_zero(self) -> bool:
         return not self._terms

@@ -14,22 +14,22 @@ sum on every interval.  So a kernel and an operator act alike on every
 function exactly when ``g.to_operator() == op``, the agreement check of
 ``stieltjes verify``.
 
-Applying the kernel to a function ``f`` integrates each xi-monomial ``B`` of
-the branches once, from the first breakpoint: ``F_B = int_{p_0} B f``, with
-its values at the breakpoints ``p_0 < ... < p_{m-1}``.  A branch term
-``A(x) B(xi)`` on the strip ``[p_{i-1}, p_i]`` then gives
-``A (F_B(p_i) - F_B(p_{i-1}))`` over the whole strip,
-``A (F_B - F_B(p_{i-1}))`` from ``p_{i-1}`` up to ``x`` and
-``A (F_B(p_i) - F_B)`` from ``x`` up to ``p_i``.  For ``x`` in cell ``c`` the
-result sums the whole lower strips left of ``c``, the lower branch of ``c`` up
-to ``x``, its upper branch from ``x``, the whole upper strips right of ``c``
-and the distributional terms.  Kernels read off an operator give the same
-function in every cell, which ``apply_to`` checks exactly.
+Applying the kernel to a function ``f`` uses that ``lower - upper`` is one
+bivariate ``K`` on every interval (the variation-of-constants part).  For
+``x`` in any cell the lower branches integrate from ``p_0`` up to ``x`` and
+the upper ones from ``x`` up to ``p_{m-1}``, so
+``int_{p_0}^x lower f + int_x^{p_{m-1}} upper f
+= int_{p_0}^x K f + int_{p_0}^{p_{m-1}} upper f``.  With ``F_B = int_{p_0} B f``
+for each xi-monomial ``B``, integrated once, the result is
+``sum_B K_B F_B`` plus ``A (F_B(p_i) - F_B(p_{i-1}))`` for each term
+``A(x) B(xi)`` of the upper branch on ``[p_{i-1}, p_i]``, plus the
+distributional terms: one function on the whole domain by construction.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from fractions import Fraction
 
 from .constants import Constant
@@ -139,14 +139,20 @@ class GreensFunction:
             [(i, f * c) for i, f in self.diagonal],
         )
 
-    def to_operator(self) -> Operator:
-        """The equitable operator of this kernel, the inverse of ``extract``;
+    def _strips(self) -> tuple[list[BivariateExpPoly], list[BivariateExpPoly], BivariateExpPoly]:
+        """The lower and upper branches by interval and ``K = lower - upper``;
         a ValueError unless ``lower(i) - upper(i)`` is one bivariate for all i."""
         lower = [self._branches[(i, REGION_LOWER)] for i in range(1, len(self.breakpoints))]
         upper = [self._branches[(i, REGION_UPPER)] for i in range(1, len(self.breakpoints))]
-        full = [lo - up for lo, up in zip(lower, upper)]
-        if any(other != full[0] for other in full[1:]):
+        K = lower[0] - upper[0]
+        if any(lo - up != K for lo, up in zip(lower[1:], upper[1:])):
             raise ValueError("kernel is not smooth across breakpoints")
+        return lower, upper, K
+
+    def to_operator(self) -> Operator:
+        """The equitable operator of this kernel, the inverse of ``extract``;
+        a ValueError as in ``apply_to``."""
+        lower, upper, _K = self._strips()
         # the terms at p_0, at each p_j in between, and at p_{m-1}
         at = [lower[0]] + [b - a for a, b in zip(lower, lower[1:])] + [-upper[-1]]
         integ = {(p, mono): left for p, t in zip(self.breakpoints, at)
@@ -178,65 +184,40 @@ class GreensFunction:
         lo, hi = self.breakpoints[0], self.breakpoints[-1]
         if not (lo <= x <= hi and lo <= xi <= hi):
             raise ValueError("point outside the domain of the Green's function")
-        idx = 1
-        for i in range(1, len(self.breakpoints)):
-            idx = i
-            if xi <= self.breakpoints[i]:
-                break
+        idx = max(1, bisect_left(self.breakpoints, xi))
         region = REGION_LOWER if xi <= x else REGION_UPPER
         return self._branches[(idx, region)].eval_at(x, xi)
 
     # -- integral action --------------------------------------------------------
 
     def apply_to(self, f: ExpPoly) -> ExpPoly:
-        """Integrate the kernel against f and add distributional contributions.
-
-        The result must be one smooth function on the whole domain (true for
-        kernels extracted from operators); otherwise a ValueError is raised.
-        """
-        pts, m = self.breakpoints, len(self.breakpoints)
-        anti: dict[ExpPoly, tuple[ExpPoly, list[Constant]]] = {}
-
-        def pieces(i: int, region: str):
-            """(A, F_B, F_B at the breakpoints) for each pair A(x) B(xi) of a
-            branch; F_B(p_0) = 0 by construction."""
-            for A, B in self.branch(i, region).pairs():
-                if B not in anti:
-                    F = (B * f).integrate_from(pts[0])
-                    anti[B] = F, [Constant.zero()] + [F.eval_at(p) for p in pts[1:]]
-                yield A, *anti[B]
-
-        def full(i: int, region: str) -> ExpPoly:
-            return ExpPoly.sum(A * (at[i] - at[i - 1]) for A, _F, at in pieces(i, region))
-
-        # whole strips: lower ones left of a cell, upper ones right of it
-        lower = [full(i, REGION_LOWER) for i in range(1, m - 1)]
-        upper = [full(i, REGION_UPPER) for i in range(2, m)]
-        dist = ([coeff * f.derive(i).eval_at(p) for p, i, coeff in self.dirac]
-                + [coeff * f.derive(i) for i, coeff in self.diagonal])
-        # cell c: its own strip split at x, from p_{c-1} to x and from x to p_c
-        first, *rest = (
-            ExpPoly.sum(lower[:c - 1]
-                        + [A * (F - ExpPoly.const(at[c - 1]))
-                           for A, F, at in pieces(c, REGION_LOWER)]
-                        + [A * (ExpPoly.const(at[c]) - F)
-                           for A, F, at in pieces(c, REGION_UPPER)]
-                        + upper[c - 1:] + dist)
-            for c in range(1, m))
-        if any(other != first for other in rest):
-            raise ValueError("kernel is not smooth across breakpoints")
-        return first
+        """Integrate the kernel against f and add the distributional terms, as
+        ``int_{p_0}^x K f + int_{p_0}^{p_{m-1}} upper f`` with one integral per
+        xi-monomial.  A ValueError for every f unless ``K = lower - upper`` is
+        one bivariate on every interval (true of kernels read off operators)."""
+        _lower, upper, K = self._strips()
+        pts = self.breakpoints
+        strip_monos = set().union(*(up._terms for up in upper))
+        anti = {B: (ExpPoly.monomial(*B) * f).integrate_from(pts[0])
+                for B in strip_monos.union(K._terms)}
+        # F_B at the breakpoints; F_B(p_0) = 0
+        at = {B: [Constant.zero()] + [anti[B].eval_at(p) for p in pts[1:]] for B in strip_monos}
+        derivs = f.derivatives(max([i for _p, i, _c in self.dirac]
+                                   + [i for i, _c in self.diagonal], default=0))
+        return ExpPoly.sum(
+            [A * anti[B] for B, A in K._terms.items()]
+            + [A * (at[B][i] - at[B][i - 1])
+               for i, up in enumerate(upper, 1) for B, A in up._terms.items()]
+            + [coeff * derivs[i].eval_at(p) for p, i, coeff in self.dirac]
+            + [coeff * derivs[i] for i, coeff in self.diagonal])
 
     # -- rendering ---------------------------------------------------------------
 
     def case_rows(self):
         """(lower, upper, region, term) rows of the case table."""
-        rows = []
-        for i in range(1, len(self.breakpoints)):
-            for region in (REGION_LOWER, REGION_UPPER):
-                rows.append((self.breakpoints[i - 1], self.breakpoints[i],
-                             region, self._branches[(i, region)]))
-        return rows
+        pts = self.breakpoints
+        return [(pts[i - 1], pts[i], region, self._branches[(i, region)])
+                for i in range(1, len(pts)) for region in (REGION_LOWER, REGION_UPPER)]
 
     def to_text(self) -> str:
         return "\n".join(self._cases(_TEXT) + [f"{label}: {term}" for label, term

@@ -32,6 +32,7 @@ Middeke).  The single-step rules are::
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 from .constants import Constant, _join_signed
@@ -269,12 +270,19 @@ class Operator:
     # -- action on functions ----------------------------------------------------
 
     def apply(self, h: ExpPoly) -> ExpPoly:
+        """The action on h: each derivative order of h is taken once, and each
+        right monomial m is integrated once, to ``F_m`` with its values at the
+        points, so ``f int_a m`` gives ``f (F_m - F_m(a))`` and
+        ``f <p> int_a m`` gives ``f (F_m(p) - F_m(a))``."""
+        derivs = h.derivatives(max([*self._diff, *(i for _p, i in self._local)], default=0))
+        anti = {m: (_mono(m) * h).antiderivative()
+                for m in {m for _a, m in self._integ} | {m for _p, _a, m in self._global}}
+        value = cache(lambda m, q: anti[m].eval_at(q))
         return ExpPoly.sum(
-            [f * h.derive(i) for i, f in self._diff.items()]
-            + [f * (_mono(m) * h).integrate_from(a) for (a, m), f in self._integ.items()]
-            + [f * h.derive(i).eval_at(p) for (p, i), f in self._local.items()]
-            + [f * (_mono(m) * h).integrate_from(a).eval_at(p)
-               for (p, a, m), f in self._global.items()])
+            [f * derivs[i] for i, f in self._diff.items()]
+            + [f * (anti[m] - ExpPoly.const(value(m, a))) for (a, m), f in self._integ.items()]
+            + [f * derivs[i].eval_at(p) for (p, i), f in self._local.items()]
+            + [f * (value(m, p) - value(m, a)) for (p, a, m), f in self._global.items()])
 
     # -- translation between standard and equitable form ------------------------
 

@@ -372,6 +372,39 @@ def test_power_and_order_at_cap_solve(tmp_path, capsys, doc):
     assert json.loads(capsys.readouterr().out)["report"]["verified"] is True
 
 
+# u^(n) = f with u^(i)(0) = 0 for i < n - 1 and u(1) = 0: the cost grows
+# steeply with the order n, which is capped
+def _order_spec(n):
+    return {
+        "operator": {"coeffs": ["0"] * n + ["1"]},
+        "conditions": [{"local": [{"point": "0", "order": i, "coeff": "1"}]} for i in range(n - 1)]
+        + [{"local": [{"point": "1", "order": 0, "coeff": "1"}]}],
+    }
+
+
+@pytest.mark.parametrize("n", [11, 16])
+def test_operator_order_over_the_cap_exit_2(tmp_path, capsys, n):
+    import time
+
+    start = time.perf_counter()
+    assert main(["solve", write_spec(tmp_path, _order_spec(n)), "--no-verify"]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert f"operator order {n} exceeds the cap MAX_OPERATOR_ORDER = 10" in err
+
+
+def test_operator_order_at_the_cap_solves(tmp_path, capsys):
+    import time
+
+    from stieltjes.boundary import MAX_OPERATOR_ORDER
+
+    assert MAX_OPERATOR_ORDER == 10
+    start = time.perf_counter()
+    assert main(["solve", write_spec(tmp_path, _order_spec(10)), "--format", "json"]) == 0
+    assert time.perf_counter() - start < 6
+    assert json.loads(capsys.readouterr().out)["report"]["verified"] is True
+
+
 def test_integer_literal_over_the_digit_limit_exit_2(tmp_path, capsys):
     # int() refuses literals of over 4300 digits with a bare ValueError
     doc = _capped_spec(integrand="9" * 5000 + "*x")

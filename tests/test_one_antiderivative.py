@@ -1,0 +1,118 @@
+"""Every action on a function integrates each monomial once and takes each
+derivative order once: ``Operator.apply``, ``GreensFunction.apply_to`` and
+``StieltjesCondition.apply``, counted like the ``apply_to`` counter of
+``test_agreement_gate.py``.  ``apply_to`` reads the kernel as
+``int_{p_0}^x K f + int_{p_0}^{p_end} upper f`` with ``K = lower - upper``, so
+a kernel whose ``K`` changes between intervals is refused for every f."""
+
+import random
+
+import pytest
+
+from conftest import (
+    X,
+    exponential_four_point_problem,
+    forcing_functions,
+    four_breakpoint_operator,
+    random_regular_problem,
+)
+from test_cli import NONLOCAL_SPEC  # integral, global and dirac terms, two cells
+
+from stieltjes import BivariateExpPoly, ExpPoly, GreensFunction, extract, greens_operator
+from stieltjes.cli import parse_problem, solve_problem
+from stieltjes.greens import REGION_LOWER
+
+
+def counter(monkeypatch, name):
+    """Record the arguments of every call of ``ExpPoly.<name>``."""
+    calls = []
+    method = getattr(ExpPoly, name)
+
+    def counted(self, *args):
+        calls.append(args)
+        return method(self, *args)
+
+    monkeypatch.setattr(ExpPoly, name, counted)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def nonlocal_solution():
+    return solve_problem(parse_problem(NONLOCAL_SPEC))
+
+
+def test_operator_apply_integrates_each_right_monomial_once(monkeypatch, nonlocal_solution):
+    G, _Geq, _gf = nonlocal_solution
+    monomials = ({g for _f, _a, g in G.integral_part}
+                 | {g for _f, _p, _a, g in G.global_boundary})
+    # global terms share right monomials with each other and with integral terms
+    assert G.global_boundary
+    assert len(monomials) < len(G.integral_part) + len(G.global_boundary)
+    top = max([*G.diff_part, *(i for _f, _p, i in G.local_boundary)], default=0)
+    antiderivative = counter(monkeypatch, "antiderivative")
+    derive = counter(monkeypatch, "derive")
+    for f in forcing_functions():
+        antiderivative.clear()
+        derive.clear()
+        G.apply(f)
+        assert len(antiderivative) == len(monomials)
+        assert derive == [()] * top
+
+
+def kernels():
+    """Kernels with two, three and four cells, dirac and diagonal terms."""
+    return [
+        solve_problem(parse_problem(NONLOCAL_SPEC))[2],
+        extract(greens_operator(exponential_four_point_problem()).to_equitable()),
+        extract(four_breakpoint_operator()),
+    ]
+
+
+@pytest.mark.parametrize("gf", kernels(), ids=["nonlocal", "four-point", "four-breakpoint"])
+def test_apply_to_integrates_each_xi_monomial_once(monkeypatch, gf):
+    monomials = {B for _lo, _hi, _region, branch in gf.case_rows() for _A, B in branch.pairs()}
+    integrate_from = counter(monkeypatch, "integrate_from")
+    for f in forcing_functions():
+        integrate_from.clear()
+        gf.apply_to(f)
+        assert len(integrate_from) == len(monomials)
+
+
+def test_condition_apply_derives_each_order_once(monkeypatch):
+    conditions = (parse_problem(NONLOCAL_SPEC).conditions
+                  + exponential_four_point_problem().conditions)
+    assert max(cond.max_local_order() for cond in conditions) == 3
+    derive = counter(monkeypatch, "derive")
+    antiderivative = counter(monkeypatch, "antiderivative")
+    for cond in conditions:
+        for f in forcing_functions():
+            derive.clear()
+            antiderivative.clear()
+            cond.apply(f)
+            assert derive == [()] * max(cond.max_local_order(), 0)
+            assert len(antiderivative) == len(cond.global_terms)
+
+
+@pytest.mark.parametrize("f", [ExpPoly.zero(), *forcing_functions()],
+                         ids=["0", "1", "x", "x^2", "exp(x)", "x*exp(-x)"])
+def test_a_kernel_not_smooth_across_breakpoints_is_refused_for_every_f(f):
+    # lower - upper is x*xi on the first interval and 0 on the second; with
+    # f = 0 every cell gives 0, and the kernel is refused all the same
+    gf = GreensFunction([0, 1, 2], {(1, REGION_LOWER): BivariateExpPoly.tensor(X, X)})
+    with pytest.raises(ValueError, match="kernel is not smooth across breakpoints"):
+        gf.apply_to(f)
+
+
+def test_standard_and_equitable_forms_act_alike_on_the_suite():
+    """Global terms share antiderivative values with the integral terms of
+    the standard form; the equitable form has none."""
+    rng = random.Random(2024)
+    with_global = 0
+    for _ in range(50):
+        G = greens_operator(random_regular_problem(rng))
+        Geq = G.to_equitable()
+        with_global += bool(G.global_boundary)
+        assert Geq.is_equitable()
+        for f in forcing_functions():
+            assert G.apply(f) == Geq.apply(f)
+    assert with_global == 50
