@@ -10,7 +10,9 @@ space of admissible functions.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import isqrt, lcm
 
 from .constants import Constant
@@ -149,12 +151,10 @@ class FundamentalSystem:
         n = len(u)
         w = [list(row) for row in zip(*(uj.derivatives(n - 1) for uj in u))]
         self.u = u
-        self.d = _exp_det(w)
+        self.cofactors = tuple(_last_row_cofactors(w))
+        self.d = ExpPoly.sum(e * cof for e, cof in zip(w[-1], self.cofactors))
         if self.d.is_zero() or _monomial_inverse(self.d) is None:
             raise WronskianError("Wronskian not invertible in coefficient algebra")
-        unit = [ExpPoly.zero()] * (n - 1) + [ExpPoly.one()]
-        self.cofactors = tuple(_exp_det([row[:j] + [e] + row[j + 1:] for e, row in zip(unit, w)])
-                               for j in range(n))
 
     @property
     def size(self) -> int:
@@ -166,16 +166,24 @@ class FundamentalSystem:
         return tuple(dj * inv for dj in self.cofactors)
 
 
-def _exp_det(rows: list[list[ExpPoly]]) -> ExpPoly:
-    """Determinant over the (commutative) function algebra, by expansion."""
-    if len(rows) == 1:
-        return rows[0][0]
-    terms = []
-    for j, entry in enumerate(rows[0]):
-        if not entry.is_zero():
-            term = entry * _exp_det([row[:j] + row[j + 1:] for row in rows[1:]])
-            terms.append(-term if j % 2 else term)
-    return ExpPoly.sum(terms)
+def _last_row_cofactors(w: list[list[ExpPoly]]) -> list[ExpPoly]:
+    """The cofactors of the last row of the square matrix ``w``.
+
+    Cofactor j is the signed minor of the first n-1 rows without column j.
+    The minors of the top k rows on every k-set of columns are expanded along
+    row k from those for k-1: about n 2^(n-1) products instead of n * n!."""
+    n = len(w)
+    minors = {(): ExpPoly.one()}
+    for k, row in enumerate(w[:-1]):
+        minors = {cols: ExpPoly.sum(_signed(row[c] * minors[cols[:t] + cols[t + 1:]], k + t)
+                                    for t, c in enumerate(cols) if not row[c].is_zero())
+                  for cols in combinations(range(n), k + 1)}
+    return [_signed(minors[tuple(c for c in range(n) if c != j)], n - 1 + j) for j in range(n)]
+
+
+def _signed(f: ExpPoly, k: int) -> ExpPoly:
+    """(-1)^k f."""
+    return -f if k % 2 else f
 
 
 def _monomial_inverse(f: ExpPoly) -> ExpPoly | None:
@@ -191,11 +199,9 @@ def _monomial_inverse(f: ExpPoly) -> ExpPoly | None:
 
 def _rational_roots(coeffs: list[Fraction]) -> list[Fraction] | None:
     """All roots (with multiplicity) of a monic rational polynomial, or None
-    when it does not split over Q."""
+    when it does not split over Q.  A FundamentalSystemError when the search
+    would take more than MAX_ROOT_TRIALS trials."""
     roots: list[Fraction] = []
-    while coeffs[0] == 0 and len(coeffs) > 1:
-        roots.append(Fraction(0))
-        coeffs = coeffs[1:]
     while len(coeffs) > 1:
         denom = lcm(*(c.denominator for c in coeffs))
         ints = [int(c * denom) for c in coeffs]
@@ -203,12 +209,17 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction] | None:
         if const == 0:
             root = Fraction(0)
         else:
-            root = next(
-                (Fraction(p, q)
-                 for q in _divisors(abs(lead)) for p in _signed_divisors(abs(const))
-                 if _poly_eval(coeffs, Fraction(p, q)) == 0),
-                None,
-            )
+            # a root p/q in lowest terms has q | lead and p | const
+            qs = ps = []
+            if isqrt(lead) + isqrt(abs(const)) <= MAX_ROOT_TRIALS:
+                qs, ps = _divisors(lead), _signed_divisors(abs(const))
+            if not qs or len(qs) * len(ps) > MAX_ROOT_TRIALS:
+                raise FundamentalSystemError(
+                    f"the rational-root search of the characteristic polynomial needs more "
+                    f"than MAX_ROOT_TRIALS = {MAX_ROOT_TRIALS} trials: fundamental system "
+                    f"must be supplied")
+            root = next((Fraction(p, q) for q in qs for p in ps
+                         if _homogeneous_value(ints, p, q) == 0), None)
             if root is None:
                 return None
         roots.append(root)
@@ -227,10 +238,12 @@ def _signed_divisors(n: int) -> list[int]:
     return [d for pair in zip(divs, [-d for d in divs]) for d in pair]
 
 
-def _poly_eval(coeffs: list[Fraction], x: Fraction) -> Fraction:
-    total = Fraction(0)
-    for c in reversed(coeffs):
-        total = total * x + c
+def _homogeneous_value(ints: list[int], p: int, q: int) -> int:
+    """q^n P(p/q) for P of integer coefficients ``ints``, constant first."""
+    total, qk = 0, 1
+    for c in reversed(ints):
+        total = total * p + c * qk
+        qk *= q
     return total
 
 
@@ -271,14 +284,9 @@ def fundamental_system(T: Operator) -> FundamentalSystem:
     roots = _rational_roots(coeffs)
     if roots is None:
         raise FundamentalSystemError("fundamental system must be supplied")
-    multiplicity: dict[Fraction, int] = {}
-    for r in roots:
-        multiplicity[r] = multiplicity.get(r, 0) + 1
-    u = []
-    for r in sorted(multiplicity, reverse=True):
-        for j in range(multiplicity[r]):
-            u.append(ExpPoly.monomial(r, j))
-    return FundamentalSystem(u)
+    multiplicity = Counter(roots)
+    return FundamentalSystem(ExpPoly.monomial(r, j) for r in sorted(multiplicity, reverse=True)
+                             for j in range(multiplicity[r]))
 
 
 # The scalar field stores e^(lambda*p) on the minimal grid of its exponents,
@@ -295,14 +303,19 @@ MAX_EXPONENT_SPREAD = 500
 # use orders up to 4.
 MAX_DERIVATIVE_ORDER = 40
 
-# The operator order sets the size of the fundamental system, and its Wronskian
-# cofactors and evaluation matrix grow steeply with it: ``u^(n) = f`` with
-# n - 1 derivative conditions at 0 and ``u(1) = 0`` solves (``--no-verify``,
-# Python 3.11 on a 2-core x86 host) in 0.1 s at n = 8, 1.5-2 s at n = 10, 8 s
-# at n = 11 and 42 s at n = 12.  The worked examples and the seeded test
-# problems use orders up to 3.  Scalar products and gcds whose cost follows
-# the degree (ROADMAP item 3) may raise the cap.
+# The operator order sets the size of the fundamental system, and its table of
+# Wronskian minors doubles with each order.  With n - 1 derivative conditions
+# at 0 and ``u(1) = 0``, ``solve --no-verify`` (Python 3.11 on a 2-core x86
+# host) takes 0.04 s at n = 8, 0.13 s at n = 10 and 0.52 s at n = 12 for
+# ``u^(n) = f``, and 0.08 s, 0.21 s and 0.59 s for n distinct integer roots
+# around 0; a cofactor expansion per determinant took 45 s for ten roots.  The
+# worked examples and the seeded test problems use orders up to 3.
 MAX_OPERATOR_ORDER = 10
+
+# The rational-root scan tries divisors of the leading and constant coefficients
+# up to their square roots, then every quotient of a divisor pair: 10^6 trials
+# take about 2.5 s, and the worked examples and seeded problems need under 100.
+MAX_ROOT_TRIALS = 10**6
 
 
 def check_exponent_spread(fs: FundamentalSystem, points) -> None:

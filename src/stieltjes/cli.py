@@ -184,7 +184,8 @@ def _read_spec(path: str) -> dict:
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # also bad UTF-8, integer literals over 4300 digits and too deep nesting
         raise ParseError(f"cannot read problem document: {exc}") from exc
 
 

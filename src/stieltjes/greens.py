@@ -12,18 +12,7 @@ distribution ``(-1)^i f(x) delta^(i)(xi - p)`` and a differential term
 difference of neighbouring lower branches, and ``lower - upper`` is the full
 sum on every interval.  So a kernel and an operator act alike on every
 function exactly when ``g.to_operator() == op``, the agreement check of
-``stieltjes verify``.
-
-Applying the kernel to a function ``f`` uses that ``lower - upper`` is one
-bivariate ``K`` on every interval (the variation-of-constants part).  For
-``x`` in any cell the lower branches integrate from ``p_0`` up to ``x`` and
-the upper ones from ``x`` up to ``p_{m-1}``, so
-``int_{p_0}^x lower f + int_x^{p_{m-1}} upper f
-= int_{p_0}^x K f + int_{p_0}^{p_{m-1}} upper f``.  With ``F_B = int_{p_0} B f``
-for each xi-monomial ``B``, integrated once, the result is
-``sum_B K_B F_B`` plus ``A (F_B(p_i) - F_B(p_{i-1}))`` for each term
-``A(x) B(xi)`` of the upper branch on ``[p_{i-1}, p_i]``, plus the
-distributional terms: one function on the whole domain by construction.
+``stieltjes verify``, and ``apply_to`` is the action of ``g.to_operator()``.
 """
 
 from __future__ import annotations
@@ -139,22 +128,17 @@ class GreensFunction:
             [(i, f * c) for i, f in self.diagonal],
         )
 
-    def _strips(self) -> tuple[list[BivariateExpPoly], list[BivariateExpPoly], BivariateExpPoly]:
-        """The lower and upper branches by interval and ``K = lower - upper``;
-        a ValueError unless ``lower(i) - upper(i)`` is one bivariate for all i."""
-        lower = [self._branches[(i, REGION_LOWER)] for i in range(1, len(self.breakpoints))]
-        upper = [self._branches[(i, REGION_UPPER)] for i in range(1, len(self.breakpoints))]
-        K = lower[0] - upper[0]
-        if any(lo - up != K for lo, up in zip(lower[1:], upper[1:])):
-            raise ValueError("kernel is not smooth across breakpoints")
-        return lower, upper, K
-
     def to_operator(self) -> Operator:
         """The equitable operator of this kernel, the inverse of ``extract``;
-        a ValueError as in ``apply_to``."""
-        lower, upper, _K = self._strips()
-        # the terms at p_0, at each p_j in between, and at p_{m-1}
-        at = [lower[0]] + [b - a for a, b in zip(lower, lower[1:])] + [-upper[-1]]
+        a ValueError unless ``lower - upper`` is one bivariate on every
+        interval (true of kernels read off operators)."""
+        lower = [self._branches[(i, REGION_LOWER)] for i in range(1, len(self.breakpoints))]
+        upper = [self._branches[(i, REGION_UPPER)] for i in range(1, len(self.breakpoints))]
+        # the terms at each p_j in between: lower and upper must step alike
+        steps = [b - a for a, b in zip(lower, lower[1:])]
+        if any(b - a != step for a, b, step in zip(upper, upper[1:], steps)):
+            raise ValueError("kernel is not smooth across breakpoints")
+        at = [lower[0]] + steps + [-upper[-1]]
         integ = {(p, mono): left for p, t in zip(self.breakpoints, at)
                  for mono, left in t._terms.items()}
         return Operator.sum([Operator(integ=integ)]
@@ -191,25 +175,10 @@ class GreensFunction:
     # -- integral action --------------------------------------------------------
 
     def apply_to(self, f: ExpPoly) -> ExpPoly:
-        """Integrate the kernel against f and add the distributional terms, as
-        ``int_{p_0}^x K f + int_{p_0}^{p_{m-1}} upper f`` with one integral per
-        xi-monomial.  A ValueError for every f unless ``K = lower - upper`` is
-        one bivariate on every interval (true of kernels read off operators)."""
-        _lower, upper, K = self._strips()
-        pts = self.breakpoints
-        strip_monos = set().union(*(up._terms for up in upper))
-        anti = {B: (ExpPoly.monomial(*B) * f).integrate_from(pts[0])
-                for B in strip_monos.union(K._terms)}
-        # F_B at the breakpoints; F_B(p_0) = 0
-        at = {B: [Constant.zero()] + [anti[B].eval_at(p) for p in pts[1:]] for B in strip_monos}
-        derivs = f.derivatives(max([i for _p, i, _c in self.dirac]
-                                   + [i for i, _c in self.diagonal], default=0))
-        return ExpPoly.sum(
-            [A * anti[B] for B, A in K._terms.items()]
-            + [A * (at[B][i] - at[B][i - 1])
-               for i, up in enumerate(upper, 1) for B, A in up._terms.items()]
-            + [coeff * derivs[i].eval_at(p) for p, i, coeff in self.dirac]
-            + [coeff * derivs[i] for i, coeff in self.diagonal])
+        """Integrate the kernel against f and add the distributional terms:
+        the action of its operator; a ValueError for every f as in
+        ``to_operator``."""
+        return self.to_operator().apply(f)
 
     # -- rendering ---------------------------------------------------------------
 

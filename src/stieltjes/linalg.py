@@ -11,27 +11,34 @@ def mat_from_rows(rows) -> Matrix:
     return tuple(tuple(row) for row in rows)
 
 
-def mat_det(m: Matrix) -> Constant:
-    """Determinant by fraction-full Gaussian elimination."""
-    n = len(m)
-    rows = [list(r) for r in m]
+def _rref(rows: list[list[Constant]], ncols: int) -> tuple[list[int], Constant]:
+    """Bring ``rows`` to reduced row echelon form over its first ``ncols``
+    columns, in place, by Gauss-Jordan elimination.  Returns the pivot
+    columns and the product of the pivots, negated once per row swap: the
+    determinant when the first ``ncols`` columns are square and all pivots."""
+    pivots: list[int] = []
     det = Constant.one()
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not rows[r][col].is_zero()), None)
+    for col in range(ncols):
+        r = len(pivots)
+        pivot = next((k for k in range(r, len(rows)) if not rows[k][col].is_zero()), None)
         if pivot is None:
-            return Constant.zero()
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det = det * rows[col][col]
-        inv = rows[col][col].inverse()
-        for r in range(col + 1, n):
-            factor = rows[r][col] * inv
-            if factor.is_zero():
-                continue
-            for c in range(col, n):
-                rows[r][c] = rows[r][c] - factor * rows[col][c]
-    return det
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        det = det * (rows[r][col] if pivot == r else -rows[r][col])
+        inv = rows[r][col].inverse()
+        rows[r] = [entry * inv for entry in rows[r]]
+        for k, row in enumerate(rows):
+            if k != r and not row[col].is_zero():
+                factor = row[col]
+                rows[k] = [a - factor * b for a, b in zip(row, rows[r])]
+        pivots.append(col)
+    return pivots, det
+
+
+def mat_det(m: Matrix) -> Constant:
+    """Determinant by Gauss-Jordan elimination."""
+    pivots, det = _rref([list(r) for r in m], len(m))
+    return det if len(pivots) == len(m) else Constant.zero()
 
 
 def mat_inv(m: Matrix) -> Matrix:
@@ -39,50 +46,19 @@ def mat_inv(m: Matrix) -> Matrix:
     n = len(m)
     rows = [list(r) + [Constant.one() if i == j else Constant.zero() for j in range(n)]
             for i, r in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not rows[r][col].is_zero()), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = rows[col][col].inverse()
-        rows[col] = [entry * inv for entry in rows[col]]
-        for r in range(n):
-            if r == col or rows[r][col].is_zero():
-                continue
-            factor = rows[r][col]
-            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    if len(_rref(rows, n)[0]) < n:
+        raise ValueError("singular matrix")
     return tuple(tuple(row[n:]) for row in rows)
 
 
 def left_kernel(m: Matrix) -> list[tuple[Constant, ...]]:
     """Basis of {x : x*m = 0} via reduced row echelon form of the transpose."""
     nrows = len(m)
-    if nrows == 0:
-        return []
-    ncols = len(m[0])
-    # transpose: ncols x nrows system over the x coordinates
-    rows = [[m[j][i] for j in range(nrows)] for i in range(ncols)]
-    pivots: list[int] = []
-    r = 0
-    for col in range(nrows):
-        pivot = next((k for k in range(r, len(rows)) if not rows[k][col].is_zero()), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][col].inverse()
-        rows[r] = [entry * inv for entry in rows[r]]
-        for k in range(len(rows)):
-            if k == r or rows[k][col].is_zero():
-                continue
-            factor = rows[k][col]
-            rows[k] = [a - factor * b for a, b in zip(rows[k], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    free = [c for c in range(nrows) if c not in pivots]
+    # transpose: one equation per column of m over the x coordinates
+    rows = [list(col) for col in zip(*m)]
+    pivots, _det = _rref(rows, nrows)
     basis = []
-    for f in free:
+    for f in (c for c in range(nrows) if c not in pivots):
         vec = [Constant.zero()] * nrows
         vec[f] = Constant.one()
         for i, p in enumerate(pivots):

@@ -272,15 +272,21 @@ class Operator:
     def apply(self, h: ExpPoly) -> ExpPoly:
         """The action on h: each derivative order of h is taken once, and each
         right monomial m is integrated once, to ``F_m`` with its values at the
-        points, so ``f int_a m`` gives ``f (F_m - F_m(a))`` and
-        ``f <p> int_a m`` gives ``f (F_m(p) - F_m(a))``."""
+        points.  The integral terms ``f_a int_a m`` of one m give
+        ``(sum_a f_a) F_m - sum_a f_a F_m(a)``, one full product per m (for a
+        kernel's operator ``sum_a f_a`` is the m-part of ``lower - upper``),
+        and ``f <p> int_a m`` gives ``f (F_m(p) - F_m(a))``."""
         derivs = h.derivatives(max([*self._diff, *(i for _p, i in self._local)], default=0))
+        lefts: dict[Monomial, list[ExpPoly]] = {}
+        for (_a, m), f in self._integ.items():
+            lefts.setdefault(m, []).append(f)
         anti = {m: (_mono(m) * h).antiderivative()
-                for m in {m for _a, m in self._integ} | {m for _p, _a, m in self._global}}
+                for m in lefts.keys() | {m for _p, _a, m in self._global}}
         value = cache(lambda m, q: anti[m].eval_at(q))
         return ExpPoly.sum(
             [f * derivs[i] for i, f in self._diff.items()]
-            + [f * (anti[m] - ExpPoly.const(value(m, a))) for (a, m), f in self._integ.items()]
+            + [ExpPoly.sum(fs) * anti[m] for m, fs in lefts.items()]
+            + [f * -value(m, a) for (a, m), f in self._integ.items()]
             + [f * derivs[i].eval_at(p) for (p, i), f in self._local.items()]
             + [f * (value(m, p) - value(m, a)) for (p, a, m), f in self._global.items()])
 

@@ -102,7 +102,7 @@ class _Parser:
                 if c is None:
                     raise ParseError("division is only defined by constants")
                 if c.is_zero():
-                    raise ZeroDivisionError("zero divisor")
+                    raise ParseError("division by zero")
                 value = value * c.inverse()
         return value
 

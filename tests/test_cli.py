@@ -412,3 +412,66 @@ def test_integer_literal_over_the_digit_limit_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "integer literal too long (5000 digits)" in err
     assert "Traceback" not in err
+
+
+# u^(10) = f with the ten characteristic roots -5..4, u^(i)(0) = 0 for i < 9
+# and u(1) = 0: the Wronskian by one cofactor expansion per determinant took 45 s
+def _roots_spec(roots):
+    coeffs = [1]
+    for r in roots:  # times (x - r)
+        coeffs = ([-r * coeffs[0]] + [coeffs[i - 1] - r * coeffs[i] for i in range(1, len(coeffs))]
+                  + [coeffs[-1]])
+    doc = _order_spec(len(roots))
+    doc["operator"]["coeffs"] = [str(c) for c in coeffs]
+    return doc
+
+
+def test_order_10_with_ten_exponentials_verifies(tmp_path, capsys):
+    import time
+
+    doc = _roots_spec(range(-5, 5))
+    assert doc["operator"]["coeffs"][:3] == ["0", "2880", "576"]
+    start = time.perf_counter()
+    assert main(["verify", write_spec(tmp_path, doc), "--format", "json"]) == 0
+    assert time.perf_counter() - start < 5
+    assert json.loads(capsys.readouterr().out)["verified"] is True
+
+
+@pytest.mark.parametrize("expr", ["1/0", "x/0", "x/(x-x)"])
+@pytest.mark.parametrize("field", ["coeff", "integrand", "fundamental_system", "test_functions"])
+def test_division_by_zero_exit_2(tmp_path, capsys, field, expr):
+    # a bare ZeroDivisionError used to end solve in a traceback
+    doc = json.loads(json.dumps(NONLOCAL_SPEC))
+    options = []
+    if field == "coeff":
+        doc["operator"]["coeffs"][0] = expr
+    elif field == "integrand":
+        doc["conditions"][0]["global"][0]["integrand"] = expr
+    elif field == "fundamental_system":
+        doc["fundamental_system"] = ["exp(x)", expr]
+    else:
+        options = ["--test-functions", f"1,{expr}"]
+    assert main(["solve", write_spec(tmp_path, doc), *options]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: division by zero\n"
+
+
+@pytest.mark.parametrize("text", [
+    '{"operator": {"coeffs": [' + "9" * 5000 + ', "0", "1"]}, "conditions": []}',
+    "[" * 100000 + "]" * 100000,
+    b"\xff\xfe{}".decode("latin-1"),
+], ids=["5000-digit-integer", "deep-nesting", "not-utf8"])
+def test_unreadable_documents_exit_2(tmp_path, capsys, text):
+    # Python's digit limit and recursion limit used to end in a traceback
+    path = tmp_path / "problem.json"
+    path.write_text(text, encoding="latin-1")
+    assert main(["solve", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read problem document: ")
+
+
+def test_huge_operator_coefficient_exit_4(tmp_path, capsys):
+    # the divisor scan of a 40-digit coefficient never finished
+    doc = json.loads(json.dumps(INTRO_SPEC))
+    doc["operator"]["coeffs"][0] = "9" * 40
+    assert main(["solve", write_spec(tmp_path, doc)]) == 4
+    assert "MAX_ROOT_TRIALS = 1000000" in capsys.readouterr().err

@@ -1,9 +1,9 @@
 """Every action on a function integrates each monomial once and takes each
 derivative order once: ``Operator.apply``, ``GreensFunction.apply_to`` and
 ``StieltjesCondition.apply``, counted like the ``apply_to`` counter of
-``test_agreement_gate.py``.  ``apply_to`` reads the kernel as
-``int_{p_0}^x K f + int_{p_0}^{p_end} upper f`` with ``K = lower - upper``, so
-a kernel whose ``K`` changes between intervals is refused for every f."""
+``test_agreement_gate.py``.  ``apply_to`` is the action of the kernel's
+operator, which needs ``K = lower - upper`` to be one bivariate, so a kernel
+whose ``K`` changes between intervals is refused for every f."""
 
 import random
 
@@ -71,11 +71,11 @@ def kernels():
 @pytest.mark.parametrize("gf", kernels(), ids=["nonlocal", "four-point", "four-breakpoint"])
 def test_apply_to_integrates_each_xi_monomial_once(monkeypatch, gf):
     monomials = {B for _lo, _hi, _region, branch in gf.case_rows() for _A, B in branch.pairs()}
-    integrate_from = counter(monkeypatch, "integrate_from")
+    antiderivative = counter(monkeypatch, "antiderivative")
     for f in forcing_functions():
-        integrate_from.clear()
+        antiderivative.clear()
         gf.apply_to(f)
-        assert len(integrate_from) == len(monomials)
+        assert len(antiderivative) == len(monomials)
 
 
 def test_condition_apply_derives_each_order_once(monkeypatch):
