@@ -290,10 +290,13 @@ def fundamental_system(T: Operator) -> FundamentalSystem:
 
 
 # The scalar field stores e^(lambda*p) on the minimal grid of its exponents,
-# and its gcds step through that grid one degree at a time, so solve time grows
-# faster than the spread, and faster still with the order: 2*10^5 steps, from
-# one evaluation point at 10^5, do not finish in minutes.  The worked examples
-# and the seeded test problems stay below 60 steps.
+# so its gcds and divisions run on polynomials with up to one coefficient per
+# grid step, and solve time grows faster than the spread, and with the order.
+# With the cap lifted, ``solve`` (Python 3.11 on a 2-core x86 host) takes
+# 0.06 s for order 2 at 500 steps, 0.4 s at 2000 and 25 s at 20000, and does
+# not finish in a minute at the 2*10^5 steps of one evaluation point at 10^5;
+# order 3 at 480 steps takes 1.8 s and order 4 at 320 steps 1.4 s.  The
+# worked examples and the seeded test problems stay below 60 steps.
 MAX_EXPONENT_SPREAD = 500
 
 # A condition's derivative order is applied by differentiating the

@@ -202,8 +202,10 @@ def _spec_from_args(args) -> ProblemSpec:
         if interval[0] >= interval[1]:
             raise ParseError("interval must satisfy a < b")
     texts = DEFAULT_TEST_FUNCTIONS
-    if getattr(args, "test_functions", None):
+    if getattr(args, "test_functions", None) is not None:
         texts = tuple(s.strip() for s in args.test_functions.split(",") if s.strip())
+        if not texts:
+            raise ParseError("--test-functions names no function")
     test_functions = tuple((text, parse_exppoly(text)) for text in texts)
     extra = [basepoint] if basepoint is not None else []
     check_exponent_spread(problem.system(), problem.evaluation_points().union(extra))

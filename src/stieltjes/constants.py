@@ -13,10 +13,10 @@ structural equality coincides with field equality.
 Storage.  A value is converted once, when it is built, to its grid ``N`` and
 two integer-coefficient Laurent polynomials in ``t``, held as tuples of
 ``(exponent, coefficient)`` integer pairs, largest exponent first.  All
-arithmetic stays in Z[t, 1/t]: gcds are primitive pseudo-remainder sequences
-(Brown-Traub) run on the smallest grid of their two operands, unless a gcd
-modulo one prime already proves the pair coprime, and division by a
-primitive gcd is exact over Z by Gauss's lemma.
+arithmetic stays in Z[t, 1/t]: gcds are Brown's modular gcds, lifted from
+images modulo 30-bit primes on the smallest grid of their two operands (one
+image proves most pairs coprime), and division by a primitive gcd is exact
+over Z by Gauss's lemma.
 ``Fraction`` appears only at the boundary: the constructors, the
 ``num``/``den``/``as_rational``/``as_monomial`` views, the renderers and JSON.
 
@@ -43,9 +43,9 @@ by ``gcd(N1, D2)`` and ``gcd(N2, D1)``, so the product needs no further gcd.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import chain
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import ParseError
 
@@ -104,100 +104,94 @@ def _subtract_shifted(r: Poly, f: int, s: int, tail: list) -> None:
             del r[k + s]
 
 
-def _prem(u: Poly, v: Poly) -> Poly:
-    """A nonzero integer multiple of the remainder of u by v, {} if v | u."""
-    dv = max(v)
-    lv = v[dv]
-    tail = [(k, c) for k, c in v.items() if k != dv]
-    r = dict(u)
-    while r:
-        dr = max(r)
-        if dr < dv:
-            break
-        lr = r.pop(dr)
-        # r <- m * r - f * t^(dr-dv) * v kills the leading term
-        g = gcd(lr, lv)
-        m, f = lv // g, lr // g
-        if m != 1:
-            r = {k: c * m for k, c in r.items()}
-        _subtract_shifted(r, f, dr - dv, tail)
-    return r
+@cache
+def _prime(i: int) -> int:
+    """The i-th prime below 2^30, largest first: residues stay one-digit ints."""
+    p = 2**30 - 35 if i == 0 else _prime(i - 1) - 2
+    while any(p % d == 0 for d in range(3, isqrt(p) + 1, 2)):
+        p -= 2
+    return p
 
 
-_P = 2**30 - 35  # the largest prime below 2^30: residues stay one-digit ints
-_DENSE_MAX = 1 << 12  # longest coefficient list the modular test builds
+def _gcd_mod(u: Poly, v: Poly, p: int) -> Poly:
+    """The monic gcd of u and v modulo the prime p, coefficients in [0, p).
 
-
-def _coprime_mod_p(u: Poly, v: Poly) -> bool:
-    """True when u and v (anchored at exponent 0) are certainly coprime over
-    Q: their gcd modulo _P is a constant and _P divides neither leading
-    coefficient.
-
-    The primitive gcd g over Z keeps its degree modulo _P (its leading
-    coefficient divides theirs) and divides both reductions, so it is a
-    constant.  False means only "not proved"; the PRS then decides."""
-    p, du, dv = _P, max(u), max(v)
-    if max(du, dv) > _DENSE_MAX or not (u[du] % p and v[dv] % p):
-        return False
-    a, b = [0] * (du + 1), [0] * (dv + 1)
-    for k, c in u.items():
-        a[k] = c % p
-    for k, c in v.items():
-        b[k] = c % p
-    if du < dv:
-        a, b = b, a
-    while len(b) > 1:
-        inv = pow(b[-1], -1, p)
-        low = [c * inv % p for c in b[:-1]]
-        db = len(low)
-        for i in range(len(a) - 1, db - 1, -1):
-            f = a[i]
+    Euclid on the sparse dicts: each division walks the dividend's exponents
+    downward, and its residues are reduced once it is done."""
+    a, b = dict(u), {k: x for k, c in v.items() if (x := c % p)}
+    while True:
+        db = max(b)
+        if not db:
+            return {0: 1}
+        inv = pow(b[db], -1, p)
+        tail = [(k - db, c * inv % p) for k, c in b.items() if k != db]
+        for k in range(max(a), db - 1, -1):
+            f = a.pop(k, 0) % p
             if f:
-                s = i - db
-                a[s:i] = [(x - f * y) % p for x, y in zip(a[s:i], low)]
-        del a[db:]
-        while a and not a[-1]:
-            a.pop()
-        if not a:
-            return False
-        a, b = b, a
-    return True
+                for j, c in tail:
+                    a[j + k] = a.get(j + k, 0) - f * c
+        a, b = b, {k: x for k, c in a.items() if (x := c % p)}
+        if not b:
+            return {k: c * inv % p for k, c in a.items()}
 
 
 def _poly_gcd(a: Poly, b: Poly) -> Poly | None:
     """The primitive gcd of a and b in Z[t, 1/t], anchored at exponent 0 with
     a positive leading coefficient, or None when it is a unit (a monomial).
 
-    The PRS runs on the smallest grid of the two operands: the exponents are
-    shifted to start at 0 and divided by their gcd first.  Most pairs met in
-    a solve are coprime, which a gcd modulo one prime proves far faster.
+    Brown's modular algorithm on the smallest grid of the two operands (the
+    exponents are shifted to start at 0 and divided by their gcd first).
+    The monic gcd modulo each prime is scaled by the gcd ``l`` of the two
+    leading coefficients, which makes it the image of one integer polynomial,
+    ``l / lc(g)`` times the gcd ``g``; the images are combined by the CRT
+    until the primitive part of their symmetric lift divides both operands.
+    A prime that divides a leading coefficient is not used, an image of
+    higher degree than the last comes from an unlucky prime and is skipped,
+    and one of lower degree restarts the CRT.  Most pairs met in a solve are
+    coprime, which the first image, a constant, proves.
     """
     if len(a) == 1 or len(b) == 1:
         return None
     sa, sb = min(a), min(b)
     step = gcd(*(k - sa for k in a), *(k - sb for k in b))
     u, v = _primitive(_anchored(a, step)), _primitive(_anchored(b, step))
+    if u == v:
+        return {k * step: c for k, c in u.items()}
     if max(u) < max(v):
         u, v = v, u
-    if u != v and _coprime_mod_p(u, v):
-        return None
+    lu, lv = u[max(u)], v[max(v)]
+    l, h, m, i = gcd(lu, lv), {}, 1, 0
     while True:
-        r = _prem(u, v)
-        if not r:
-            break
-        # t divides neither u nor v, so it may be cancelled from r
-        r = _primitive(_anchored(r))
-        if len(r) == 1:
+        p, i = _prime(i), i + 1
+        if not (lu % p and lv % p):
+            continue
+        im = _gcd_mod(u, v, p)
+        d = max(im)
+        if not d:
             return None
-        u, v = v, r
-    return {k * step: c for k, c in v.items()}
+        if h and d > max(h):
+            continue
+        if h and d == max(h):
+            # the residues mod m*p that are h mod m and l*im mod p
+            w = pow(m, -1, p)
+            h = {k: h.get(k, 0) + m * ((l * im.get(k, 0) - h.get(k, 0)) * w % p)
+                 for k in im.keys() | h.keys()}
+            m *= p
+        else:
+            h, m = {k: l * c % p for k, c in im.items()}, p
+        g = _primitive({k: c - m if 2 * c > m else c for k, c in h.items() if c})
+        try:
+            _exact_div(u, g), _exact_div(v, g)
+        except ArithmeticError:
+            continue
+        return {k * step: c for k, c in g.items()}
 
 
 def _exact_div(a: Poly, g: Poly) -> Poly:
-    """a / g for a primitive g anchored at exponent 0 that divides a.
+    """a / g for a primitive g, or ArithmeticError unless g divides a.
 
-    By Gauss's lemma the quotient has integer coefficients, so every
-    coefficient division below is exact."""
+    By Gauss's lemma the quotient then has integer coefficients, so a
+    coefficient division that leaves a remainder proves that g does not."""
     dg = max(g)
     lg = g[dg]
     tail = [(k, c) for k, c in g.items() if k != dg]
@@ -207,10 +201,11 @@ def _exact_div(a: Poly, g: Poly) -> Poly:
     while r:
         dr = max(r)
         s = dr - dg
-        if s < low:
+        q, x = divmod(r.pop(dr), lg)
+        if s < low or x:
             raise ArithmeticError("inexact polynomial division")
-        out[s] = r.pop(dr) // lg
-        _subtract_shifted(r, out[s], s, tail)
+        out[s] = q
+        _subtract_shifted(r, q, s, tail)
     return out
 
 

@@ -475,3 +475,42 @@ def test_huge_operator_coefficient_exit_4(tmp_path, capsys):
     doc["operator"]["coeffs"][0] = "9" * 40
     assert main(["solve", write_spec(tmp_path, doc)]) == 4
     assert "MAX_ROOT_TRIALS = 1000000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [",", "", " , "])
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_test_functions_naming_no_function_exit_2(tmp_path, capsys, command, value):
+    # "," used to verify nothing but agreement, "" to fall back to the defaults
+    path = write_spec(tmp_path, INTRO_SPEC)
+    assert main([command, path, "--test-functions", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --test-functions names no function\n"
+    assert "verified" not in captured.out
+
+
+def _integrand_frequency_spec(coeffs, first, frequency):
+    return {
+        "operator": {"coeffs": coeffs},
+        "conditions": [
+            {"local": first},
+            {"local": [{"point": "1", "order": 0, "coeff": "1"}],
+             "global": [{"lower": "0", "upper": "1", "integrand": f"exp({frequency}*x)+x"}]},
+        ],
+    }
+
+
+@pytest.mark.parametrize("coeffs, first, frequency, seconds", [
+    (["-1", "0", "1"], [{"point": "0", "order": 0, "coeff": "1"},
+                        {"point": "1/2", "order": 0, "coeff": "1"}], 3000, 10),
+    (["0", "0", "1"], [{"point": "0", "order": 0, "coeff": "1"}], 10000, 2),
+], ids=["sinh-exp3000", "second-derivative-exp10000"])
+def test_integrand_frequency_verifies_quickly(tmp_path, capsys, coeffs, first, frequency, seconds):
+    # the integer pseudo-remainder gcd grew its coefficients on these for
+    # minutes (the first) or about 9 s (the second)
+    import time
+
+    doc = _integrand_frequency_spec(coeffs, first, frequency)
+    start = time.perf_counter()
+    assert main(["verify", write_spec(tmp_path, doc), "--format", "json"]) == 0
+    assert time.perf_counter() - start < seconds
+    assert json.loads(capsys.readouterr().out)["verified"] is True

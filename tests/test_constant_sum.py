@@ -108,13 +108,13 @@ def test_one_primitive_denominator_needs_at_most_one_coprimality_test(monkeypatc
     xs = [(Constant.e_power(F(k, 3)) + k) / (k * d) for k in range(1, 9)]
     assert len({x._den for x in xs}) > 1  # equal only up to the integer content
     calls = []
-    coprime = constants._coprime_mod_p
+    image = constants._gcd_mod
 
-    def counted(u, v):
+    def counted(u, v, p):
         calls.append(1)
-        return coprime(u, v)
+        return image(u, v, p)
 
-    monkeypatch.setattr(constants, "_coprime_mod_p", counted)
+    monkeypatch.setattr(constants, "_gcd_mod", counted)
     total = Constant.sum(xs)
     assert len(calls) <= 1
     calls.clear()
