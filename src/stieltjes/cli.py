@@ -7,14 +7,16 @@ Problem documents are JSON::
                      "global": [{"lower": "0", "upper": "1", "integrand": "x"}]}],
      "fundamental_system": ["exp(x)", "exp(-x)"]}      # optional
 
-Exit codes: 0 success, 2 malformed input, 3 irregular problem, 4 unsupported
-operator (no computable fundamental system or bad Wronskian).
+Exit codes: 0 success, 1 failed verification or a closed stdout, 2 malformed
+input, 3 irregular problem, 4 unsupported operator (no computable fundamental
+system or bad Wronskian).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -361,7 +363,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handlers = {"solve": _cmd_solve, "verify": _cmd_verify, "kernel": _cmd_kernel}
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the "Note on SIGPIPE" of the signal module docs: stdout goes to
+        # devnull, so that the flush at exit does not fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: standard output is closed", file=sys.stderr)
+        return 1
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -406,20 +406,10 @@ def test_condition_as_operator_action_matches_apply():
         assert op.apply(f) == ExpPoly.const(cond.apply(f))
 
 
-def test_divisors_ascending_like_the_linear_scan():
-    from stieltjes.boundary import _divisors, _signed_divisors
-
-    for n in list(range(1, 400)) + [720720]:
-        assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
-    assert _divisors(100000007) == [1, 100000007]
-    assert _divisors(10007 ** 2) == [1, 10007, 10007 ** 2]
-    assert _signed_divisors(12) == [1, -1, 2, -2, 3, -3, 4, -4, 6, -6, 12, -12]
-
-
 def test_rational_root_with_large_prime_constant_term():
     from stieltjes.boundary import _rational_roots
 
-    # (x - 100000007)(2x + 3): the candidates p/q are tried with q, then p
-    # ascending and sign-interleaved, so 100000007/1 is found before -3/2
+    # (x - 100000007)(2x + 3): isolation bisects the upper half of an interval
+    # first, so the largest root, 100000007, is found before -3/2
     coeffs = [F(-300000021), F(-200000011), F(2)]
     assert _rational_roots([c / 2 for c in coeffs]) == [F(100000007), F(-3, 2)]

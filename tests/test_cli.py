@@ -471,10 +471,67 @@ def test_unreadable_documents_exit_2(tmp_path, capsys, text):
 
 def test_huge_operator_coefficient_exit_4(tmp_path, capsys):
     # the divisor scan of a 40-digit coefficient never finished
+    import time
+
     doc = json.loads(json.dumps(INTRO_SPEC))
     doc["operator"]["coeffs"][0] = "9" * 40
+    start = time.perf_counter()
     assert main(["solve", write_spec(tmp_path, doc)]) == 4
-    assert "MAX_ROOT_TRIALS = 1000000" in capsys.readouterr().err
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "error: the characteristic polynomial r^2 + " + "9" * 40 + " does not split over Q: "
+        "fundamental system must be supplied\n")
+
+
+def test_rejection_names_the_characteristic_polynomial(tmp_path, capsys):
+    # u'' + u used to print only "fundamental system must be supplied"
+    doc = dict(INTRO_SPEC, operator={"coeffs": ["1", "0", "1"]})
+    assert main(["solve", write_spec(tmp_path, doc)]) == 4
+    assert capsys.readouterr().err == ("error: the characteristic polynomial r^2 + 1 does not "
+                                       "split over Q: fundamental system must be supplied\n")
+
+
+def _six_roots_coeffs():
+    """(r - 10^6)(r - 10^6 - 1) ... (r - 10^6 - 5), constant first."""
+    poly = [1]
+    for root in range(10**6, 10**6 + 6):
+        poly = [0] + poly
+        for i in range(len(poly) - 1):
+            poly[i] -= root * poly[i + 1]
+    return [str(c) for c in poly]
+
+
+@pytest.mark.parametrize("coeffs", [
+    ["-10000000000000", "1"],  # u' - 10^13 u
+    ["1/10000000000000", "-10000000000001/10000000000000", "1"],
+    _six_roots_coeffs(),
+], ids=["R4", "tiny-and-one", "six-roots"])
+def test_large_rational_roots_verify(tmp_path, capsys, coeffs):
+    # the divisor scan refused these by its trial cap although every root is rational
+    import time
+
+    doc = {"operator": {"coeffs": coeffs},
+           "conditions": [{"local": [{"point": "0", "order": k, "coeff": "1"}]}
+                          for k in range(len(coeffs) - 1)]}
+    start = time.perf_counter()
+    assert main(["verify", write_spec(tmp_path, doc), "--interval", "0,1"]) == 0
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out.endswith("verified: True\n")
+
+
+def test_closed_stdout_exits_without_traceback():
+    # print into a pipe whose reader has gone used to end in a BrokenPipeError traceback
+    import subprocess
+    import sys
+
+    proc = subprocess.Popen([sys.executable, "-m", "stieltjes", "solve", "-"],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    _out, err = proc.communicate(json.dumps(INTRO_SPEC))
+    assert 1 <= proc.returncode <= 4
+    assert "Traceback" not in err
+    assert err == "error: standard output is closed\n"
 
 
 @pytest.mark.parametrize("value", [",", "", " , "])
