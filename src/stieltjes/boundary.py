@@ -303,11 +303,12 @@ def _polynomial_text(coeffs: list[Fraction]) -> str:
 # The scalar field stores e^(lambda*p) on the minimal grid of its exponents,
 # so its gcds and divisions run on polynomials with up to one coefficient per
 # grid step, and solve time grows faster than the spread, and with the order.
-# With the cap lifted, ``solve`` (Python 3.11 on a 2-core x86 host) takes
-# 0.06 s for order 2 at 500 steps, 0.4 s at 2000 and 25 s at 20000, and does
-# not finish in a minute at the 2*10^5 steps of one evaluation point at 10^5;
-# order 3 at 480 steps takes 1.8 s and order 4 at 320 steps 1.4 s.  The
-# worked examples and the seeded test problems stay below 60 steps.
+# With the cap lifted, ``python -m stieltjes solve`` (Python 3.11 on a
+# shared 2-core x86 host, interpreter start included) takes 0.25 s for order 2
+# at 500 steps, 0.6 s at 2000 and 17 s at 20000, and does not finish in a
+# minute at the 2*10^5 steps of one evaluation point at 10^5; order 3 at 480
+# steps takes 1.3 s and order 4 at 320 steps 2.2 s.  The worked examples and
+# the seeded test problems stay below 60 steps.
 MAX_EXPONENT_SPREAD = 500
 
 # A condition's derivative order is applied by differentiating the

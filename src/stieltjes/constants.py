@@ -13,10 +13,11 @@ structural equality coincides with field equality.
 Storage.  A value is converted once, when it is built, to its grid ``N`` and
 two integer-coefficient Laurent polynomials in ``t``, held as tuples of
 ``(exponent, coefficient)`` integer pairs, largest exponent first.  All
-arithmetic stays in Z[t, 1/t]: gcds are Brown's modular gcds, lifted from
-images modulo 30-bit primes on the smallest grid of their two operands (one
-image proves most pairs coprime), and division by a primitive gcd is exact
-over Z by Gauss's lemma.
+arithmetic stays in Z[t, 1/t]: gcds are heuristic gcds, read from the
+digits of one integer gcd of the values of their two operands at a power of
+two, on the smallest grid of the operands (one evaluation proves most pairs
+coprime); division by a primitive gcd is exact over Z by Gauss's lemma, and
+the gcd comes with both quotients.
 ``Fraction`` appears only at the boundary: the constructors, the
 ``num``/``den``/``as_rational``/``as_monomial`` views, the renderers and JSON.
 
@@ -43,9 +44,9 @@ by ``gcd(N1, D2)`` and ``gcd(N2, D1)``, so the product needs no further gcd.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, reduce
+from functools import reduce
 from itertools import chain
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .errors import ParseError
 
@@ -86,12 +87,12 @@ def _anchored(p: Poly, step: int = 1) -> Poly:
     return {(k - s) // step: c for k, c in p.items()}
 
 
-def _primitive(p: Poly) -> Poly:
-    """p over its content, signed so that the leading coefficient is positive."""
+def _primitive(p: Poly) -> tuple[int, Poly]:
+    """The content of p, signed like its leading coefficient, and p over it."""
     g = gcd(*p.values())
     if p[max(p)] < 0:
         g = -g
-    return p if g == 1 else {k: c // g for k, c in p.items()}
+    return g, p if g == 1 else {k: c // g for k, c in p.items()}
 
 
 def _subtract_shifted(r: Poly, f: int, s: int, tail: list) -> None:
@@ -104,87 +105,81 @@ def _subtract_shifted(r: Poly, f: int, s: int, tail: list) -> None:
             del r[k + s]
 
 
-@cache
-def _prime(i: int) -> int:
-    """The i-th prime below 2^30, largest first: residues stay one-digit ints."""
-    p = 2**30 - 35 if i == 0 else _prime(i - 1) - 2
-    while any(p % d == 0 for d in range(3, isqrt(p) + 1, 2)):
-        p -= 2
-    return p
+def _at(p: Poly, k: int) -> int:
+    """The value at ``t = 2^k`` of a polynomial with lowest exponent 0.
+
+    The terms are split in halves by exponent, each half is evaluated on its
+    own and the upper one is shifted over the lower, so the cost stays near
+    linear in the bit length of the value (Horner's rule is quadratic)."""
+    terms = sorted(p.items())
+
+    def value(i: int, j: int) -> int:  # terms[i:j] over t^(their lowest exponent)
+        if j - i <= 8:
+            low = terms[i][0]
+            return sum([c << k * (e - low) for e, c in terms[i:j]])
+        m = (i + j) // 2
+        return value(i, m) + (value(m, j) << k * (terms[m][0] - terms[i][0]))
+
+    return value(0, len(terms))
 
 
-def _gcd_mod(u: Poly, v: Poly, p: int) -> Poly:
-    """The monic gcd of u and v modulo the prime p, coefficients in [0, p).
-
-    Euclid on the sparse dicts: each division walks the dividend's exponents
-    downward, and its residues are reduced once it is done."""
-    a, b = dict(u), {k: x for k, c in v.items() if (x := c % p)}
-    while True:
-        db = max(b)
-        if not db:
-            return {0: 1}
-        inv = pow(b[db], -1, p)
-        tail = [(k - db, c * inv % p) for k, c in b.items() if k != db]
-        for k in range(max(a), db - 1, -1):
-            f = a.pop(k, 0) % p
-            if f:
-                for j, c in tail:
-                    a[j + k] = a.get(j + k, 0) - f * c
-        a, b = b, {k: x for k, c in a.items() if (x := c % p)}
-        if not b:
-            return {k: c * inv % p for k, c in a.items()}
+def _digits(h: int, k: int) -> Poly:
+    """The polynomial with coefficients in ``(-2^(k-1), 2^(k-1)]`` whose value
+    at ``t = 2^k`` is ``h > 0``, for k a multiple of 8: its base-``2^k``
+    digits, read from the bytes of h, with one more digit for a carry."""
+    w, half = k // 8, 1 << (k - 1)
+    data = h.to_bytes((h.bit_length() // k + 1) * w, "little")
+    out, carry = {}, 0
+    for e, i in enumerate(range(0, len(data), w)):
+        d = int.from_bytes(data[i:i + w], "little") + carry
+        carry = d > half
+        if carry:
+            d -= 1 << k
+        if d:
+            out[e] = d
+    return out
 
 
-def _poly_gcd(a: Poly, b: Poly) -> Poly | None:
-    """The primitive gcd of a and b in Z[t, 1/t], anchored at exponent 0 with
-    a positive leading coefficient, or None when it is a unit (a monomial).
+def _poly_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly] | None:
+    """The primitive gcd g of a and b in Z[t, 1/t], anchored at exponent 0
+    with a positive leading coefficient, and the cofactors a/g and b/g; or
+    None when g is a unit (a monomial).
 
-    Brown's modular algorithm on the smallest grid of the two operands (the
-    exponents are shifted to start at 0 and divided by their gcd first).
-    The monic gcd modulo each prime is scaled by the gcd ``l`` of the two
-    leading coefficients, which makes it the image of one integer polynomial,
-    ``l / lc(g)`` times the gcd ``g``; the images are combined by the CRT
-    until the primitive part of their symmetric lift divides both operands.
-    A prime that divides a leading coefficient is not used, an image of
-    higher degree than the last comes from an unlucky prime and is skipped,
-    and one of lower degree restarts the CRT.  Most pairs met in a solve are
-    coprime, which the first image, a constant, proves.
+    The heuristic gcd GCDHEU (Char, Geddes and Gonnet, JSC 1989) on the
+    smallest grid of the two primitive operands u and v (the exponents are
+    shifted to start at 0 and divided by their gcd first): ``h`` is the
+    integer gcd of ``u(2^k)`` and ``v(2^k)``, and the candidate is the
+    primitive part of the polynomial of the symmetric base-``2^k`` digits of
+    ``h``.  With ``2^k >= 2 * min(|u|, |v|) + 2`` in the max norm, a candidate
+    of degree 0 proves u and v coprime, and one that divides both is their
+    gcd (Liao and Fateman, ISSAC 1995); otherwise k is doubled.
     """
     if len(a) == 1 or len(b) == 1:
         return None
     sa, sb = min(a), min(b)
     step = gcd(*(k - sa for k in a), *(k - sb for k in b))
-    u, v = _primitive(_anchored(a, step)), _primitive(_anchored(b, step))
+    (ca, u), (cb, v) = _primitive(_anchored(a, step)), _primitive(_anchored(b, step))
     if u == v:
-        return {k * step: c for k, c in u.items()}
-    if max(u) < max(v):
-        u, v = v, u
-    lu, lv = u[max(u)], v[max(v)]
-    l, h, m, i = gcd(lu, lv), {}, 1, 0
-    while True:
-        p, i = _prime(i), i + 1
-        if not (lu % p and lv % p):
-            continue
-        im = _gcd_mod(u, v, p)
-        d = max(im)
-        if not d:
-            return None
-        if h and d > max(h):
-            continue
-        if h and d == max(h):
-            # the residues mod m*p that are h mod m and l*im mod p
-            w = pow(m, -1, p)
-            h = {k: h.get(k, 0) + m * ((l * im.get(k, 0) - h.get(k, 0)) * w % p)
-                 for k in im.keys() | h.keys()}
-            m *= p
-        else:
-            h, m = {k: l * c % p for k, c in im.items()}, p
-        g = _primitive({k: c - m if 2 * c > m else c for k, c in h.items() if c})
-        try:
-            _exact_div(u, g), _exact_div(v, g)
-        except ArithmeticError:
-            continue
-        return {k * step: c for k, c in g.items()}
+        g, qu, qv = u, {0: 1}, {0: 1}
+    else:
+        norm = min(max(map(abs, u.values())), max(map(abs, v.values())))
+        k = -(-(2 * norm + 1).bit_length() // 8) * 8
+        while True:
+            # G(2^k) divides h, and h / G(2^k) = gcd((u/G)(2^k), (v/G)(2^k))
+            # divides the resultant of u/G and v/G, a nonzero integer that
+            # does not depend on k: once 2^(k-1) exceeds it times |G|, the
+            # digits of h are that factor times G, so the candidate is G
+            _, g = _primitive(_digits(gcd(_at(u, k), _at(v, k)), k))
+            if not max(g):
+                return None
+            try:
+                qu, qv = _exact_div(u, g), _exact_div(v, g)
+                break
+            except ArithmeticError:
+                k *= 2
+    return ({e * step: c for e, c in g.items()},
+            {e * step + sa: c * ca for e, c in qu.items()},
+            {e * step + sb: c * cb for e, c in qv.items()})
 
 
 def _exact_div(a: Poly, g: Poly) -> Poly:
@@ -273,9 +268,9 @@ class Constant:
         m = lcm(*(c.denominator for c in chain(num.values(), den.values())))
         inum, iden = ({q.numerator * (n // q.denominator): c.numerator * (m // c.denominator)
                        for q, c in terms.items()} for terms in (num, den))
-        g = _poly_gcd(inum, iden) if inum else None
-        if g is not None:
-            inum, iden = _exact_div(inum, g), _exact_div(iden, g)
+        r = _poly_gcd(inum, iden) if inum else None
+        if r is not None:
+            _, inum, iden = r
         self._n, self._num, self._den = _canonical(n, inum, iden)
 
     # -- constructors -----------------------------------------------------
@@ -410,12 +405,12 @@ class Constant:
                         num[e] = a
             if not num:
                 continue
-            den = {e: a * m for e, a in key}
+            den = dict(key)
             if len(key) > 1:
-                h = _poly_gcd(num, dict(key))
-                if h is not None:
-                    num, den = _exact_div(num, h), _exact_div(den, h)
-            partial.append(_make(n, num, den))
+                r = _poly_gcd(num, den)
+                if r is not None:
+                    _, num, den = r
+            partial.append(_make(n, num, {e: a * m for e, a in den.items()}))
         return reduce(_henrici, partial, _ZERO)
 
     def __add__(self, other):
@@ -464,12 +459,12 @@ class Constant:
         n1, d1 = self._polys(n)
         n2, d2 = other._polys(n)
         # inputs are reduced; cross-cancel so the product needs no gcd
-        g = _poly_gcd(n1, d2)
-        if g is not None:
-            n1, d2 = _exact_div(n1, g), _exact_div(d2, g)
-        g = _poly_gcd(n2, d1)
-        if g is not None:
-            n2, d1 = _exact_div(n2, g), _exact_div(d1, g)
+        r = _poly_gcd(n1, d2)
+        if r is not None:
+            _, n1, d2 = r
+        r = _poly_gcd(n2, d1)
+        if r is not None:
+            _, n2, d1 = r
         return _make(n, _pmul(n1, n2), _pmul(d1, d2))
 
     __rmul__ = __mul__
@@ -586,16 +581,17 @@ def _henrici(a: Constant, b: Constant) -> Constant:
     n = lcm(a._n, b._n)
     n1, d1 = a._polys(n)
     n2, d2 = b._polys(n)
-    if d1 == d2:
-        num, den, g = _padd(n1, n2), d1, d1
-    else:
-        g = _poly_gcd(d1, d2)
-        e1, e2 = (d1, d2) if g is None else (_exact_div(d1, g), _exact_div(d2, g))
-        num, den = _padd(_pmul(n1, e2), _pmul(n2, e1)), _pmul(d1, e2)
-    if num and g is not None:
-        h = _poly_gcd(num, g)
-        if h is not None:
-            num, den = _exact_div(num, h), _exact_div(den, h)
+    r = _poly_gcd(d1, d2)
+    if r is None:
+        return _make(n, _padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
+    g, e1, e2 = r
+    num, den = _padd(_pmul(n1, e2), _pmul(n2, e1)), _pmul(d1, e2)
+    if num:
+        # den = g * e1 * e2, and only g can cancel against num
+        r = _poly_gcd(num, g)
+        if r is not None:
+            _, num, g = r
+            den = _pmul(_pmul(g, e1), e2)
     return _make(n, num, den)
 
 

@@ -108,15 +108,15 @@ def test_one_primitive_denominator_needs_at_most_one_coprimality_test(monkeypatc
     xs = [(Constant.e_power(F(k, 3)) + k) / (k * d) for k in range(1, 9)]
     assert len({x._den for x in xs}) > 1  # equal only up to the integer content
     calls = []
-    image = constants._gcd_mod
+    at = constants._at
 
-    def counted(u, v, p):
-        calls.append(1)
-        return image(u, v, p)
+    def counted(p, k):
+        calls.append(k)
+        return at(p, k)
 
-    monkeypatch.setattr(constants, "_gcd_mod", counted)
+    monkeypatch.setattr(constants, "_at", counted)
     total = Constant.sum(xs)
-    assert len(calls) <= 1
+    assert len(calls) <= 2  # both operands of one gcd, evaluated once
     calls.clear()
     assert total == fold(xs)
-    assert len(calls) > 1  # the pairwise fold tests every step
+    assert len(calls) > 2  # the pairwise fold tests every step
