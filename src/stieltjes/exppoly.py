@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 
-from .constants import _ONE, Constant, _frac_latex, _join_signed
+from .constants import _ONE, _ZERO, Constant, _frac_latex, _join_signed
 
 # A frequency key: an int when integral, else a Fraction (see above).
 Freq = int | Fraction
@@ -42,7 +42,9 @@ def _freq(q) -> Freq:
 
 def _slot_sum(products: list[Constant]) -> Constant:
     """The products meeting in one (frequency, power) slot, added at once."""
-    return products[0] if len(products) == 1 else Constant.sum(products)
+    if len(products) == 1:
+        return products[0]
+    return Constant.sum(products) if products else _ZERO
 
 
 class ExpPoly:
@@ -158,11 +160,14 @@ class ExpPoly:
                         if c1.is_zero():
                             continue
                         for j, c2 in enumerate(cs2):
-                            slots[i + j].append(c1 * c2)
+                            if not c2.is_zero():
+                                slots[i + j].append(c1 * c2)
             return ExpPoly({freq: [_slot_sum(s) for s in slots] for freq, slots in out.items()})
         c = Constant._coerce(other)
         if c is None:
             return NotImplemented
+        if c == _ONE:
+            return self
         return ExpPoly({f: [ci * c for ci in cs] for f, cs in self._terms.items()})
 
     __rmul__ = __mul__

@@ -16,23 +16,31 @@ form without them is unique, and ``to_standard`` rebuilds the
 single-basepoint presentation with globals.
 
 Multiplication is composition (``(u*v)(h) = u(v(h))``).  Both factors are
-taken to equitable form first, and the product of each pair of D, I and L
-terms is computed by a terminating rewrite whose results are again
-equitable (the skew-polynomial presentation of Regensburger, Rosenkranz and
-Middeke).  The single-step rules are::
+taken to equitable form first, and the product is computed by terminating
+rewrites whose results are again equitable (the skew-polynomial presentation
+of Regensburger, Rosenkranz and Middeke).  The rules are::
 
     d*f        -> f*d + f'
     d*int_a    -> 1
     int_a f d  -> f - int_a f' - f(a)*<a>
+    int_a q d^j -> sum_{l<j} (-1)^l (q^(l) - q^(l)(a)*<a>) d^(j-1-l)
+                   + (-1)^j int_a q^(j)
     int_a f int_b -> F*int_b - int_a*F          with F = int_a f
     <p>*f      -> f(p)*<p>,  <p><q> -> <q>,  d^k <p> -> 0 (k >= 1)
     <p>*int_a  -> int_a - int_p,  <p>*int_p -> 0
+
+The product is one accumulation.  Each left term is composed with every
+right term under a unit left factor (``<p> d^i`` as ``d^i`` followed by one
+evaluation at p per key), the summands of each key are added once and
+multiplied by the term's left factor once, and the results of all left
+terms are added by one ``ExpPoly.sum`` per key.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from math import comb
 
 from .constants import Constant, _join_signed
@@ -54,19 +62,11 @@ def _mono(key: Monomial) -> ExpPoly:
     return ExpPoly.monomial(freq, power)
 
 
-def _merge(target: dict, key, value: ExpPoly):
-    cur = target.get(key)
-    total = value if cur is None else cur + value
-    if total.is_zero():
-        target.pop(key, None)
-    else:
-        target[key] = total
-
-
 def _leibniz(n: int, g: ExpPoly):
     """Yield (k, comb(n, k) * g^(n-k)), the summands of d^n g = sum_k ... d^k."""
+    gs = g.derivatives(n)
     for k in range(n + 1):
-        yield k, g.derive(n - k) * comb(n, k)
+        yield k, gs[n - k] * comb(n, k)
 
 
 class Operator:
@@ -175,19 +175,20 @@ class Operator:
         points.update(p for (p, _a, _m) in self._global)
         return points
 
+    def _parts(self) -> tuple[dict, ...]:
+        return self._diff, self._integ, self._local, self._global
+
     def __eq__(self, other):
         if not isinstance(other, Operator):
             return NotImplemented
-        return (self._diff == other._diff and self._integ == other._integ
-                and self._local == other._local and self._global == other._global)
+        return self._parts() == other._parts()
 
     def __hash__(self):
-        return hash((
-            tuple(sorted(self._diff.items())),
-            tuple(sorted(self._integ.items())),
-            tuple(sorted(self._local.items())),
-            tuple(sorted(self._global.items())),
-        ))
+        return hash(tuple([tuple(sorted(part.items())) for part in self._parts()]))
+
+    def _map(self, fn) -> "Operator":
+        """The operator with every left factor f replaced by fn(f)."""
+        return Operator(*[{k: fn(f) for k, f in part.items()} for part in self._parts()])
 
     # -- module structure -----------------------------------------------------
 
@@ -196,10 +197,10 @@ class Operator:
         """The sum of operators, merged in one pass over their part dictionaries."""
         parts = ({}, {}, {}, {})
         for op in ops:
-            for target, source in zip(parts, (op._diff, op._integ, op._local, op._global)):
+            for target, source in zip(parts, op._parts()):
                 for key, f in source.items():
-                    target.setdefault(key, []).append(f)
-        return cls(*({key: ExpPoly.sum(fs) for key, fs in part.items()} for part in parts))
+                    _add(target, key, f)
+        return cls(*_summed(parts))
 
     def __add__(self, other):
         if not isinstance(other, Operator):
@@ -207,12 +208,7 @@ class Operator:
         return Operator.sum((self, other))
 
     def __neg__(self):
-        return Operator(
-            {k: -f for k, f in self._diff.items()},
-            {k: -f for k, f in self._integ.items()},
-            {k: -f for k, f in self._local.items()},
-            {k: -f for k, f in self._global.items()},
-        )
+        return self._map(ExpPoly.__neg__)
 
     def __sub__(self, other):
         if not isinstance(other, Operator):
@@ -221,26 +217,17 @@ class Operator:
 
     def left_mul(self, f: ExpPoly) -> "Operator":
         """Multiply every term's left coefficient by the function f."""
-        if f.is_zero():
-            return Operator.zero()
-        return Operator(
-            {k: f * g for k, g in self._diff.items()},
-            {k: f * g for k, g in self._integ.items()},
-            {k: f * g for k, g in self._local.items()},
-            {k: f * g for k, g in self._global.items()},
-        )
+        return self._map(f.__mul__)
 
     def __mul__(self, other):
         # Composing in the unique equitable form keeps products unique (and
         # hence associative); the term rewrites never create a global term.
-        if isinstance(other, Operator):
-            right = list(other.to_equitable()._terms())
-            return Operator.sum(_mul_terms(t1, t2)
-                                for t1 in self.to_equitable()._terms() for t2 in right)
-        f = _as_exppoly(other)
-        if f is None:
-            return NotImplemented
-        return self * Operator.multiplication(f)
+        if not isinstance(other, Operator):
+            f = _as_exppoly(other)
+            if f is None:
+                return NotImplemented
+            other = Operator.multiplication(f)
+        return _compose(self.to_equitable(), other.to_equitable())
 
     def __rmul__(self, other):
         f = _as_exppoly(other)
@@ -249,6 +236,8 @@ class Operator:
         return Operator.multiplication(f) * self
 
     def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError(f"negative exponent {n}: an operator has no inverse power")
         result = Operator.identity()
         for _ in range(n):
             result = result * self
@@ -258,14 +247,9 @@ class Operator:
 
     def _terms(self):
         """Yield (kind, left factor, *key) for every term, in sorted order."""
-        for i in sorted(self._diff):
-            yield "D", self._diff[i], i
-        for key in sorted(self._integ):
-            yield "I", self._integ[key], *key
-        for key in sorted(self._local):
-            yield "L", self._local[key], *key
-        for key in sorted(self._global):
-            yield "G", self._global[key], *key
+        for kind, part in zip("DILG", self._parts()):
+            for key in sorted(part):
+                yield kind, part[key], *((key,) if kind == "D" else key)
 
     # -- action on functions ----------------------------------------------------
 
@@ -376,75 +360,91 @@ def _as_exppoly(value) -> ExpPoly | None:
     return None
 
 
-# -- composition of equitable terms ---------------------------------------------
+# -- composition of equitable operators -----------------------------------------
 
 
-def _diff_after_term(order: int, term) -> Operator:
-    """d^order composed with a single D, I or L term."""
-    kind, p = term[:2]
-    if kind == "D":
-        return Operator(diff={k + term[2]: c for k, c in _leibniz(order, p)})
-    if kind == "I":
-        a, m = term[2:]
-        # d^k int_a g = d^{k-1} g  (one derivative cancels the integral)
-        return Operator.sum(Operator(integ={(a, m): c}) if k == 0
-                            else Operator(diff=dict(_leibniz(k - 1, _mono(m)))).left_mul(c)
-                            for k, c in _leibniz(order, p))
-    # d <q> = 0: only the k = 0 Leibniz summand survives
-    return Operator(local={term[2:]: p.derive(order)})
+def _add(part: dict, key, f: ExpPoly):
+    part.setdefault(key, []).append(f)
 
 
-def _int_diff(a: Freq, q: ExpPoly, j: int) -> Operator:
-    """int_a * q * d^j in normal form."""
-    if j == 0:
-        return Operator.integral(a, ExpPoly.one(), q)
-    # int_a q d = q - int_a q' - q(a) <a>
-    head = Operator.multiplication(q) - Operator.integral(a, ExpPoly.one(), q.derive())
-    head = head - Operator.evaluation(a, 0, ExpPoly.const(q.eval_at(a)))
-    if j == 1:
-        return head
-    return head * Operator.derivative(j - 1)
+def _summed(parts) -> list[dict]:
+    """The summands of each key added by one ExpPoly.sum; zero sums dropped."""
+    sums = [[(key, fs[0] if len(fs) == 1 else ExpPoly.sum(fs)) for key, fs in part.items()]
+            for part in parts]
+    return [{key: f for key, f in part if not f.is_zero()} for part in sums]
 
 
-def _int_after_term(a: Freq, g: ExpPoly, term) -> Operator:
-    """int_a * g composed with a single D, I or L term."""
-    kind, p = term[:2]
-    if kind == "D":
-        return _int_diff(a, g * p, term[2])
-    F = (g * p).integrate_from(a)
-    if kind == "I":
-        b, m = term[2:]
-        return Operator.integral(b, F, _mono(m)) - Operator.integral(a, ExpPoly.one(), F * _mono(m))
-    return Operator(local={term[2:]: F})
+def _diff_after(i: int, v: Operator) -> list[dict]:
+    """The diff, integ and local parts of d^i * v."""
+    if i == 0:
+        return [v._diff, v._integ, v._local]
+    diff, integ, local = parts = ({}, {}, {})
+    for j, g in v._diff.items():
+        for k, c in _leibniz(i, g):
+            _add(diff, k + j, c)
+    for (b, m), g in v._integ.items():
+        for k, c in _leibniz(i, g):
+            if k == 0:
+                _add(integ, (b, m), c)
+            else:  # d^k int_b m = d^(k-1) m: one derivative cancels the integral
+                for l, e in _leibniz(k - 1, _mono(m)):
+                    _add(diff, l, c * e)
+    for key, g in v._local.items():
+        _add(local, key, g.derive(i))  # d <q> = 0: only the k = 0 summand survives
+    return _summed(parts)
 
 
-def _absorb_evaluation(point: Freq, op: Operator) -> Operator:
-    """Compose <point> with an equitable operator from the left."""
-    integ: dict[IntKey, ExpPoly] = {}
-    local: dict[LocalKey, ExpPoly] = {}
-    for i, f in op._diff.items():
-        _merge(local, (point, i), ExpPoly.const(f.eval_at(point)))
-    for (a, m), f in op._integ.items():
-        # <p>*int_a = int_a - int_p, and <p>*int_p = 0
-        if point != a:
-            c = ExpPoly.const(f.eval_at(point))
-            _merge(integ, (a, m), c)
-            _merge(integ, (point, m), -c)
-    for (p, i), f in op._local.items():
-        _merge(local, (p, i), ExpPoly.const(f.eval_at(point)))
-    return Operator(integ=integ, local=local)
+def _evaluation_after(p: Freq, parts: list[dict]) -> list[dict]:
+    """The parts of <p> * w, given the parts of an equitable w: one
+    evaluation at p per key of w."""
+    diff_w, integ_w, local_w = parts
+    integ, local = {}, {}
+    for key, f in [*[((p, i), f) for i, f in diff_w.items()], *local_w.items()]:
+        _add(local, key, ExpPoly.const(f.eval_at(p)))
+    for (a, m), f in integ_w.items():
+        if a != p:  # <p>*int_a = int_a - int_p, and <p>*int_p = 0
+            c = ExpPoly.const(f.eval_at(p))
+            _add(integ, (a, m), c)
+            _add(integ, (p, m), -c)
+    return _summed([{}, integ, local])
 
 
-def _mul_terms(t1, t2) -> Operator:
-    """The product of two D, I or L terms."""
-    kind, f = t1[:2]
-    if kind == "D":
-        return _diff_after_term(t1[2], t2).left_mul(f)
-    if kind == "I":
-        a, m = t1[2:]
-        return _int_after_term(a, _mono(m), t2).left_mul(f)
-    p, i = t1[2:]
-    return _absorb_evaluation(p, _diff_after_term(i, t2)).left_mul(f)
+def _integral_after(a: Freq, m: Monomial, v: Operator) -> list[dict]:
+    """The parts of int_a m * v."""
+    diff, integ, local = parts = ({}, {}, {})
+    right = _mono(m)
+
+    def integral(g: ExpPoly):  # int_a g, one term per monomial of g
+        for freq, power, c in g.terms():
+            _add(integ, (a, (freq, power)), ExpPoly.const(c))
+
+    for j, g in v._diff.items():
+        # the closed form of int_a q d^j (see the module docstring)
+        qs = [q if l % 2 == 0 else -q for l, q in enumerate((right * g).derivatives(j))]
+        for l in range(j):
+            _add(diff, j - 1 - l, qs[l])
+            _add(local, (a, j - 1 - l), ExpPoly.const(-qs[l].eval_at(a)))
+        integral(qs[j])
+    for (b, m2), g in v._integ.items():
+        F = (right * g).integrate_from(a)  # int_a q int_b m2 = F int_b m2 - int_a F m2
+        _add(integ, (b, m2), F)
+        integral(-F * _mono(m2))
+    for key, g in v._local.items():
+        _add(local, key, (right * g).integrate_from(a))
+    return _summed(parts)
+
+
+def _compose(u: Operator, v: Operator) -> Operator:
+    """u * v for equitable u and v (see the module docstring)."""
+    total = ({}, {}, {})
+    for f, parts in chain(((f, _diff_after(i, v)) for i, f in u._diff.items()),
+                          ((f, _integral_after(a, m, v)) for (a, m), f in u._integ.items()),
+                          ((f, _evaluation_after(p, _diff_after(i, v)))
+                           for (p, i), f in u._local.items())):
+        for target, part in zip(total, parts):
+            for key, g in part.items():
+                _add(target, key, f * g)
+    return Operator(*_summed(total))
 
 
 # -- function-style aliases ----------------------------------------------------

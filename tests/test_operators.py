@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from conftest import random_operator
+from conftest import OPERATOR_COEFF_POOL, OPERATOR_POINT_POOL, random_operator
 
 from stieltjes import (
     ExpPoly,
@@ -252,3 +252,76 @@ def test_ring_products_are_equitable():
         uv = op_mul(u, v)
         for product in (uv, op_mul(v, w), op_mul(uv, w)):
             assert product.is_equitable()
+
+
+def test_negative_power_raises():
+    with pytest.raises(ValueError, match="-1"):
+        D ** -1
+
+
+def _int_q_d(a, q, j) -> Operator:
+    """sum_{l<j} (-1)^l (q^(l) - q^(l)(a) <a>) d^(j-1-l) + (-1)^j int_a q^(j),
+    built term by term, without a product."""
+    qs = [q * (-1) ** l for l, q in enumerate(q.derivatives(j))]
+    return Operator.sum(
+        [Operator.integral(a, ONE, qs[j])]
+        + [Operator.derivative(j - 1 - l, qs[l]) for l in range(j)]
+        + [Operator.evaluation(a, j - 1 - l, ExpPoly.const(-qs[l].eval_at(a))) for l in range(j)])
+
+
+_Q_CASES = {"x e^x + 1": X * ExpPoly.exponential(1) + ONE,
+            "x^2 e^(-x)": parse_exppoly("x^2*exp(-x)"),
+            "1/2 x - 3": parse_exppoly("1/2*x - 3")}
+
+
+@pytest.mark.parametrize("j", range(1, 7))
+@pytest.mark.parametrize("q", list(_Q_CASES))
+def test_int_q_d_closed_form_matches_repeated_products(q, j):
+    q, a = _Q_CASES[q], F(1, 2)
+    integral = Operator.integral(a, ONE, q)
+    repeated = integral * D
+    for _ in range(j - 1):
+        repeated = repeated * D
+    got = integral * Operator.derivative(j)
+    assert got == repeated == _int_q_d(a, q, j)
+    assert got.is_equitable()
+
+
+@pytest.mark.parametrize("j", range(1, 7))
+def test_int_q_d_closed_form_acts_like_composition(j):
+    a, q = F(-1), _Q_CASES["x e^x + 1"]
+    integral = Operator.integral(a, ONE, q)
+    got = integral * Operator.derivative(j)
+    for h in (ONE, X, ExpPoly.exponential(1), parse_exppoly("x^2*exp(-x)")):
+        assert apply(got, h) == apply(integral, h.derive(j))
+
+
+def _deep_operator(rng: random.Random) -> Operator:
+    """A random ring element like conftest's ``random_operator``, with
+    derivative and evaluation orders up to 5 instead of 2."""
+    def e():
+        return parse_exppoly(rng.choice(OPERATOR_COEFF_POOL))
+
+    def point():
+        return rng.choice(OPERATOR_POINT_POOL)
+
+    terms = [Operator.derivative(rng.randint(0, 5), e()) for _ in range(rng.randint(0, 2))]
+    terms += [Operator.integral(point(), e(), e()) for _ in range(rng.randint(0, 2))]
+    terms += [Operator.evaluation(point(), rng.randint(0, 5), e())
+              for _ in range(rng.randint(0, 2))]
+    if rng.random() < 0.5:
+        terms.append(Operator.global_term(point(), point(), e(), e()))
+    return Operator.sum(terms)
+
+
+def test_deep_orders_ring_laws():
+    rng = random.Random(4099)
+    tests = (ONE, X, ExpPoly.exponential(1), parse_exppoly("x^2*exp(-x)"))
+    for _ in range(25):
+        u, v, w = (_deep_operator(rng) for _ in range(3))
+        uv = op_mul(u, v)
+        assert op_mul(uv, w) == op_mul(u, op_mul(v, w))
+        assert op_mul(u, op_add(v, w)) == op_add(uv, op_mul(u, w))
+        assert op_mul(op_add(u, v), w) == op_add(op_mul(u, w), op_mul(v, w))
+        for h in tests:
+            assert apply(uv, h) == apply(u, apply(v, h))
