@@ -26,7 +26,8 @@ from .errors import (
 from .exppoly import ExpPoly
 from .linalg import mat_det, mat_from_rows, mat_inv, left_kernel
 from .operators import Operator, _leibniz
-from .parsing import parse_exppoly, parse_rational
+from .parsing import MAX_DERIVATIVE_ORDER  # noqa: F401  (the cap stays importable from here)
+from .parsing import _derivative_order, parse_exppoly, parse_rational
 
 
 class StieltjesCondition:
@@ -122,16 +123,6 @@ class StieltjesCondition:
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad condition document: {exc}") from exc
         return cls(local, glob)
-
-
-def _derivative_order(order) -> int:
-    # bool is an int subclass; -1 would silently act as order 0
-    if type(order) is not int or order < 0:
-        raise ParseError(f"derivative order must be a nonnegative integer, got {order!r}")
-    if order > MAX_DERIVATIVE_ORDER:
-        raise ParseError(f"derivative order {order} exceeds the cap "
-                         f"MAX_DERIVATIVE_ORDER = {MAX_DERIVATIVE_ORDER}")
-    return order
 
 
 class FundamentalSystem:
@@ -311,13 +302,6 @@ def _polynomial_text(coeffs: list[Fraction]) -> str:
 # the seeded test problems stay below 60 steps.
 MAX_EXPONENT_SPREAD = 500
 
-# A condition's derivative order is applied by differentiating the
-# fundamental system that many times, and the evaluation matrix, its inverse
-# and the projector grow with it: order 60 takes over a second to solve and
-# 1000 does not finish in minutes.  The worked examples and the seeded test problems
-# use orders up to 4.
-MAX_DERIVATIVE_ORDER = 40
-
 # The operator order sets the size of the fundamental system, and its table of
 # Wronskian minors doubles with each order.  With n - 1 derivative conditions
 # at 0 and ``u(1) = 0``, ``solve --no-verify`` (Python 3.11 on a 2-core x86
@@ -361,10 +345,17 @@ class BoundaryProblem:
         conditions = tuple(conditions)
         if len(conditions) != n:
             raise ValueError(f"expected {n} conditions, got {len(conditions)}")
+        if basis is not None:
+            u = basis.u if isinstance(basis, FundamentalSystem) else tuple(basis)
+            if len(u) != n:
+                raise ValueError(f"expected a fundamental system of {n} functions, got {len(u)}")
+            for uj in u:
+                if not T.apply(uj).is_zero():
+                    raise FundamentalSystemError(f"{uj.to_text()} is not a solution of T u = 0")
+            if not isinstance(basis, FundamentalSystem):
+                basis = FundamentalSystem(u)
         self.T = T
         self.conditions = conditions
-        if basis is not None and not isinstance(basis, FundamentalSystem):
-            basis = FundamentalSystem(basis)
         self._fs = basis
 
     @property

@@ -9,7 +9,7 @@ Problem documents are JSON::
 
 Exit codes: 0 success, 1 failed verification or a closed stdout, 2 malformed
 input, 3 irregular problem, 4 unsupported operator (no computable fundamental
-system or bad Wronskian).
+system, a supplied function with T u != 0, or a bad Wronskian).
 """
 
 from __future__ import annotations
@@ -132,9 +132,7 @@ def parse_problem(data: dict) -> BoundaryProblem:
         raise ParseError("leading coefficient must be 1")
     T = Operator.sum(Operator.derivative(i, c) for i, c in enumerate(coeffs))
     conditions = [StieltjesCondition.from_json(doc) for doc in condition_docs]
-    basis = None
-    if basis_strings:
-        basis = [parse_exppoly(s) for s in basis_strings]
+    basis = None if basis_strings is None else [parse_exppoly(s) for s in basis_strings]
     try:
         return BoundaryProblem(T, conditions, basis=basis)
     except ValueError as exc:

@@ -504,12 +504,13 @@ class Constant:
     def _ga_markup(terms: dict, fmt: dict) -> str:
         pieces = []
         for q, c in terms.items():
+            power = fmt["exp"].format(fmt["coeff"](q))
             if q == 0:
                 pieces.append(fmt["coeff"](c))
             elif abs(c) == 1:
-                pieces.append(("-" if c < 0 else "") + fmt["exp"].format(q))
+                pieces.append(("-" if c < 0 else "") + power)
             else:
-                pieces.append(fmt["scaled"].format(fmt["coeff"](c), fmt["exp"].format(q)))
+                pieces.append(fmt["scaled"].format(fmt["coeff"](c), power))
         return _join_signed(pieces, *fmt["join"])
 
     def to_text(self) -> str:

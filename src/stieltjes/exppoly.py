@@ -6,28 +6,29 @@ addition, multiplication, differentiation, integration from a rational point
 and evaluation at rational points, which is everything the operator ring and
 the extraction step need.
 
-``BivariateExpPoly`` represents finite sums ``sum f_i(x) * g_i(xi)``; it is
-stored with the ``xi`` factor split into monomials so equality is structural.
+An ``ExpPoly`` is stored as one sparse dict from the monomial key ``(l, n)``
+to a nonzero coefficient: the key of the operator ring's right factors and
+of the ``xi`` monomials of ``BivariateExpPoly``, which represents finite sums
+``sum f_i(x) * g_i(xi)`` with the ``xi`` factor split into monomials so that
+equality is structural.  A sum, product or derivative collects the
+coefficients of each key and adds them by one ``Constant.sum``.
 
-Terms are keyed by frequency, and a frequency is stored as an ``int`` when it
-is integral and as a ``Fraction`` otherwise.  An ``int`` and the equal
-``Fraction`` compare and hash alike, so dict lookups, ``==``, ``hash`` and
-sorting are the same as with ``Fraction`` keys throughout, and ``str`` gives
-the same text; but hashing and adding ``int`` keys stays in C, which matters
-because every product adds the frequencies of all term pairs.
+A frequency is stored as an ``int`` when it is integral and as a ``Fraction``
+otherwise.  The two compare and hash alike, so dict lookups, ``==``, ``hash``
+and sorting are the same as with ``Fraction`` keys throughout, and ``str``
+gives the same text; but hashing and adding ``int`` keys stays in C, which
+matters because every product adds the frequencies of all term pairs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
 
 from .constants import _ONE, _ZERO, Constant, _frac_latex, _join_signed
 
 # A frequency key: an int when integral, else a Fraction (see above).
 Freq = int | Fraction
-# A monomial key for the second tensor factor: (frequency, power), with the
-# frequency an int when integral, else a Fraction.
+# The key (l, n) of the monomial x^n exp(l*x).
 Monomial = tuple[Freq, int]
 
 
@@ -40,27 +41,24 @@ def _freq(q) -> Freq:
     return q.numerator if q.denominator == 1 else q
 
 
-def _slot_sum(products: list[Constant]) -> Constant:
-    """The products meeting in one (frequency, power) slot, added at once."""
-    if len(products) == 1:
-        return products[0]
-    return Constant.sum(products) if products else _ZERO
+def _collect(pairs) -> "ExpPoly":
+    """The ExpPoly of (monomial, coefficient) pairs: the coefficients that
+    meet in one monomial are added by one ``Constant.sum``."""
+    slots: dict[Monomial, list[Constant]] = {}
+    for key, c in pairs:
+        slots.setdefault(key, []).append(c)
+    return ExpPoly({key: cs[0] if len(cs) == 1 else Constant.sum(cs) for key, cs in slots.items()})
 
 
 class ExpPoly:
-    """A univariate exponential polynomial in canonical form."""
+    """A univariate exponential polynomial in canonical form: ``_terms`` maps
+    each monomial ``x^n exp(l*x)``, keyed ``(l, n)``, to its nonzero
+    ``Constant`` coefficient."""
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: dict[Freq, list[Constant]] | None = None):
-        clean: dict[Freq, tuple[Constant, ...]] = {}
-        for freq, coeffs in (terms or {}).items():
-            coeffs = list(coeffs)
-            while coeffs and coeffs[-1].is_zero():
-                coeffs.pop()
-            if coeffs:
-                clean[freq] = tuple(coeffs)
-        self._terms = clean
+    def __init__(self, terms: dict[Monomial, Constant] | None = None):
+        self._terms = {key: c for key, c in (terms or {}).items() if not c.is_zero()}
 
     # -- constructors -----------------------------------------------------
 
@@ -78,8 +76,7 @@ class ExpPoly:
 
     @classmethod
     def const(cls, c) -> "ExpPoly":
-        c = Constant._coerce(c)
-        return cls({0: [c]})
+        return cls({(0, 0): Constant._coerce(c)})
 
     @classmethod
     def exponential(cls, freq) -> "ExpPoly":
@@ -87,49 +84,33 @@ class ExpPoly:
 
     @classmethod
     def monomial(cls, freq, power: int, coeff=_ONE) -> "ExpPoly":
-        coeffs = [Constant.zero()] * power + [Constant._coerce(coeff)]
-        return cls({_freq(freq): coeffs})
+        return cls({(_freq(freq), power): Constant._coerce(coeff)})
 
     # -- views ------------------------------------------------------------
 
     def terms(self):
-        """Iterate (frequency, power, coefficient) over nonzero terms."""
-        for freq in sorted(self._terms):
-            for power, c in enumerate(self._terms[freq]):
-                if not c.is_zero():
-                    yield freq, power, c
+        """Iterate (frequency, power, coefficient) over the terms, sorted."""
+        for (freq, power), c in sorted(self._terms.items()):
+            yield freq, power, c
 
     def coefficient(self, freq, power: int) -> Constant:
-        coeffs = self._terms.get(freq, ())
-        if power < len(coeffs):
-            return coeffs[power]
-        return Constant.zero()
+        return self._terms.get((freq, power), _ZERO)
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def as_constant(self) -> Constant | None:
         """The value as a Constant if it has no x-dependence, else None."""
-        if not self._terms:
-            return Constant.zero()
-        if set(self._terms) == {0} and len(self._terms[0]) == 1:
-            return self._terms[0][0]
-        return None
+        return self._terms.get((0, 0), _ZERO) if self._terms.keys() <= {(0, 0)} else None
 
     # -- arithmetic -------------------------------------------------------
 
     @classmethod
     def sum(cls, items) -> "ExpPoly":
         """The sum of exponential polynomials, merged in one pass: the
-        coefficients of each (frequency, power) slot that several summands
-        share are added by one ``Constant.sum``."""
-        rows: dict[Freq, list[tuple[Constant, ...]]] = {}
-        for item in items:
-            for freq, coeffs in item._terms.items():
-                rows.setdefault(freq, []).append(coeffs)
-        return cls({freq: cs[0] if len(cs) == 1 else
-                    [Constant.sum(slot) for slot in zip_longest(*cs, fillvalue=Constant.zero())]
-                    for freq, cs in rows.items()})
+        coefficients of each monomial that several summands share are added
+        by one ``Constant.sum``."""
+        return _collect(pair for item in items for pair in item._terms.items())
 
     def __add__(self, other):
         if not isinstance(other, ExpPoly):
@@ -137,7 +118,7 @@ class ExpPoly:
         return ExpPoly.sum((self, other))
 
     def __neg__(self):
-        return ExpPoly({f: [-c for c in cs] for f, cs in self._terms.items()})
+        return ExpPoly({key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, ExpPoly):
@@ -146,29 +127,15 @@ class ExpPoly:
 
     def __mul__(self, other):
         if isinstance(other, ExpPoly):
-            out: dict[Freq, list[list[Constant]]] = {}
-            for f1, cs1 in self._terms.items():
-                for f2, cs2 in other._terms.items():
-                    freq = f1 + f2
-                    if type(freq) is not int and freq.denominator == 1:
-                        freq = freq.numerator
-                    slots = out.setdefault(freq, [])
-                    need = len(cs1) + len(cs2) - 1
-                    if len(slots) < need:
-                        slots.extend([[] for _ in range(need - len(slots))])
-                    for i, c1 in enumerate(cs1):
-                        if c1.is_zero():
-                            continue
-                        for j, c2 in enumerate(cs2):
-                            if not c2.is_zero():
-                                slots[i + j].append(c1 * c2)
-            return ExpPoly({freq: [_slot_sum(s) for s in slots] for freq, slots in out.items()})
+            return _collect(((_freq(f1 + f2), n1 + n2), c1 * c2)
+                            for (f1, n1), c1 in self._terms.items()
+                            for (f2, n2), c2 in other._terms.items())
         c = Constant._coerce(other)
         if c is None:
             return NotImplemented
         if c == _ONE:
             return self
-        return ExpPoly({f: [ci * c for ci in cs] for f, cs in self._terms.items()})
+        return ExpPoly({key: ci * c for key, ci in self._terms.items()})
 
     __rmul__ = __mul__
 
@@ -186,18 +153,9 @@ class ExpPoly:
         """The derivative: d/dx(x^n e^{lx}) = n x^{n-1} e^{lx} + l x^n e^{lx}."""
         result = self
         for _ in range(times):
-            out: dict[Freq, list[Constant]] = {}
-            for freq, coeffs in result._terms.items():
-                slots = [[] for _ in coeffs]
-                for n, c in enumerate(coeffs):
-                    if c.is_zero():
-                        continue
-                    if n >= 1:
-                        slots[n - 1].append(c * n)
-                    if freq:
-                        slots[n].append(c * freq)
-                out[freq] = [_slot_sum(s) for s in slots]
-            result = ExpPoly(out)
+            terms = result._terms.items()
+            result = _collect([((freq, n - 1), c * n) for (freq, n), c in terms if n]
+                              + [((freq, n), c * freq) for (freq, n), c in terms if freq])
         return result
 
     def derivatives(self, n: int) -> list["ExpPoly"]:
@@ -208,17 +166,17 @@ class ExpPoly:
         return out
 
     def antiderivative(self) -> "ExpPoly":
-        parts = []
-        for freq, power, c in self.terms():
+        pairs = []
+        for (freq, power), c in self._terms.items():
             if freq == 0:
-                parts.append(ExpPoly.monomial(0, power + 1, c / Fraction(power + 1)))
+                pairs.append(((0, power + 1), c / Fraction(power + 1)))
                 continue
             # int x^n e^{lx} = x^n e^{lx}/l - (n/l) int x^{n-1} e^{lx}
             coeff = c / freq
             for n in range(power, -1, -1):
-                parts.append(ExpPoly.monomial(freq, n, coeff))
+                pairs.append(((freq, n), coeff))
                 coeff = coeff * Fraction(-n, 1) / freq
-        return ExpPoly.sum(parts)
+        return _collect(pairs)
 
     def integrate_from(self, a) -> "ExpPoly":
         """The antiderivative F with F(a) = 0."""
@@ -227,8 +185,8 @@ class ExpPoly:
 
     def eval_at(self, q) -> Constant:
         q = Fraction(q)
-        return Constant.sum(c * Constant.e_power(freq * q, q ** power if power else 1)
-                            for freq, power, c in self.terms())
+        return Constant.sum([c * Constant.e_power(freq * q, q ** power if power else 1)
+                             for (freq, power), c in self._terms.items()])
 
     # -- rendering --------------------------------------------------------
 
@@ -324,7 +282,7 @@ class BivariateExpPoly:
 
     @classmethod
     def tensor(cls, f: ExpPoly, g: ExpPoly) -> "BivariateExpPoly":
-        return cls({(freq, power): f * c for freq, power, c in g.terms()})
+        return cls({key: f * c for key, c in g._terms.items()})
 
     @classmethod
     def from_pairs(cls, pairs) -> "BivariateExpPoly":
@@ -396,8 +354,8 @@ class BivariateExpPoly:
 
     def eval_at(self, x, xi) -> Constant:
         xi = Fraction(xi)
-        return Constant.sum(f.eval_at(x) * Constant.e_power(freq * xi, xi ** power if power else 1)
-                            for (freq, power), f in self._terms.items())
+        return Constant.sum([f.eval_at(x) * Constant.e_power(freq * xi, xi ** power if power else 1)
+                             for (freq, power), f in self._terms.items()])
 
     # -- rendering --------------------------------------------------------
 

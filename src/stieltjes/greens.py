@@ -25,7 +25,8 @@ from .constants import Constant
 from .errors import DegenerateDomainError, NotEquitableError, ParseError
 from .exppoly import BivariateExpPoly, ExpPoly
 from .operators import Operator
-from .parsing import parse_bivariate, parse_exppoly, parse_rational
+from .parsing import (_derivative_order, _nonnegative_int, parse_bivariate, parse_exppoly,
+                      parse_rational)
 
 REGION_LOWER = "xi<=x"
 REGION_UPPER = "x<=xi"
@@ -241,16 +242,17 @@ class GreensFunction:
         try:
             breakpoints = [parse_rational(p) for p in data["breakpoints"]]
             branches = {
-                (int(entry["interval"]), str(entry["region"])): parse_bivariate(entry["term"])
+                (_nonnegative_int(entry["interval"], "interval"), str(entry["region"])):
+                    parse_bivariate(entry["term"])
                 for entry in data.get("branches", ())
             }
             dirac = [
-                (parse_rational(entry["point"]), int(entry["order"]),
+                (parse_rational(entry["point"]), _derivative_order(entry["order"]),
                  parse_exppoly(entry["coeff"]))
                 for entry in data.get("dirac", ())
             ]
             diagonal = [
-                (int(entry["order"]), parse_exppoly(entry["coeff"]))
+                (_derivative_order(entry["order"]), parse_exppoly(entry["coeff"]))
                 for entry in data.get("diagonal", ())
             ]
             return cls(breakpoints, branches, dirac, diagonal)

@@ -38,15 +38,14 @@ terms are added by one ``ExpPoly.sum`` per key.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from itertools import chain
 from math import comb
 
-from .constants import Constant, _join_signed
+from .constants import _ONE, Constant, _join_signed
 from .errors import ParseError
 from .exppoly import ExpPoly, Freq, Monomial, _freq
-from .parsing import parse_exppoly
+from .parsing import _derivative_order, parse_exppoly, parse_rational
 
 # Part dictionaries: keys identify a term, values are left ExpPoly factors.
 DiffKey = int                                   # derivative order
@@ -57,9 +56,8 @@ LocalKey = tuple[Freq, int]                 # (point, derivative order)
 GlobalKey = tuple[Freq, Freq, Monomial]     # (point, basepoint, monomial)
 
 
-def _mono(key: Monomial) -> ExpPoly:
-    freq, power = key
-    return ExpPoly.monomial(freq, power)
+def _mono(m: Monomial) -> ExpPoly:
+    return ExpPoly({m: _ONE})
 
 
 def _leibniz(n: int, g: ExpPoly):
@@ -117,8 +115,7 @@ class Operator:
         """The term ``left * int_basepoint * right``."""
         left = left if left is not None else ExpPoly.one()
         right = right if right is not None else ExpPoly.one()
-        return cls(integ={(basepoint, (freq, power)): left * c
-                          for freq, power, c in right.terms()})
+        return cls(integ={(basepoint, m): left * c for m, c in right._terms.items()})
 
     @classmethod
     def evaluation(cls, point, order: int = 0, left: ExpPoly | None = None) -> "Operator":
@@ -132,8 +129,7 @@ class Operator:
         """The term ``left * <point> * int_basepoint * integrand``."""
         left = left if left is not None else ExpPoly.one()
         integrand = integrand if integrand is not None else ExpPoly.one()
-        return cls(glob={(point, basepoint, (freq, power)): left * c
-                         for freq, power, c in integrand.terms()})
+        return cls(glob={(point, basepoint, m): left * c for m, c in integrand._terms.items()})
 
     # -- views --------------------------------------------------------------
 
@@ -336,16 +332,17 @@ class Operator:
     def from_json(cls, data: dict) -> "Operator":
         try:
             return cls.sum(
-                [cls.derivative(int(entry["order"]), parse_exppoly(entry["coeff"]))
+                [cls.derivative(_derivative_order(entry["order"]), parse_exppoly(entry["coeff"]))
                  for entry in data.get("diff", ())]
-                + [cls.integral(Fraction(entry["basepoint"]), parse_exppoly(entry["left"]),
+                + [cls.integral(parse_rational(entry["basepoint"]), parse_exppoly(entry["left"]),
                                 parse_exppoly(entry["right"]))
                    for entry in data.get("integral", ())]
-                + [cls.evaluation(Fraction(entry["point"]), int(entry["order"]),
+                + [cls.evaluation(parse_rational(entry["point"]), _derivative_order(entry["order"]),
                                   parse_exppoly(entry["left"]))
                    for entry in data.get("local", ())]
-                + [cls.global_term(Fraction(entry["point"]), Fraction(entry["basepoint"]),
-                                   parse_exppoly(entry["left"]), parse_exppoly(entry["integrand"]))
+                + [cls.global_term(parse_rational(entry["point"]),
+                                   parse_rational(entry["basepoint"]), parse_exppoly(entry["left"]),
+                                   parse_exppoly(entry["integrand"]))
                    for entry in data.get("global", ())])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad operator document: {exc}") from exc
@@ -415,8 +412,8 @@ def _integral_after(a: Freq, m: Monomial, v: Operator) -> list[dict]:
     right = _mono(m)
 
     def integral(g: ExpPoly):  # int_a g, one term per monomial of g
-        for freq, power, c in g.terms():
-            _add(integ, (a, (freq, power)), ExpPoly.const(c))
+        for key, c in g._terms.items():
+            _add(integ, (a, key), ExpPoly.const(c))
 
     for j, g in v._diff.items():
         # the closed form of int_a q d^j (see the module docstring)
@@ -437,10 +434,10 @@ def _integral_after(a: Freq, m: Monomial, v: Operator) -> list[dict]:
 def _compose(u: Operator, v: Operator) -> Operator:
     """u * v for equitable u and v (see the module docstring)."""
     total = ({}, {}, {})
-    for f, parts in chain(((f, _diff_after(i, v)) for i, f in u._diff.items()),
+    after = {i: _diff_after(i, v) for i in {*u._diff, *(i for _p, i in u._local)}}
+    for f, parts in chain(((f, after[i]) for i, f in u._diff.items()),
                           ((f, _integral_after(a, m, v)) for (a, m), f in u._integ.items()),
-                          ((f, _evaluation_after(p, _diff_after(i, v)))
-                           for (p, i), f in u._local.items())):
+                          ((f, _evaluation_after(p, after[i])) for (p, i), f in u._local.items())):
         for target, part in zip(total, parts):
             for key, g in part.items():
                 _add(target, key, f * g)

@@ -29,6 +29,13 @@ from .exppoly import BivariateExpPoly, ExpPoly
 # of every product are capped.
 MAX_POWER = 50
 
+# A condition's derivative order is applied by differentiating the
+# fundamental system that many times, and the evaluation matrix, its inverse
+# and the projector grow with it: order 60 takes over a second to solve and
+# 1000 does not finish in minutes.  The worked examples and the seeded test problems
+# use orders up to 4.
+MAX_DERIVATIVE_ORDER = 40
+
 _TOKEN = re.compile(r"\s*(?:(\d+)|(x(?:i)?|exp)|([()+\-*/^])|(\S))")
 
 
@@ -224,7 +231,25 @@ def parse_exppoly(text: str) -> ExpPoly:
 
 
 def parse_rational(text: str) -> Fraction:
+    if type(text) is float:  # its binary value is rarely the number meant
+        raise ParseError(f"bad rational literal {text!r}: write it as a string")
     try:
         return Fraction(str(text).strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational literal {text!r}") from exc
+
+
+def _nonnegative_int(value, what: str) -> int:
+    # bool is an int subclass, int() truncates 1.5, and -1 would silently
+    # act as order 0
+    if type(value) is not int or value < 0:
+        raise ParseError(f"{what} must be a nonnegative integer, got {value!r}")
+    return value
+
+
+def _derivative_order(order) -> int:
+    order = _nonnegative_int(order, "derivative order")
+    if order > MAX_DERIVATIVE_ORDER:
+        raise ParseError(f"derivative order {order} exceeds the cap "
+                         f"MAX_DERIVATIVE_ORDER = {MAX_DERIVATIVE_ORDER}")
+    return order

@@ -34,6 +34,11 @@ NONLOCAL_SPEC = {
     ],
 }
 
+U_MINUS_U_SPEC = {
+    "operator": {"coeffs": ["-1", "0", "1"]},
+    "conditions": INTRO_SPEC["conditions"],
+}
+
 NEUMANN_SPEC = {
     "operator": {"coeffs": ["0", "0", "1"]},
     "conditions": [
@@ -128,6 +133,40 @@ class TestSolve:
         path = write_spec(tmp_path, doc)
         assert main(["solve", path, "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["report"]["verified"] is True
+
+    @pytest.mark.parametrize("basis", [["exp(x)"], ["exp(x)", "exp(-x)", "x"], []],
+                             ids=["one", "three", "empty"])
+    def test_user_supplied_system_of_the_wrong_size_exit_2(self, tmp_path, capsys, basis):
+        # one function used to end in an IndexError traceback, three in
+        # "Wronskian not invertible" (exit 4), and [] was ignored
+        doc = dict(U_MINUS_U_SPEC, fundamental_system=basis)
+        assert main(["solve", write_spec(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: expected a fundamental system of 2 functions, got {len(basis)}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("options", [[], ["--no-verify"]])
+    def test_user_supplied_system_outside_the_kernel_exit_4(self, tmp_path, capsys, options):
+        # exp(2x), exp(3x) used to be accepted, and --no-verify printed a wrong G
+        doc = dict(U_MINUS_U_SPEC, fundamental_system=["exp(2*x)", "exp(3*x)"])
+        assert main(["solve", write_spec(tmp_path, doc), *options]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "error: exp(2*x) is not a solution of T u = 0\n"
+        assert captured.out == ""
+
+    def test_user_supplied_system_is_checked_by_the_problem(self):
+        from stieltjes import (BoundaryProblem, ExpPoly, FundamentalSystemError, Operator,
+                               StieltjesCondition)
+
+        T = Operator.derivative(2) - Operator.identity()
+        conditions = [StieltjesCondition([(0, 0, 1)]), StieltjesCondition([(1, 0, 1)])]
+        e, x = ExpPoly.exponential(1), ExpPoly.x()
+        with pytest.raises(ValueError, match="2 functions, got 1"):
+            BoundaryProblem(T, conditions, basis=[e])
+        with pytest.raises(FundamentalSystemError, match="^x is not a solution"):
+            BoundaryProblem(T, conditions, basis=[e, x])
+        problem = BoundaryProblem(T, conditions, basis=[e, ExpPoly.exponential(-1)])
+        assert problem.system().u == (e, ExpPoly.exponential(-1))
 
     def test_ivp_needs_interval(self, tmp_path, capsys):
         path = write_spec(tmp_path, IVP_SPEC)

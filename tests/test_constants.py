@@ -84,6 +84,17 @@ def test_as_rational_and_monomial():
     assert (Constant.e_power(1) + 1).as_monomial() is None
 
 
+def test_latex_exponents_are_fractions_like_every_other_rational():
+    from stieltjes import ExpPoly
+
+    c = Constant.e_power(F(1, 2), 3)
+    assert c.to_latex() == r"3 e^{\tfrac{1}{2}}" == ExpPoly.const(c).to_latex()
+    assert c.to_text() == "3*exp(1/2)" == ExpPoly.const(c).to_text()
+    quotient = Constant.e_power(F(-3, 2)) / (Constant.e_power(1) - 1)
+    assert quotient.to_latex() == r"\frac{e^{-\tfrac{3}{2}}}{e^{1}-1}"
+    assert quotient.to_text() == "(exp(-3/2))/(exp(1) - 1)"
+
+
 def test_json_roundtrip():
     c = C({2: 4, 1: -10, 0: 6}, {1: 1, 0: -1})
     assert Constant.from_json(c.to_json()) == c

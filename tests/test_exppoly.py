@@ -130,8 +130,8 @@ class TestFrequencyKeys:
         assert [type(freq) for freq, _n, _c in a.terms()] == [int]
         assert [type(freq) for freq, _n, _c in ExpPoly.monomial(F(1, 2), 1).terms()] == [F]
         # a hand-built Fraction key is the same polynomial
-        assert ExpPoly({F(2): [Constant.one()]}) == a
-        assert hash(ExpPoly({F(2): [Constant.one()]})) == hash(a)
+        assert ExpPoly({(F(2), 0): Constant.one()}) == a
+        assert hash(ExpPoly({(F(2), 0): Constant.one()})) == hash(a)
         assert ExpPoly.const(3).as_constant() == Constant.from_rational(3)
         assert a.coefficient(F(2), 0) == a.coefficient(2, 0) == Constant.one()
 
@@ -149,8 +149,7 @@ class TestFrequencyKeys:
         c = Constant.from_rational(F(-1, 3))
         for freq in (2, -1, 0):
             as_int = ExpPoly.monomial(freq, 2, c) + ExpPoly.monomial(F(1, 2), 1)
-            as_fraction = ExpPoly({F(freq): [Constant.zero(), Constant.zero(), c],
-                                   F(1, 2): [Constant.zero(), Constant.one()]})
+            as_fraction = ExpPoly({(F(freq), 2): c, (F(1, 2), 1): Constant.one()})
             assert as_int == as_fraction
             assert as_int.to_text() == as_fraction.to_text()
             assert as_int.to_latex() == as_fraction.to_latex()

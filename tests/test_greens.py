@@ -336,6 +336,35 @@ class TestApplyToCells:
             g.apply_to(ONE)
 
 
+def _greens_document():
+    return {
+        "breakpoints": ["0", "1"],
+        "branches": [{"interval": 1, "region": REGION_LOWER, "term": "x*xi"}],
+        "dirac": [{"point": "0", "order": 1, "coeff": "x"}],
+        "diagonal": [{"order": 0, "coeff": "1"}],
+    }
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("branches", "interval", 1.9),
+    ("branches", "interval", True),
+    ("branches", "interval", "1"),
+    ("dirac", "order", 2.7),
+    ("dirac", "order", -1),
+    ("dirac", "point", 1.0),
+    ("diagonal", "order", 1.0),
+])
+def test_bad_values_in_a_greens_function_document_are_rejected(section, key, value):
+    # dirac order 2.7 used to load as delta'' and interval 1.9 as interval 1
+    from stieltjes import ParseError
+
+    assert GreensFunction.from_json_dict(_greens_document()).dirac[0][1] == 1
+    doc = _greens_document()
+    doc[section][0][key] = value
+    with pytest.raises(ParseError):
+        GreensFunction.from_json_dict(doc)
+
+
 def test_branch_keys_outside_the_intervals_are_rejected():
     # a misspelled region and an interval past the last breakpoint used to
     # load silently as the zero kernel

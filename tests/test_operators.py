@@ -7,6 +7,7 @@ from conftest import OPERATOR_COEFF_POOL, OPERATOR_POINT_POOL, random_operator
 from stieltjes import (
     ExpPoly,
     Operator,
+    ParseError,
     apply,
     op_add,
     op_mul,
@@ -188,6 +189,27 @@ class TestSerialization:
         text = intro_standard().to_latex()
         assert r"\lfloor 1 \rfloor" in text
         assert r"\int_{0}" in text
+
+    @pytest.mark.parametrize("part, entry", [
+        ("diff", {"order": 1.5, "coeff": "1"}),
+        ("diff", {"order": True, "coeff": "1"}),
+        ("diff", {"order": "2", "coeff": "1"}),
+        ("local", {"point": "0", "order": 2.7, "left": "1"}),
+        ("local", {"point": 0.1, "order": 0, "left": "1"}),
+        ("integral", {"basepoint": 0.5, "left": "1", "right": "x"}),
+        ("global", {"point": "1", "basepoint": 0.25, "left": "1", "integrand": "1"}),
+    ])
+    def test_bad_values_are_rejected(self, part, entry):
+        # order 1.5 and True used to load as order 1, and point 0.1 as
+        # 3602879701896397/36028797018963968
+        with pytest.raises(ParseError):
+            Operator.from_json({part: [entry]})
+
+    def test_integer_and_string_values_load(self):
+        doc = {"local": [{"point": 1, "order": 1, "left": "x"}],
+               "integral": [{"basepoint": "-1/2", "left": "1", "right": "exp(x)"}]}
+        assert Operator.from_json(doc) == (Operator.evaluation(1, 1, X)
+                                           + Operator.integral(F(-1, 2), ONE, ExpPoly.exponential(1)))
 
 
 def test_normal_form_equality_is_structural():
