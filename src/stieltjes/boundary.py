@@ -27,7 +27,7 @@ from .exppoly import ExpPoly
 from .linalg import mat_det, mat_from_rows, mat_inv, left_kernel
 from .operators import Operator, _leibniz
 from .parsing import MAX_DERIVATIVE_ORDER  # noqa: F401  (the cap stays importable from here)
-from .parsing import _derivative_order, parse_exppoly, parse_rational
+from .parsing import _derivative_order, _nonnegative_int, parse_exppoly, parse_rational
 
 
 class StieltjesCondition:
@@ -43,7 +43,8 @@ class StieltjesCondition:
     def __init__(self, local_terms=(), global_terms=()):
         collected: dict[tuple[Fraction, int], list[Constant]] = {}
         for point, order, coeff in local_terms:
-            collected.setdefault((Fraction(point), int(order)), []).append(coeff)
+            collected.setdefault((Fraction(point), _nonnegative_int(order, "derivative order")),
+                                 []).append(coeff)
         merged_local = {key: c for key, coeffs in collected.items()
                         if not (c := Constant.sum(coeffs)).is_zero()}
         integrands: dict[tuple[Fraction, Fraction], list[ExpPoly]] = {}

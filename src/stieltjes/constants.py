@@ -19,7 +19,7 @@ two, on the smallest grid of the operands (one evaluation proves most pairs
 coprime); division by a primitive gcd is exact over Z by Gauss's lemma, and
 the gcd comes with both quotients.
 ``Fraction`` appears only at the boundary: the constructors, the
-``num``/``den``/``as_rational``/``as_monomial`` views, the renderers and JSON.
+``num``/``den``/``as_rational``/``as_monomial`` views and JSON.
 
 Sums.  Every sum, ``+`` and ``-`` included, is one ``Constant.sum``.  On the
 common grid of its summands each stored denominator is an integer content
@@ -34,11 +34,20 @@ vol. 2, 4.5.1): with ``g = gcd(d1, d2)``, only ``gcd(num, g)`` can cancel.
 Products.  A unit ``p/q * t^k``, one numerator term over one denominator
 term, has no divisors but units, so no polynomial gcd can cancel against
 it: its product with a reduced ``N/D`` is ``p*t^k*N / (q*D)``, reduced up to
-an integer and a power of ``t``.  ``_canonical`` removes both: its joint
-content gcd cancels ``p`` against the content of ``D`` and ``q`` against
-that of ``N``, and its grid reduction puts ``e^(1/2) * e^(1/2)`` on grid 1.
-Two rationals take one integer gcd.  Only two non-units cancel crosswise,
-by ``gcd(N1, D2)`` and ``gcd(N2, D1)``, so the product needs no further gcd.
+an integer and a power of ``t``.  The terms keep their order, and the
+integer ``gcd(p, cont D) * gcd(q, cont N)`` comes out in the one pass that
+builds them; the power of ``t`` is a coarser grid, one gcd of the grid and
+the new exponents, and needs a second pass only when both grids exceed 1
+(``e^(1/2) * e^(1/2)`` is on grid 1).  An evaluation
+``f(x)`` is one sum of such unit multiples that are left unreduced; a
+multiple is reduced only when no other summand shares its denominator.
+Two rationals take one integer gcd, and a sum of rationals one lcm and one
+gcd.  Only two non-units cancel crosswise, by ``gcd(N1, D2)`` and
+``gcd(N2, D1)``, so the product needs no further gcd.
+
+Rendering reads the stored integers: each exponent ``k/N`` and each
+coefficient over the leading denominator coefficient is put in lowest terms
+by one integer gcd.
 """
 
 from __future__ import annotations
@@ -238,6 +247,131 @@ def _stored(n: int, num: Terms, den: Terms) -> "Constant":
     return c
 
 
+def _unit_terms(c: "Constant", p: int, q: int, k: int, m: int,
+                g: int = 1) -> tuple[int, Terms, Terms]:
+    """The grid ``lcm(c._n, m)`` and the stored terms of ``c * p/q * e^(k/m)``
+    over the integer ``g``: the terms of c keep their order, so the
+    denominator stays anchored, and it stays positive for ``q > 0``."""
+    n = lcm(c._n, m)
+    f, k = n // c._n, k * (n // m)
+    return (n, tuple([(e * f + k, a * p // g) for e, a in c._num]),
+            tuple([(e * f, a * q // g) for e, a in c._den]))
+
+
+def _grid_step(n: int, num: Terms, den: Terms) -> int:
+    return gcd(n, *[e for e, _a in num], *[e for e, _a in den])
+
+
+def _reduced(n: int, num: Terms, den: Terms, g: int, step: int) -> "Constant":
+    """The Constant ``num/den / g`` on the grid ``n / step``."""
+    if g == 1 and step == 1:
+        return _stored(n, num, den)
+    return _stored(n // step, tuple([(e // step, a // g) for e, a in num]),
+                   tuple([(e // step, a // g) for e, a in den]))
+
+
+def _unit_product(c: "Constant", p: int, q: int, k: int, m: int) -> "Constant":
+    """``c * p/q * e^(k/m)`` in canonical form, for a nonzero canonical c and
+    a unit in lowest terms (``gcd(p, q) = 1``, ``q > 0``, m the grid of
+    ``k/m``), in one pass over the terms of c (see the module docstring)."""
+    # The joint content of p*N and q*D is gcd(p, cont D) * gcd(q, cont N): a
+    # prime r divides it only if r divides one of p and q (they are coprime)
+    # and one of N and D (c has joint content 1), so the r-part of the content
+    # is that of gcd(p, cont D) when r divides p and D, that of gcd(q, cont N)
+    # when r divides q and N, and 1 otherwise.
+    g = 1 if p == 1 or p == -1 else gcd(p, *[a for _e, a in c._den])
+    if q != 1:
+        g *= gcd(q, *[a for _e, a in c._num])
+    n, num, den = _unit_terms(c, p, q, k, m, g)
+    if m > 1 and c._n > 1:
+        # With m = 1 the shift k*n keeps the minimal grid of c; with c._n = 1
+        # the numerator exponents are e*m + k, and gcd(m, k) = 1.  Otherwise
+        # the grid may get coarser, by the gcd of the grid and every new
+        # exponent (not gcd(f, k): -e^(-1/2)/(6e^4+e^(2/3)+1) * -e^(5/6) has
+        # f = 1, k = 5, yet lands on grid 3).
+        return _reduced(n, num, den, 1, _grid_step(n, num, den))
+    return _stored(n, num, den)
+
+
+# A summand of ``_sum``: the grid and stored terms of a nonzero value, reduced
+# up to units, with an anchored positive denominator; and the value itself
+# when those terms are its canonical form, else None.
+Part = tuple
+
+
+def _unit_part(c: "Constant", p: int, q: int, k: int, m: int) -> Part:
+    """The summand ``c * p/q * e^(k/m)`` of ``_sum``, for a nonzero c and a
+    unit in lowest terms, left unreduced."""
+    return (*_unit_terms(c, p, q, k, m), None)
+
+
+def _part_value(part: Part) -> "Constant":
+    """The canonical value of a summand: only its joint content and its grid
+    step are left to divide out."""
+    n, num, den, c = part
+    if c is not None:
+        return c
+    return _reduced(n, num, den, gcd(*[a for _e, a in num], *[a for _e, a in den]),
+                    _grid_step(n, num, den) if n > 1 else 1)
+
+
+def _sum(parts: list[Part]) -> "Constant":
+    """The sum of nonzero summands, with one reduction per primitive
+    denominator (see ``Constant.sum``)."""
+    if len(parts) < 2:
+        return _part_value(parts[0]) if parts else _ZERO
+    if all(len(num) == 1 and len(den) == 1 and not num[0][0] for _n, num, den, _c in parts):
+        # rationals p/q: one lcm and one gcd
+        m = lcm(*[den[0][1] for _n, _num, den, _c in parts])
+        s = sum([num[0][1] * (m // den[0][1]) for _n, num, den, _c in parts])
+        if not s:
+            return _ZERO
+        g = gcd(s, m)
+        return _stored(1, ((0, s // g),), ((0, m // g),))
+    # gcd, lcm and tuple are fed lists, not generators: a tuple built from
+    # a generator is allocated at a default length and shrunk, so it is
+    # freed onto another length's free list, and over a solve those lists
+    # fill up (1.4 MB of peak RSS on the benchmark's documents pass)
+    n = lcm(*[part[0] for part in parts])
+    groups: dict[Terms, list] = {}
+    for part in parts:
+        den = part[2]
+        if len(den) == 1:
+            k, key = den[0][1], _UNIT
+        else:
+            k, f = gcd(*[a for _e, a in den]), n // part[0]
+            key = den if k == 1 and f == 1 else tuple([(e * f, a // k) for e, a in den])
+        groups.setdefault(key, []).append((k, part))
+    partial = []
+    for key, members in groups.items():
+        if len(members) == 1:
+            partial.append(_part_value(members[0][1]))
+            continue
+        m = lcm(*[k for k, _part in members])
+        num: Poly = {}
+        for k, (pn, terms, _den, _c) in members:
+            s, f = m // k, n // pn
+            for e, a in terms:
+                e, a = e * f, a * s
+                if e in num:
+                    x = num[e] + a
+                    if x:
+                        num[e] = x
+                    else:
+                        del num[e]
+                else:
+                    num[e] = a
+        if not num:
+            continue
+        den = dict(key)
+        if len(key) > 1:
+            r = _poly_gcd(num, den)
+            if r is not None:
+                _, num, den = r
+        partial.append(_make(n, num, {e: a * m for e, a in den.items()}))
+    return reduce(_henrici, partial, _ZERO)
+
+
 class Constant:
     """An element of the scalar field, stored in canonical form.
 
@@ -361,57 +495,14 @@ class Constant:
         a primitive polynomial ``D``.  Summands sharing ``D`` are put over
         ``lcm(k) * D`` and reduced by one gcd with ``D``; Henrici's method
         adds only the partial sums of different ``D``."""
-        values = []
+        parts = []
         for item in items:
             c = item if type(item) is Constant else cls._coerce(item)
             if c is None:
                 raise TypeError(f"cannot add {type(item).__name__} to a Constant")
             if c._num:
-                values.append(c)
-        if len(values) < 2:
-            return values[0] if values else _ZERO
-        # gcd, lcm and tuple are fed lists, not generators: a tuple built from
-        # a generator is allocated at a default length and shrunk, so it is
-        # freed onto another length's free list, and over a solve those lists
-        # fill up (1.4 MB of peak RSS on the benchmark's documents pass)
-        n = lcm(*[c._n for c in values])
-        groups: dict[Terms, list] = {}
-        for c in values:
-            den = c._den
-            if len(den) == 1:
-                k, key = den[0][1], _UNIT
-            else:
-                k, f = gcd(*[a for _e, a in den]), n // c._n
-                key = den if k == 1 and f == 1 else tuple([(e * f, a // k) for e, a in den])
-            groups.setdefault(key, []).append((k, c))
-        partial = []
-        for key, members in groups.items():
-            if len(members) == 1:
-                partial.append(members[0][1])
-                continue
-            m = lcm(*[k for k, _c in members])
-            num: Poly = {}
-            for k, c in members:
-                s, f = m // k, n // c._n
-                for e, a in c._num:
-                    e, a = e * f, a * s
-                    if e in num:
-                        x = num[e] + a
-                        if x:
-                            num[e] = x
-                        else:
-                            del num[e]
-                    else:
-                        num[e] = a
-            if not num:
-                continue
-            den = dict(key)
-            if len(key) > 1:
-                r = _poly_gcd(num, den)
-                if r is not None:
-                    _, num, den = r
-            partial.append(_make(n, num, {e: a * m for e, a in den.items()}))
-        return reduce(_henrici, partial, _ZERO)
+                parts.append((c._n, c._num, c._den, c))
+        return _sum(parts)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -451,10 +542,7 @@ class Constant:
                 x, y = p * b._num[0][1], q * b._den[0][1]
                 g = gcd(x, y)
                 return _stored(1, ((0, x // g),), ((0, y // g),))
-            n = lcm(a._n, b._n)
-            k, f = k * (n // a._n), n // b._n
-            return _make(n, {e * f + k: c * p for e, c in b._num},
-                         {e * f: c * q for e, c in b._den})
+            return _unit_product(b, p, q, k, a._n)
         n = lcm(self._n, other._n)
         n1, d1 = self._polys(n)
         n2, d2 = other._polys(n)
@@ -500,30 +588,17 @@ class Constant:
 
     # -- rendering --------------------------------------------------------
 
-    @staticmethod
-    def _ga_markup(terms: dict, fmt: dict) -> str:
-        pieces = []
-        for q, c in terms.items():
-            power = fmt["exp"].format(fmt["coeff"](q))
-            if q == 0:
-                pieces.append(fmt["coeff"](c))
-            elif abs(c) == 1:
-                pieces.append(("-" if c < 0 else "") + power)
-            else:
-                pieces.append(fmt["scaled"].format(fmt["coeff"](c), power))
-        return _join_signed(pieces, *fmt["join"])
-
     def to_text(self) -> str:
-        num = self._ga_markup(self.num, _TEXT)
-        if len(self._den) == 1:
-            return num
-        return f"({num})/({self._ga_markup(self.den, _TEXT)})"
+        n, lead = self._n, self._den[0][1]
+        num = _ga_markup(self._num, n, lead, _TEXT)
+        return num if len(self._den) == 1 else f"({num})/({_ga_markup(self._den, n, lead, _TEXT)})"
 
     def to_latex(self) -> str:
-        num = self._ga_markup(self.num, _LATEX)
+        n, lead = self._n, self._den[0][1]
+        num = _ga_markup(self._num, n, lead, _LATEX)
         if len(self._den) == 1:
             return num
-        return rf"\frac{{{num}}}{{{self._ga_markup(self.den, _LATEX)}}}"
+        return rf"\frac{{{num}}}{{{_ga_markup(self._den, n, lead, _LATEX)}}}"
 
     def __repr__(self):
         return f"Constant({self.to_text()})"
@@ -549,12 +624,42 @@ class Constant:
         return cls(num, den)
 
 
-def _frac_latex(c: Fraction) -> str:
+def _ga_markup(terms: Terms, n: int, lead: int, fmt: dict) -> str:
+    """The sum of ``c/lead * e^(k/n)`` over the stored ``(k, c)`` terms, each
+    ratio put in lowest terms by one integer gcd (``lead > 0``)."""
+    ratio, exp, scaled = fmt["ratio"], fmt["exp"], fmt["scaled"]
+    pieces = []
+    for k, c in terms:
+        g = gcd(c, lead)
+        c, d = c // g, lead // g
+        if not k:
+            pieces.append(ratio(c, d))
+            continue
+        h = gcd(k, n)
+        power = exp.format(ratio(k // h, n // h))
+        if d == 1 and (c == 1 or c == -1):
+            pieces.append(power if c == 1 else "-" + power)
+        else:
+            pieces.append(scaled.format(ratio(c, d), power))
+    return _join_signed(pieces, *fmt["join"])
+
+
+def _ratio_text(a: int, b: int) -> str:
+    """The text of ``a/b`` in lowest terms with ``b > 0``, as ``str`` of a
+    Fraction prints it."""
+    return str(a) if b == 1 else f"{a}/{b}"
+
+
+def _ratio_latex(a: int, b: int) -> str:
+    """The LaTeX of ``a/b`` in lowest terms with ``b > 0``."""
+    if b == 1:
+        return str(a)
+    return rf"{'-' if a < 0 else ''}\tfrac{{{abs(a)}}}{{{b}}}"
+
+
+def _frac_latex(c) -> str:
     c = Fraction(c)
-    if c.denominator == 1:
-        return str(c.numerator)
-    sign = "-" if c < 0 else ""
-    return rf"{sign}\tfrac{{{abs(c.numerator)}}}{{{c.denominator}}}"
+    return _ratio_latex(c.numerator, c.denominator)
 
 
 def _join_signed(pieces, plus: str, minus: str, empty: str = "0") -> str:
@@ -568,8 +673,8 @@ def _join_signed(pieces, plus: str, minus: str, empty: str = "0") -> str:
 
 
 # Per-format markup of the sums of ``c*e^q`` that make up a Constant.
-_TEXT = {"coeff": str, "exp": "exp({})", "scaled": "{}*{}", "join": (" + ", " - ")}
-_LATEX = {"coeff": _frac_latex, "exp": "e^{{{}}}", "scaled": "{} {}", "join": ("+", "-")}
+_TEXT = {"ratio": _ratio_text, "exp": "exp({})", "scaled": "{}*{}", "join": (" + ", " - ")}
+_LATEX = {"ratio": _ratio_latex, "exp": "e^{{{}}}", "scaled": "{} {}", "join": ("+", "-")}
 
 
 def _henrici(a: Constant, b: Constant) -> Constant:

@@ -23,8 +23,9 @@ matters because every product adds the frequencies of all term pairs.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-from .constants import _ONE, _ZERO, Constant, _frac_latex, _join_signed
+from .constants import _ONE, _ZERO, Constant, _frac_latex, _join_signed, _sum, _unit_part
 
 # A frequency key: an int when integral, else a Fraction (see above).
 Freq = int | Fraction
@@ -39,6 +40,21 @@ def _freq(q) -> Freq:
     if type(q) is not Fraction:
         q = Fraction(q)
     return q.numerator if q.denominator == 1 else q
+
+
+def _eval_sum(pairs, q: Fraction) -> Constant:
+    """The sum of ``c * q^n * e^(l*q)`` over ((l, n), c) pairs with nonzero
+    c, as one ``Constant`` sum of unit multiples of the c, which only the
+    sum reduces."""
+    a, b = q.numerator, q.denominator
+    parts = []
+    for (freq, power), c in pairs:
+        if power and not a:
+            continue
+        k, m = freq.numerator * a, freq.denominator * b
+        g = gcd(k, m)
+        parts.append(_unit_part(c, a ** power, b ** power, k // g, m // g))
+    return _sum(parts)
 
 
 def _collect(pairs) -> "ExpPoly":
@@ -169,13 +185,15 @@ class ExpPoly:
         pairs = []
         for (freq, power), c in self._terms.items():
             if freq == 0:
-                pairs.append(((0, power + 1), c / Fraction(power + 1)))
+                pairs.append(((0, power + 1), c * Fraction(1, power + 1)))
                 continue
-            # int x^n e^{lx} = x^n e^{lx}/l - (n/l) int x^{n-1} e^{lx}
-            coeff = c / freq
+            # int x^P e^{lx} = sum_n r_n x^n e^{lx} with the rational
+            # r_n = (-1)^(P-n) P! / (n! l^(P-n+1)), so r_P = 1/l and
+            # r_(n-1) = -n r_n / l
+            r = 1 / Fraction(freq)
             for n in range(power, -1, -1):
-                pairs.append(((freq, n), coeff))
-                coeff = coeff * Fraction(-n, 1) / freq
+                pairs.append(((freq, n), c * r))
+                r = -n * r / freq
         return _collect(pairs)
 
     def integrate_from(self, a) -> "ExpPoly":
@@ -184,9 +202,7 @@ class ExpPoly:
         return F - ExpPoly.const(F.eval_at(a))
 
     def eval_at(self, q) -> Constant:
-        q = Fraction(q)
-        return Constant.sum([c * Constant.e_power(freq * q, q ** power if power else 1)
-                             for (freq, power), c in self._terms.items()])
+        return _eval_sum(self._terms.items(), Fraction(q))
 
     # -- rendering --------------------------------------------------------
 
@@ -353,9 +369,8 @@ class BivariateExpPoly:
             for key, f in self._terms.items())
 
     def eval_at(self, x, xi) -> Constant:
-        xi = Fraction(xi)
-        return Constant.sum([f.eval_at(x) * Constant.e_power(freq * xi, xi ** power if power else 1)
-                             for (freq, power), f in self._terms.items()])
+        values = ((key, f.eval_at(x)) for key, f in self._terms.items())
+        return _eval_sum([(key, c) for key, c in values if not c.is_zero()], Fraction(xi))
 
     # -- rendering --------------------------------------------------------
 

@@ -72,9 +72,12 @@ class GreensFunction:
     ``dirac`` holds (point, order, coeff) for ``(-1)^order coeff(x)
     delta^(order)(xi - point)``; ``diagonal`` holds (order, coeff) for
     ``(-1)^order coeff(x) delta^(order)(x - xi)``.
+
+    A kernel is immutable, like the ``ExpPoly`` and ``Operator`` values it
+    holds: its operator is built once, on first use.
     """
 
-    __slots__ = ("breakpoints", "_branches", "dirac", "diagonal")
+    __slots__ = ("breakpoints", "_branches", "dirac", "diagonal", "_operator")
 
     def __init__(self, breakpoints, branches, dirac=(), diagonal=()):
         pts = sorted({Fraction(p) for p in breakpoints})
@@ -90,16 +93,18 @@ class GreensFunction:
                              f"1..{len(pts) - 1} and region {REGION_LOWER!r} or {REGION_UPPER!r}")
         self._branches.update(branches)
         self.dirac = tuple(sorted(
-            ((Fraction(p), int(i), c) for p, i, c in dirac if not c.is_zero()),
+            ((Fraction(p), _nonnegative_int(i, "derivative order"), c)
+             for p, i, c in dirac if not c.is_zero()),
             key=lambda t: (t[0], t[1]),
         ))
         self.diagonal = tuple(sorted(
-            ((int(i), c) for i, c in diagonal if not c.is_zero()),
+            ((_nonnegative_int(i, "derivative order"), c) for i, c in diagonal if not c.is_zero()),
             key=lambda t: t[0],
         ))
         for p, _i, _c in self.dirac:
             if p not in self.breakpoints:
                 raise ValueError(f"dirac point {p} is not a breakpoint")
+        self._operator = None
 
     # -- structure ----------------------------------------------------------
 
@@ -133,6 +138,11 @@ class GreensFunction:
         """The equitable operator of this kernel, the inverse of ``extract``;
         a ValueError unless ``lower - upper`` is one bivariate on every
         interval (true of kernels read off operators)."""
+        if self._operator is None:
+            self._operator = self._build_operator()
+        return self._operator
+
+    def _build_operator(self) -> Operator:
         lower = [self._branches[(i, REGION_LOWER)] for i in range(1, len(self.breakpoints))]
         upper = [self._branches[(i, REGION_UPPER)] for i in range(1, len(self.breakpoints))]
         # the terms at each p_j in between: lower and upper must step alike

@@ -45,7 +45,7 @@ from math import comb
 from .constants import _ONE, Constant, _join_signed
 from .errors import ParseError
 from .exppoly import ExpPoly, Freq, Monomial, _freq
-from .parsing import _derivative_order, parse_exppoly, parse_rational
+from .parsing import _derivative_order, _nonnegative_int, parse_exppoly, parse_rational
 
 # Part dictionaries: keys identify a term, values are left ExpPoly factors.
 DiffKey = int                                   # derivative order
@@ -79,13 +79,13 @@ class Operator:
         self._global: dict[GlobalKey, ExpPoly] = {}
         for i, f in (diff or {}).items():
             if not f.is_zero():
-                self._diff[int(i)] = f
+                self._diff[_nonnegative_int(i, "derivative order")] = f
         for (a, mono), f in (integ or {}).items():
             if not f.is_zero():
                 self._integ[(_freq(a), mono)] = f
         for (p, i), f in (local or {}).items():
             if not f.is_zero():
-                self._local[(_freq(p), int(i))] = f
+                self._local[(_freq(p), _nonnegative_int(i, "derivative order"))] = f
         for (p, a, mono), f in (glob or {}).items():
             p, a = _freq(p), _freq(a)
             if p != a and not f.is_zero():

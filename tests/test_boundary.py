@@ -413,3 +413,10 @@ def test_rational_root_with_large_prime_constant_term():
     # first, so the largest root, 100000007, is found before -3/2
     coeffs = [F(-300000021), F(-200000011), F(2)]
     assert _rational_roots([c / 2 for c in coeffs]) == [F(100000007), F(-3, 2)]
+
+
+@pytest.mark.parametrize("order", [1.5, True, -1, "1"])
+def test_condition_orders_must_be_nonnegative_ints(order):
+    # order 1.5 used to be stored as 1
+    with pytest.raises(ValueError, match="derivative order must be a nonnegative integer"):
+        StieltjesCondition([(0, order, Constant.one())])

@@ -389,3 +389,15 @@ def test_branch_keys_outside_the_intervals_are_rejected():
     g = GreensFunction([0, 1], {(1, REGION_LOWER): term})
     assert g.branch(1, REGION_LOWER) == term
     assert g.branch(1, REGION_UPPER).is_zero()
+
+
+@pytest.mark.parametrize("dirac, diagonal", [
+    ([(0, 2.7, ExpPoly.one())], []),
+    ([(0, True, ExpPoly.one())], []),
+    ([], [(0.5, ExpPoly.one())]),
+    ([], [(-1, ExpPoly.one())]),
+])
+def test_distributional_orders_must_be_nonnegative_ints(dirac, diagonal):
+    # dirac order 2.7 used to be stored as 2 and diagonal order 0.5 as 0
+    with pytest.raises(ValueError, match="derivative order must be a nonnegative integer"):
+        GreensFunction([0, 1], {}, dirac=dirac, diagonal=diagonal)

@@ -212,6 +212,25 @@ class TestSerialization:
                                            + Operator.integral(F(-1, 2), ONE, ExpPoly.exponential(1)))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Operator.derivative(1.5),
+    lambda: Operator.derivative(True),
+    lambda: Operator.derivative(-1),
+    lambda: Operator.evaluation(0, True),
+    lambda: Operator.evaluation(0, 2.0),
+    lambda: Operator(local={(1, "1"): ONE}),
+])
+def test_constructors_refuse_orders_that_are_not_nonnegative_ints(build):
+    # 1.5 and True used to be truncated to order 1
+    with pytest.raises(ValueError, match="derivative order must be a nonnegative integer"):
+        build()
+
+
+def test_products_may_exceed_the_loader_cap():
+    # the cap bounds input documents, not the orders a product builds
+    assert Operator.derivative(30) * Operator.derivative(30) == Operator.derivative(60)
+
+
 def test_normal_form_equality_is_structural():
     a = Operator.integral(0, X, ONE) + Operator.integral(0, X, X)
     b = Operator.integral(0, X, X + ONE)

@@ -95,6 +95,24 @@ def test_mismatched_branches_raise():
         gf.apply_to(ONE)
 
 
+def test_a_kernel_builds_its_operator_once():
+    gf = extract(four_breakpoint_operator())
+    op = gf.to_operator()
+    assert gf.to_operator() is op
+    for f in forcing_functions():
+        assert gf.apply_to(f) == op.apply(f)
+    assert gf.to_operator() is op
+
+
+def test_a_kernel_that_is_not_smooth_raises_on_every_call():
+    gf = GreensFunction([0, 1, 2], {(1, REGION_LOWER): BivariateExpPoly.tensor(X, ONE)})
+    for f in forcing_functions():
+        with pytest.raises(ValueError, match="kernel is not smooth across breakpoints"):
+            gf.apply_to(f)
+        with pytest.raises(ValueError, match="kernel is not smooth across breakpoints"):
+            gf.to_operator()
+
+
 def test_one_negated_upper_branch_raises():
     gf = extract(four_breakpoint_operator())
     branches = {(i, region): gf.branch(i, region) for i in range(1, gf.interval_count + 1)
