@@ -17,7 +17,10 @@ arithmetic stays in Z[t, 1/t]: gcds are heuristic gcds, read from the
 digits of one integer gcd of the values of their two operands at a power of
 two, on the smallest grid of the operands (one evaluation proves most pairs
 coprime); division by a primitive gcd is exact over Z by Gauss's lemma, and
-the gcd comes with both quotients.
+the gcd comes with both quotients.  Every operation cancels its polynomial
+gcds first and then hands the terms to one routine, ``_part_value``, which
+divides out the joint integer content and the grid step (the gcd of ``N``
+and every exponent); only rationals skip it.
 ``Fraction`` appears only at the boundary: the constructors, the
 ``num``/``den``/``as_rational``/``as_monomial`` views and JSON.
 
@@ -34,13 +37,11 @@ vol. 2, 4.5.1): with ``g = gcd(d1, d2)``, only ``gcd(num, g)`` can cancel.
 Products.  A unit ``p/q * t^k``, one numerator term over one denominator
 term, has no divisors but units, so no polynomial gcd can cancel against
 it: its product with a reduced ``N/D`` is ``p*t^k*N / (q*D)``, reduced up to
-an integer and a power of ``t``.  The terms keep their order, and the
-integer ``gcd(p, cont D) * gcd(q, cont N)`` comes out in the one pass that
-builds them; the power of ``t`` is a coarser grid, one gcd of the grid and
-the new exponents, and needs a second pass only when both grids exceed 1
-(``e^(1/2) * e^(1/2)`` is on grid 1).  An evaluation
-``f(x)`` is one sum of such unit multiples that are left unreduced; a
-multiple is reduced only when no other summand shares its denominator.
+an integer and a power of ``t``.  Its terms keep their order, so the product
+needs no dict and no sort before ``_part_value`` divides out the content and
+the grid step (``e^(1/2) * e^(1/2)`` is on grid 1).  An evaluation ``f(x)``
+is one sum of such unit multiples that are left unreduced; a multiple is
+reduced only when no other summand shares its denominator.
 Two rationals take one integer gcd, and a sum of rationals one lcm and one
 gcd.  Only two non-units cancel crosswise, by ``gcd(N1, D2)`` and
 ``gcd(N2, D1)``, so the product needs no further gcd.
@@ -213,84 +214,23 @@ def _exact_div(a: Poly, g: Poly) -> Poly:
     return out
 
 
-def _canonical(n: int, num: Poly, den: Poly) -> tuple[int, Terms, Terms]:
-    """The stored form of ``num/den`` on grid ``n``; the fraction must already
-    be reduced up to units (monomials and integers)."""
-    if not num:
-        return 1, (), ((0, 1),)
-    s = min(den)
-    if s:
-        num = {k - s: c for k, c in num.items()}
-        den = {k - s: c for k, c in den.items()}
-    g = gcd(*num.values(), *den.values())
-    if den[max(den)] < 0:
-        g = -g
-    if g != 1:
-        num = {k: c // g for k, c in num.items()}
-        den = {k: c // g for k, c in den.items()}
-    if n > 1:
-        step = gcd(n, *num, *den)
-        if step > 1:
-            n //= step
-            num = {k // step: c for k, c in num.items()}
-            den = {k // step: c for k, c in den.items()}
-    return n, tuple(sorted(num.items(), reverse=True)), tuple(sorted(den.items(), reverse=True))
-
-
 def _make(n: int, num: Poly, den: Poly) -> "Constant":
-    return _stored(*_canonical(n, num, den))
+    """The Constant ``num/den`` on grid ``n``; the fraction must already be
+    reduced up to units (monomials and integers)."""
+    if not num:
+        return _ZERO
+    num, den = sorted(num.items(), reverse=True), sorted(den.items(), reverse=True)
+    s, sign = den[-1][0], -1 if den[0][1] < 0 else 1
+    if s or sign < 0:
+        num = [(k - s, c * sign) for k, c in num]
+        den = [(k - s, c * sign) for k, c in den]
+    return _part_value((n, tuple(num), tuple(den), None))
 
 
 def _stored(n: int, num: Terms, den: Terms) -> "Constant":
     c = Constant.__new__(Constant)
     c._n, c._num, c._den = n, num, den
     return c
-
-
-def _unit_terms(c: "Constant", p: int, q: int, k: int, m: int,
-                g: int = 1) -> tuple[int, Terms, Terms]:
-    """The grid ``lcm(c._n, m)`` and the stored terms of ``c * p/q * e^(k/m)``
-    over the integer ``g``: the terms of c keep their order, so the
-    denominator stays anchored, and it stays positive for ``q > 0``."""
-    n = lcm(c._n, m)
-    f, k = n // c._n, k * (n // m)
-    return (n, tuple([(e * f + k, a * p // g) for e, a in c._num]),
-            tuple([(e * f, a * q // g) for e, a in c._den]))
-
-
-def _grid_step(n: int, num: Terms, den: Terms) -> int:
-    return gcd(n, *[e for e, _a in num], *[e for e, _a in den])
-
-
-def _reduced(n: int, num: Terms, den: Terms, g: int, step: int) -> "Constant":
-    """The Constant ``num/den / g`` on the grid ``n / step``."""
-    if g == 1 and step == 1:
-        return _stored(n, num, den)
-    return _stored(n // step, tuple([(e // step, a // g) for e, a in num]),
-                   tuple([(e // step, a // g) for e, a in den]))
-
-
-def _unit_product(c: "Constant", p: int, q: int, k: int, m: int) -> "Constant":
-    """``c * p/q * e^(k/m)`` in canonical form, for a nonzero canonical c and
-    a unit in lowest terms (``gcd(p, q) = 1``, ``q > 0``, m the grid of
-    ``k/m``), in one pass over the terms of c (see the module docstring)."""
-    # The joint content of p*N and q*D is gcd(p, cont D) * gcd(q, cont N): a
-    # prime r divides it only if r divides one of p and q (they are coprime)
-    # and one of N and D (c has joint content 1), so the r-part of the content
-    # is that of gcd(p, cont D) when r divides p and D, that of gcd(q, cont N)
-    # when r divides q and N, and 1 otherwise.
-    g = 1 if p == 1 or p == -1 else gcd(p, *[a for _e, a in c._den])
-    if q != 1:
-        g *= gcd(q, *[a for _e, a in c._num])
-    n, num, den = _unit_terms(c, p, q, k, m, g)
-    if m > 1 and c._n > 1:
-        # With m = 1 the shift k*n keeps the minimal grid of c; with c._n = 1
-        # the numerator exponents are e*m + k, and gcd(m, k) = 1.  Otherwise
-        # the grid may get coarser, by the gcd of the grid and every new
-        # exponent (not gcd(f, k): -e^(-1/2)/(6e^4+e^(2/3)+1) * -e^(5/6) has
-        # f = 1, k = 5, yet lands on grid 3).
-        return _reduced(n, num, den, 1, _grid_step(n, num, den))
-    return _stored(n, num, den)
 
 
 # A summand of ``_sum``: the grid and stored terms of a nonzero value, reduced
@@ -301,18 +241,27 @@ Part = tuple
 
 def _unit_part(c: "Constant", p: int, q: int, k: int, m: int) -> Part:
     """The summand ``c * p/q * e^(k/m)`` of ``_sum``, for a nonzero c and a
-    unit in lowest terms, left unreduced."""
-    return (*_unit_terms(c, p, q, k, m), None)
+    unit in lowest terms with ``q > 0``, left unreduced: the terms of c keep
+    their order, so the denominator stays anchored and positive."""
+    n = lcm(c._n, m)
+    f, k = n // c._n, k * (n // m)
+    return (n, tuple([(e * f + k, a * p) for e, a in c._num]),
+            tuple([(e * f, a * q) for e, a in c._den]), None)
 
 
 def _part_value(part: Part) -> "Constant":
-    """The canonical value of a summand: only its joint content and its grid
+    """The canonical value of a part: the one routine that finishes every
+    value that is not rational.  Only the joint integer content and the grid
     step are left to divide out."""
     n, num, den, c = part
     if c is not None:
         return c
-    return _reduced(n, num, den, gcd(*[a for _e, a in num], *[a for _e, a in den]),
-                    _grid_step(n, num, den) if n > 1 else 1)
+    g = gcd(*[a for _e, a in num], *[a for _e, a in den])
+    step = gcd(n, *[e for e, _a in num], *[e for e, _a in den]) if n > 1 else 1
+    if g == 1 and step == 1:
+        return _stored(n, num, den)
+    return _stored(n // step, tuple([(e // step, a // g) for e, a in num]),
+                   tuple([(e // step, a // g) for e, a in den]))
 
 
 def _sum(parts: list[Part]) -> "Constant":
@@ -405,7 +354,8 @@ class Constant:
         r = _poly_gcd(inum, iden) if inum else None
         if r is not None:
             _, inum, iden = r
-        self._n, self._num, self._den = _canonical(n, inum, iden)
+        c = _make(n, inum, iden)
+        self._n, self._num, self._den = c._n, c._num, c._den
 
     # -- constructors -----------------------------------------------------
 
@@ -542,7 +492,7 @@ class Constant:
                 x, y = p * b._num[0][1], q * b._den[0][1]
                 g = gcd(x, y)
                 return _stored(1, ((0, x // g),), ((0, y // g),))
-            return _unit_product(b, p, q, k, a._n)
+            return _part_value(_unit_part(b, p, q, k, a._n))
         n = lcm(self._n, other._n)
         n1, d1 = self._polys(n)
         n2, d2 = other._polys(n)
@@ -584,7 +534,8 @@ class Constant:
                 and self._n == other._n)
 
     def __hash__(self):
-        return hash((self._n, self._num, self._den))
+        q = self.as_rational()  # a rational hashes as the int or Fraction it equals
+        return hash((self._n, self._num, self._den)) if q is None else hash(q)
 
     # -- rendering --------------------------------------------------------
 
@@ -655,11 +606,6 @@ def _ratio_latex(a: int, b: int) -> str:
     if b == 1:
         return str(a)
     return rf"{'-' if a < 0 else ''}\tfrac{{{abs(a)}}}{{{b}}}"
-
-
-def _frac_latex(c) -> str:
-    c = Fraction(c)
-    return _ratio_latex(c.numerator, c.denominator)
 
 
 def _join_signed(pieces, plus: str, minus: str, empty: str = "0") -> str:

@@ -25,7 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .constants import _ONE, _ZERO, Constant, _frac_latex, _join_signed, _sum, _unit_part
+from .constants import (_ONE, _ZERO, Constant, _join_signed, _ratio_latex, _ratio_text, _sum,
+                        _unit_part)
 
 # A frequency key: an int when integral, else a Fraction (see above).
 Freq = int | Fraction
@@ -221,7 +222,7 @@ class ExpPoly:
 
 # One row per output format: the markup of a term c * x^n * xi^m * exp(...).
 _TEXT = {
-    "coeff": str,
+    "ratio": _ratio_text,
     "constant": lambda c: f"({c.to_text()})",
     "power": "{}^{}",
     "exp": "exp({})",
@@ -231,7 +232,7 @@ _TEXT = {
     "join": (" + ", " - "),
 }
 _LATEX = {
-    "coeff": _frac_latex,
+    "ratio": _ratio_latex,
     "constant": lambda c: rf"\left({c.to_latex()}\right)",
     "power": "{}^{{{}}}",
     "exp": "e^{{{}}}",
@@ -250,15 +251,17 @@ def _render(terms, fmt: dict) -> str:
 def _term_markup(fmt: dict, freq: Freq, power: int, c: Constant,
                  yfreq: Freq = 0, ypower: int = 0) -> str:
     """Render ``c * x^power * yvar^ypower * exp(freq*x + yfreq*yvar)``."""
+    ratio = fmt["ratio"]
     factors = []
-    mono = c.as_monomial()
-    offset = Fraction(0)
-    if mono is not None:
-        offset, coeff = mono
-        sign = "-" if coeff < 0 else ""
-        coeff = abs(coeff)
-        if coeff != 1 or (power == 0 and ypower == 0 and freq == 0 and yfreq == 0 and offset == 0):
-            factors.append(fmt["coeff"](coeff))
+    k = 0
+    if len(c._num) == len(c._den) == 1:
+        # a unit a/b * e^(k/grid), stored in lowest terms with b, grid > 0
+        (k, a), = c._num
+        b, grid = c._den[0][1], c._n
+        sign = "-" if a < 0 else ""
+        a = abs(a)
+        if (a, b) != (1, 1) or not (power or ypower or freq or yfreq or k):
+            factors.append(ratio(a, b))
     else:
         sign = ""
         factors.append(fmt["constant"](c))
@@ -266,12 +269,12 @@ def _term_markup(fmt: dict, freq: Freq, power: int, c: Constant,
         if n:
             factors.append(var if n == 1 else fmt["power"].format(var, n))
     pieces = []
-    for coeff, var in ((freq, "x"), (yfreq, fmt["yvar"])):
-        if coeff:
-            pieces.append(var if coeff == 1 else f"-{var}" if coeff == -1
-                          else fmt["scaled"].format(fmt["coeff"](coeff), var))
-    if offset:
-        pieces.append(fmt["coeff"](offset))
+    for q, var in ((freq, "x"), (yfreq, fmt["yvar"])):
+        if q:
+            pieces.append(var if q == 1 else f"-{var}" if q == -1
+                          else fmt["scaled"].format(ratio(q.numerator, q.denominator), var))
+    if k:
+        pieces.append(ratio(k, grid))
     if pieces:
         factors.append(fmt["exp"].format(_join_signed(pieces, "+", "-")))
     return sign + fmt["product"].join(factors)

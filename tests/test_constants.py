@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -40,13 +41,49 @@ def test_division_by_zero():
 
 
 def test_canonical_form_invariants():
-    c = C({1: 2, 0: 2}, {2: 3, 1: -3})  # (2e+2)/(3e^2-3e) = 2(e+1)/(3e(e-1))
-    # denominator anchored: min exponent 0, leading coefficient 1
-    den = c.den
-    assert min(den) == 0
-    assert den[max(den)] == 1
-    assert all(v != 0 for v in c.num.values())
-    assert all(v != 0 for v in den.values())
+    mpmath = pytest.importorskip("mpmath")
+    E, H = Constant.e_power(1), Constant.e_power(F(1, 2))
+    with mpmath.workdps(50):
+        e, h = mpmath.e, mpmath.sqrt(mpmath.e)
+        # every route that finishes a value: the constructor (unanchored
+        # denominators, one with a negative leading term and content 2), a
+        # unit product, an inverse, Henrici's sum, a one-group sum and a
+        # non-unit product
+        cases = [
+            (C({1: 2, 0: 2}, {2: 3, 1: -3}), (2 * e + 2) / (3 * e**2 - 3 * e)),
+            (C({F(1, 2): -4}, {F(3, 2): -6, F(1, 2): 2}), -4 / (-6 * e + 2)),
+            (Constant.e_power(F(1, 2), F(-3, 2)) * C({F(1, 2): 2, 0: 4}, {1: 3, 0: 1}),
+             F(-3, 2) * h * (2 * h + 4) / (3 * e + 1)),
+            ((2 * H - 4 / H).inverse(), 1 / (2 * h - 4 / h)),
+            (1 / (E - 1) + 1 / (2 * E + 2), 1 / (e - 1) + 1 / (2 * e + 2)),
+            (Constant.sum([H / (E - 1), 3 / (E - 1), -H / (E - 1)]), 3 / (e - 1)),
+            ((2 * H + 2) * (3 * H - 3), 6 * e - 6),
+            (H * H, e),
+        ]
+        for c, expected in cases:
+            n, num, den = c._n, c._num, c._den
+            assert den[-1][0] == 0 and den[0][1] > 0  # anchored, positive leading term
+            for terms in (num, den):
+                exponents = [k for k, _a in terms]
+                assert exponents == sorted(set(exponents), reverse=True)
+            assert gcd(*[a for _k, a in num + den]) == 1  # joint content 1
+            assert gcd(n, *[k for k, _a in num + den]) == 1  # minimal grid
+            top, bottom = (mpmath.fsum(a * mpmath.exp(mpmath.mpf(k) / n) for k, a in terms)
+                           for terms in (num, den))
+            assert abs(top / bottom - expected) < mpmath.mpf(10) ** -40
+    # the views scale the denominator to be monic
+    den = cases[0][0].den
+    assert min(den) == 0 and den[max(den)] == 1
+
+
+def test_rationals_hash_like_the_numbers_they_equal():
+    assert {1: "a"}.get(Constant.one()) == "a"
+    assert {F(1, 2): "b"}.get(Constant.from_rational(F(1, 2))) == "b"
+    e = Constant.e_power(1)
+    for x in (0, 1, -1, 7, -64, 65, 10**20, F(1, 2), F(-3, 4), F(10**20, 3)):
+        for c in (Constant.from_rational(x), C({0: x}), e * x / e):
+            assert c == x and hash(c) == hash(x)
+    assert len({Constant.one(), 1, F(1), e * e.inverse()}) == 1
 
 
 def test_fractional_exponents():

@@ -5,7 +5,9 @@ here compares it on seeded random inputs with a reference built the generic
 way, structurally (grid, numerator and denominator terms) or character by
 character:
 
-* a unit product against the generic canonicalisation ``_make``;
+* a unit product against ``_make`` of term dicts, which sorts, anchors and
+  flips its input itself (both finish in ``_part_value``, whose invariants
+  ``test_constants.py`` checks on their own);
 * a sum of rationals against ``Fraction``;
 * ``ExpPoly.eval_at`` against a term-by-term ``Constant.sum``;
 * the closed-form antiderivative against differentiation;
@@ -55,7 +57,7 @@ def random_unit(rng: random.Random) -> Constant:
 
 
 def generic_unit_product(c: Constant, unit: Constant) -> Constant:
-    """``c * unit`` through the generic canonicalisation of term dicts."""
+    """``c * unit`` through ``_make`` of unsorted term dicts."""
     (k, p), = unit._num
     q = unit._den[0][1]
     n = lcm(c._n, unit._n)
