@@ -534,8 +534,10 @@ class Constant:
                 and self._n == other._n)
 
     def __hash__(self):
-        q = self.as_rational()  # a rational hashes as the int or Fraction it equals
-        return hash((self._n, self._num, self._den)) if q is None else hash(q)
+        num, den = self._num, self._den  # a rational hashes as the int or Fraction it equals
+        if len(num) == len(den) == 1 and not num[0][0]:
+            return hash(num[0][1]) if den[0][1] == 1 else hash(Fraction(num[0][1], den[0][1]))
+        return hash((self._n, num, den)) if num else 0
 
     # -- rendering --------------------------------------------------------
 

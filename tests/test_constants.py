@@ -40,40 +40,52 @@ def test_division_by_zero():
         Constant({F(0): F(1)}, {})
 
 
-def test_canonical_form_invariants():
-    mpmath = pytest.importorskip("mpmath")
+def _finished_values():
+    """Values from every route that finishes one, each with its value as a
+    function of mpmath's e and sqrt(e): the constructor (unanchored
+    denominators, one with a negative leading term and content 2, one given
+    zero coefficients), a unit product, an inverse, Henrici's sum, a
+    one-group sum and non-unit products."""
     E, H = Constant.e_power(1), Constant.e_power(F(1, 2))
+    return [
+        (C({1: 2, 0: 2}, {2: 3, 1: -3}), lambda e, h: (2 * e + 2) / (3 * e**2 - 3 * e)),
+        (C({F(1, 2): -4}, {F(3, 2): -6, F(1, 2): 2}), lambda e, h: -4 / (-6 * e + 2)),
+        (C({F(1, 2): 0, 2: 2, 0: 2}, {2: 3, 1: -3, F(1, 2): 0}),
+         lambda e, h: (2 * e**2 + 2) / (3 * e**2 - 3 * e)),
+        (Constant.e_power(F(1, 2), F(-3, 2)) * C({F(1, 2): 2, 0: 4}, {1: 3, 0: 1}),
+         lambda e, h: F(-3, 2) * h * (2 * h + 4) / (3 * e + 1)),
+        ((2 * H - 4 / H).inverse(), lambda e, h: 1 / (2 * h - 4 / h)),
+        (1 / (E - 1) + 1 / (2 * E + 2), lambda e, h: 1 / (e - 1) + 1 / (2 * e + 2)),
+        (Constant.sum([H / (E - 1), 3 / (E - 1), -H / (E - 1)]), lambda e, h: 3 / (e - 1)),
+        ((2 * H + 2) * (3 * H - 3), lambda e, h: 6 * e - 6),
+        (H * H, lambda e, h: e),
+    ]
+
+
+def test_canonical_form_invariants():
+    for c, _value in _finished_values():
+        n, num, den = c._n, c._num, c._den
+        assert den[-1][0] == 0 and den[0][1] > 0  # anchored, positive leading term
+        assert all(a for _k, a in num + den)  # no zero coefficient is stored
+        for terms in (num, den):
+            exponents = [k for k, _a in terms]
+            assert exponents == sorted(set(exponents), reverse=True)
+        assert gcd(*[a for _k, a in num + den]) == 1  # joint content 1
+        assert gcd(n, *[k for k, _a in num + den]) == 1  # minimal grid
+    # the views scale the denominator to be monic
+    den = C({1: 2, 0: 2}, {2: 3, 1: -3}).den
+    assert min(den) == 0 and den[max(den)] == 1
+
+
+def test_canonical_form_keeps_the_value():
+    import mpmath  # a test dependency: its absence fails, not skips, this test
+
     with mpmath.workdps(50):
         e, h = mpmath.e, mpmath.sqrt(mpmath.e)
-        # every route that finishes a value: the constructor (unanchored
-        # denominators, one with a negative leading term and content 2), a
-        # unit product, an inverse, Henrici's sum, a one-group sum and a
-        # non-unit product
-        cases = [
-            (C({1: 2, 0: 2}, {2: 3, 1: -3}), (2 * e + 2) / (3 * e**2 - 3 * e)),
-            (C({F(1, 2): -4}, {F(3, 2): -6, F(1, 2): 2}), -4 / (-6 * e + 2)),
-            (Constant.e_power(F(1, 2), F(-3, 2)) * C({F(1, 2): 2, 0: 4}, {1: 3, 0: 1}),
-             F(-3, 2) * h * (2 * h + 4) / (3 * e + 1)),
-            ((2 * H - 4 / H).inverse(), 1 / (2 * h - 4 / h)),
-            (1 / (E - 1) + 1 / (2 * E + 2), 1 / (e - 1) + 1 / (2 * e + 2)),
-            (Constant.sum([H / (E - 1), 3 / (E - 1), -H / (E - 1)]), 3 / (e - 1)),
-            ((2 * H + 2) * (3 * H - 3), 6 * e - 6),
-            (H * H, e),
-        ]
-        for c, expected in cases:
-            n, num, den = c._n, c._num, c._den
-            assert den[-1][0] == 0 and den[0][1] > 0  # anchored, positive leading term
-            for terms in (num, den):
-                exponents = [k for k, _a in terms]
-                assert exponents == sorted(set(exponents), reverse=True)
-            assert gcd(*[a for _k, a in num + den]) == 1  # joint content 1
-            assert gcd(n, *[k for k, _a in num + den]) == 1  # minimal grid
-            top, bottom = (mpmath.fsum(a * mpmath.exp(mpmath.mpf(k) / n) for k, a in terms)
-                           for terms in (num, den))
-            assert abs(top / bottom - expected) < mpmath.mpf(10) ** -40
-    # the views scale the denominator to be monic
-    den = cases[0][0].den
-    assert min(den) == 0 and den[max(den)] == 1
+        for c, value in _finished_values():
+            top, bottom = (mpmath.fsum(a * mpmath.exp(mpmath.mpf(k) / c._n) for k, a in terms)
+                           for terms in (c._num, c._den))
+            assert abs(top / bottom - value(e, h)) < mpmath.mpf(10) ** -40
 
 
 def test_rationals_hash_like_the_numbers_they_equal():
