@@ -2,10 +2,11 @@
 
 A problem is a monic differential operator ``T`` of order ``n`` together with
 ``n`` boundary conditions, each a sum of point evaluations of derivatives and
-definite integrals against weight functions.  For a regular problem the
-Green's operator is ``G = (1 - P) * T_inv`` where ``T_inv`` is the
-variation-of-constants right inverse and ``P`` projects onto ker T along the
-space of admissible functions.
+definite integrals against weight functions, stored as its functional
+``Operator`` (zero terms, zero-length integrals included, dropped).  For a
+regular problem the Green's operator is ``G = (1 - P) * T_inv`` where
+``T_inv`` is the variation-of-constants right inverse and ``P`` projects onto
+ker T along the space of admissible functions.
 """
 
 from __future__ import annotations
@@ -23,76 +24,63 @@ from .errors import (
     ParseError,
     WronskianError,
 )
-from .exppoly import ExpPoly
+from .exppoly import ExpPoly, Freq
 from .linalg import mat_det, mat_from_rows, mat_inv, left_kernel
 from .operators import Operator, _leibniz
 from .parsing import MAX_DERIVATIVE_ORDER  # noqa: F401  (the cap stays importable from here)
-from .parsing import _derivative_order, _nonnegative_int, parse_exppoly, parse_rational
+from .parsing import _derivative_order, parse_exppoly, parse_rational
 
 
 class StieltjesCondition:
-    """A boundary functional: local point evaluations plus definite integrals.
+    """A boundary functional ``sum c u^(i)(p) + sum int_a^b w u``, stored as
+    its normal-form ``Operator``: one ``c <p> d^i`` per local term and one
+    ``<b> int_a w`` per integral.  The operator merges terms of one key and
+    drops zero terms, zero-length integrals included.
 
-    ``local_terms`` holds (point, derivative order, coefficient) triples and
-    ``global_terms`` holds (lower, upper, integrand) triples standing for
-    ``int_lower^upper integrand(t) u(t) dt``.
+    ``local_terms`` reads back (point, derivative order, coefficient) triples
+    and ``global_terms`` (lower, upper, integrand) triples, one per interval.
     """
 
-    __slots__ = ("local_terms", "global_terms")
+    __slots__ = ("_op",)
 
     def __init__(self, local_terms=(), global_terms=()):
-        collected: dict[tuple[Fraction, int], list[Constant]] = {}
-        for point, order, coeff in local_terms:
-            collected.setdefault((Fraction(point), _nonnegative_int(order, "derivative order")),
-                                 []).append(coeff)
-        merged_local = {key: c for key, coeffs in collected.items()
-                        if not (c := Constant.sum(coeffs)).is_zero()}
-        integrands: dict[tuple[Fraction, Fraction], list[ExpPoly]] = {}
-        for lower, upper, integrand in global_terms:
-            integrands.setdefault((Fraction(lower), Fraction(upper)), []).append(integrand)
-        merged_global = {key: w for key, ws in integrands.items()
-                         if not (w := ExpPoly.sum(ws)).is_zero()}
-        self.local_terms = tuple(
-            (p, i, merged_local[(p, i)]) for p, i in sorted(merged_local)
-        )
-        self.global_terms = tuple(
-            (a, b, merged_global[(a, b)]) for a, b in sorted(merged_global)
-        )
+        self._op = Operator.sum(
+            [Operator.evaluation(p, i, ExpPoly.const(c)) for p, i, c in local_terms]
+            + [Operator.global_term(b, a, ExpPoly.one(), w) for a, b, w in global_terms])
 
-    def evaluation_points(self) -> set[Fraction]:
-        points = {p for p, _i, _c in self.local_terms}
-        for a, b, _w in self.global_terms:
-            points.add(a)
-            points.add(b)
-        return points
+    @property
+    def local_terms(self) -> tuple[tuple[Freq, int, Constant], ...]:
+        return tuple((p, i, f.as_constant()) for f, p, i in self._op.local_boundary)
+
+    @property
+    def global_terms(self) -> tuple[tuple[Freq, Freq, ExpPoly], ...]:
+        integrands: dict[tuple[Freq, Freq], list[ExpPoly]] = {}
+        for f, b, a, g in self._op.global_boundary:
+            integrands.setdefault((a, b), []).append(f * g)
+        return tuple((a, b, ExpPoly.sum(ws)) for (a, b), ws in sorted(integrands.items()))
+
+    def evaluation_points(self) -> set[Freq]:
+        return self._op.boundary_points() | self._op.basepoints()
 
     def max_local_order(self) -> int:
-        return max((i for _p, i, _c in self.local_terms), default=-1)
+        return max((i for _f, _p, i in self._op.local_boundary), default=-1)
 
     def is_local(self) -> bool:
-        return not self.global_terms
+        return not self._op.global_boundary
 
     def apply(self, u: ExpPoly) -> Constant:
-        """The functional at u: each derivative order of u is taken once, and
-        ``int_a^b w u = F(b) - F(a)`` with ``F`` one antiderivative of ``w u``."""
-        derivs = u.derivatives(self.max_local_order())
-        antis = [(a, b, (w * u).antiderivative()) for a, b, w in self.global_terms]
-        return Constant.sum([c * derivs[i].eval_at(p) for p, i, c in self.local_terms]
-                            + [F.eval_at(b) - F.eval_at(a) for a, b, F in antis])
+        return self._op.apply(u).as_constant()
 
     def as_operator(self) -> Operator:
-        return Operator.sum(
-            [Operator.evaluation(p, i, ExpPoly.const(c)) for p, i, c in self.local_terms]
-            + [Operator.global_term(b, a, ExpPoly.one(), w) for a, b, w in self.global_terms])
+        return self._op
 
     def __eq__(self, other):
         if not isinstance(other, StieltjesCondition):
             return NotImplemented
-        return (self.local_terms == other.local_terms
-                and self.global_terms == other.global_terms)
+        return self._op == other._op
 
     def __repr__(self):
-        return f"StieltjesCondition({self.as_operator().to_text()})"
+        return f"StieltjesCondition({self._op.to_text()})"
 
     def to_json(self) -> dict:
         return {
@@ -368,11 +356,8 @@ class BoundaryProblem:
             self._fs = fundamental_system(self.T)
         return self._fs
 
-    def evaluation_points(self) -> set[Fraction]:
-        points: set[Fraction] = set()
-        for cond in self.conditions:
-            points.update(cond.evaluation_points())
-        return points
+    def evaluation_points(self) -> set[Freq]:
+        return set().union(*(cond.evaluation_points() for cond in self.conditions))
 
     def point_count(self) -> int:
         """Number of distinct evaluation points of the given condition basis."""
@@ -428,15 +413,15 @@ def fri_derivative(fs: FundamentalSystem, k: int, basepoint):
 
 def projector(conditions, fs: FundamentalSystem) -> Operator:
     """The projector onto ker T along the admissible space:
-    P = sum_{j,i} u_j (M^{-1})_{j,i} beta_i with M the evaluation matrix."""
+    P = sum_i (sum_j u_j (M^{-1})_{j,i}) beta_i with M the evaluation matrix."""
     m = evaluation_matrix(conditions, fs)
     try:
         minv = mat_inv(m)
     except ValueError:
         raise NotRegularError("boundary problem not regular", matrix=m) from None
-    out = Operator.sum(cond.as_operator().left_mul(uj * minv[j][i])
-                       for j, uj in enumerate(fs.u) for i, cond in enumerate(conditions)
-                       if not minv[j][i].is_zero())
+    out = Operator.sum(
+        cond.as_operator().left_mul(ExpPoly.sum(uj * minv[j][i] for j, uj in enumerate(fs.u)))
+        for i, cond in enumerate(conditions))
     # canonical global-free form, so that P * P == P structurally
     return out.to_equitable()
 
@@ -459,9 +444,8 @@ def greens_operator(problem: BoundaryProblem, basepoint=None) -> Operator:
 
 
 def kernel_relations(fs: FundamentalSystem, a, b):
-    """The extended evaluation matrix of all derivative values at a and b,
-    and a basis of its left kernel (the relations forced on ker T)."""
-    derivs = [uj.derivatives(fs.size - 1) for uj in fs.u]
-    matrix = mat_from_rows([[d[i].eval_at(point) for d in derivs]
-                            for point in (Fraction(a), Fraction(b)) for i in range(fs.size)])
+    """The evaluation matrix of the point functionals u -> u^(i)(p) at a and
+    b, i < n, and a basis of its left kernel (the relations forced on ker T)."""
+    matrix = evaluation_matrix([StieltjesCondition([(p, i, 1)]) for p in (a, b)
+                                for i in range(fs.size)], fs)
     return matrix, left_kernel(matrix)

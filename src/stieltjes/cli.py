@@ -19,7 +19,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .boundary import (
     MAX_OPERATOR_ORDER,
@@ -43,18 +42,6 @@ from .operators import Operator
 from .parsing import parse_exppoly, parse_rational
 
 DEFAULT_TEST_FUNCTIONS = ("1", "x", "x^2", "exp(x)", "x*exp(-x)")
-
-
-@dataclass
-class ProblemSpec:
-    """A parsed problem document plus the command-line options."""
-
-    problem: BoundaryProblem
-    test_functions: tuple[tuple[str, ExpPoly], ...]  # (text, parsed) forcing functions
-    basepoint: Fraction | None = None
-    interval: tuple[Fraction, Fraction] | None = None
-    fmt: str = "text"
-    verify: bool = True
 
 
 @dataclass
@@ -189,7 +176,9 @@ def _read_spec(path: str) -> dict:
         raise ParseError(f"cannot read problem document: {exc}") from exc
 
 
-def _spec_from_args(args) -> ProblemSpec:
+def _spec_from_args(args):
+    """The problem of ``args.spec``, its (text, parsed) forcing functions, and
+    the basepoint and interval options."""
     data = _read_spec(args.spec)
     problem = parse_problem(data)
     basepoint = parse_rational(args.basepoint) if args.basepoint is not None else None
@@ -202,34 +191,27 @@ def _spec_from_args(args) -> ProblemSpec:
         if interval[0] >= interval[1]:
             raise ParseError("interval must satisfy a < b")
     texts = DEFAULT_TEST_FUNCTIONS
-    if getattr(args, "test_functions", None) is not None:
+    if args.test_functions is not None:
         texts = tuple(s.strip() for s in args.test_functions.split(",") if s.strip())
         if not texts:
             raise ParseError("--test-functions names no function")
     test_functions = tuple((text, parse_exppoly(text)) for text in texts)
     extra = [basepoint] if basepoint is not None else []
     check_exponent_spread(problem.system(), problem.evaluation_points().union(extra))
-    return ProblemSpec(
-        problem=problem,
-        test_functions=test_functions,
-        basepoint=basepoint,
-        interval=interval,
-        fmt=getattr(args, "format", "text"),
-        verify=not getattr(args, "no_verify", False),
-    )
+    return problem, test_functions, basepoint, interval
 
 
 def _cmd_solve(args) -> int:
-    spec = _spec_from_args(args)
-    G, Geq, gf = solve_problem(spec.problem, spec.basepoint, spec.interval)
+    problem, test_functions, basepoint, interval = _spec_from_args(args)
+    G, Geq, gf = solve_problem(problem, basepoint, interval)
     report = None
-    if spec.verify:
-        report = verify_problem(spec.problem, G, Geq, gf, spec.test_functions)
+    if not args.no_verify:
+        report = verify_problem(problem, G, Geq, gf, test_functions)
         if not report.all_zero():
             print("verification failed; refusing to print the result", file=sys.stderr)
             print(report.to_text(), file=sys.stderr)
             return 1
-    if spec.fmt == "json":
+    if args.format == "json":
         doc = {
             "operator": G.to_json(),
             "equitable_operator": Geq.to_json(),
@@ -238,7 +220,7 @@ def _cmd_solve(args) -> int:
         if report is not None:
             doc["report"] = report.to_json_dict()
         print(json.dumps(doc, sort_keys=True, indent=2))
-    elif spec.fmt == "latex":
+    elif args.format == "latex":
         print("% Green's operator")
         print(G.to_latex())
         print("% equitable form")
@@ -261,10 +243,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    spec = _spec_from_args(args)
-    G, Geq, gf = solve_problem(spec.problem, spec.basepoint, spec.interval)
-    report = verify_problem(spec.problem, G, Geq, gf, spec.test_functions)
-    if spec.fmt == "json":
+    problem, test_functions, basepoint, interval = _spec_from_args(args)
+    G, Geq, gf = solve_problem(problem, basepoint, interval)
+    report = verify_problem(problem, G, Geq, gf, test_functions)
+    if args.format == "json":
         print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
     else:
         print(report.to_text())
@@ -310,7 +292,7 @@ def _cmd_kernel(args) -> int:
     fs = problem.system()
     matrix, basis = kernel_relations(fs, a, b)
     n = fs.size
-    if getattr(args, "format", "text") == "json":
+    if args.format == "json":
         doc = {
             "matrix": [[entry.to_text() for entry in row] for row in matrix],
             "kernel_basis": [[entry.to_text() for entry in vec] for vec in basis],
@@ -372,7 +354,7 @@ def main(argv=None) -> int:
         os.close(devnull)
         print("error: standard output is closed", file=sys.stderr)
         return 1
-    except ParseError as exc:
+    except (ParseError, DegenerateDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NotRegularError as exc:
@@ -384,9 +366,6 @@ def main(argv=None) -> int:
     except (FundamentalSystemError, WronskianError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except DegenerateDomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

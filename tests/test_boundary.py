@@ -396,14 +396,31 @@ def test_condition_merging():
     cond = StieltjesCondition([(0, 0, 1), (0, 0, 2)], [(0, 1, X), (0, 1, X)])
     assert cond.local_terms == ((F(0), 0, Constant.from_rational(3)),)
     assert cond.global_terms == ((F(0), F(1), X * 2),)
+    # zero terms go, and the integrands of one interval are read back as one
+    E = ExpPoly.exponential(1)
+    cond = StieltjesCondition([(0, 0, 1), (0, 0, -1), (1, 1, 2)],
+                              [(0, 1, X), (0, 1, E), (1, 2, X), (1, 2, -X), (3, 3, X)])
+    assert cond.local_terms == ((F(1), 1, Constant.from_rational(2)),)
+    assert cond.global_terms == ((F(0), F(1), X + E),)
+    assert cond.evaluation_points() == {F(0), F(1)}
 
 
 def test_condition_as_operator_action_matches_apply():
-    rng = random.Random(5)
-    cond = StieltjesCondition([(0, 1, 2), (1, 0, -1)], [(0, 1, X)])
+    """``apply`` and the action of ``as_operator`` against the functional
+    computed from the terms: ``c u^(i)(p)`` and ``F(b) - F(a)``, F an
+    antiderivative of ``w u``."""
+    E = ExpPoly.exponential(1)
+    cond = StieltjesCondition([(0, 1, 2), (1, 0, -1), (F(1, 2), 2, 3)],
+                              [(0, 1, X + E), (0, 1, X * X), (F(-1, 2), 1, E - ONE)])
+    assert len(cond.global_terms) == 2
     op = cond.as_operator()
     for f in forcing_functions():
-        assert op.apply(f) == ExpPoly.const(cond.apply(f))
+        expected = Constant.sum(
+            [c * f.derive(i).eval_at(p) for p, i, c in cond.local_terms]
+            + [(w * f).antiderivative().eval_at(b) - (w * f).antiderivative().eval_at(a)
+               for a, b, w in cond.global_terms])
+        assert cond.apply(f) == expected
+        assert op.apply(f) == ExpPoly.const(expected)
 
 
 def test_rational_root_with_large_prime_constant_term():

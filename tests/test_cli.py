@@ -103,6 +103,25 @@ class TestSolve:
         doc = json.loads(capsys.readouterr().out)
         assert "report" not in doc
 
+    def test_zero_length_integral_is_dropped(self, tmp_path, capsys):
+        # int_0^0 x u is the zero functional: it neither makes the condition
+        # nonlocal nor adds 0 to the evaluation points (the default basepoint)
+        plain = {"operator": {"coeffs": ["0", "0", "1"]},
+                 "conditions": [{"local": [{"point": "1", "order": 0, "coeff": "1"}]},
+                                {"local": [{"point": "2", "order": 0, "coeff": "1"}]}]}
+        vacuous = json.loads(json.dumps(plain))
+        vacuous["conditions"][0]["global"] = [{"lower": "0", "upper": "0", "integrand": "x"}]
+        problems = parse_problem(plain), parse_problem(vacuous)
+        assert problems[0].conditions == problems[1].conditions
+        assert all(problem.is_local() for problem in problems)
+        assert [problem.evaluation_points() for problem in problems] == [{1, 2}] * 2
+        outputs = []
+        for doc in (plain, vacuous):
+            assert main(["solve", write_spec(tmp_path, doc)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "int[1]" in outputs[0] and "int[0]" not in outputs[0]
+
     def test_irregular_exit_3(self, tmp_path, capsys):
         path = write_spec(tmp_path, NEUMANN_SPEC)
         assert main(["solve", path]) == 3

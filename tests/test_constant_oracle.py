@@ -6,9 +6,7 @@ and every result is compared with the same operation done in mpmath."""
 import random
 from fractions import Fraction as F
 
-import pytest
-
-mpmath = pytest.importorskip("mpmath")
+import mpmath
 
 from stieltjes import Constant
 

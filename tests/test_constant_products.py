@@ -3,11 +3,9 @@ constructor builds from plain ``Fraction`` dicts, and no polynomial gcd."""
 
 from fractions import Fraction as F
 
-import pytest
+import mpmath
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-mpmath = pytest.importorskip("mpmath")
 
 from test_constant_oracle import EXPONENTS, FACTORS, assert_close, constant_value, mul_terms, value
 

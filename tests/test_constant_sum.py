@@ -5,11 +5,10 @@ summands that share a primitive denominator."""
 from fractions import Fraction as F
 from functools import reduce
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-mpmath = pytest.importorskip("mpmath")
 
 from test_constant_oracle import EXPONENTS, FACTORS, assert_close, constant_value, mul_terms
 

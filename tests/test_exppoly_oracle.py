@@ -11,9 +11,7 @@ import random
 import time
 from fractions import Fraction as F
 
-import pytest
-
-mpmath = pytest.importorskip("mpmath")
+import mpmath
 
 from test_constant_oracle import constant_value
 

@@ -7,9 +7,7 @@ every cell.  Kernel, forcing function and result are all evaluated from their
 
 from fractions import Fraction as F
 
-import pytest
-
-mpmath = pytest.importorskip("mpmath")
+import mpmath
 
 from conftest import (
     exponential_four_point_problem,

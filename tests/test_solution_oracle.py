@@ -9,9 +9,7 @@ fault shared by ``G.apply``, ``Operator.apply`` and ``StieltjesCondition.apply``
 import random
 from fractions import Fraction as F
 
-import pytest
-
-mpmath = pytest.importorskip("mpmath")
+import mpmath
 
 from conftest import forcing_functions, random_regular_problem
 from test_constant_oracle import constant_value
