@@ -25,7 +25,7 @@ from .errors import (
     WronskianError,
 )
 from .exppoly import ExpPoly, Freq
-from .linalg import mat_det, mat_from_rows, mat_inv, left_kernel
+from .linalg import mat_det, mat_from_rows, mat_inv, mat_vec, left_kernel
 from .operators import Operator, _leibniz
 from .parsing import MAX_DERIVATIVE_ORDER  # noqa: F401  (the cap stays importable from here)
 from .parsing import _derivative_order, parse_exppoly, parse_rational
@@ -435,12 +435,54 @@ def greens_operator(problem: BoundaryProblem, basepoint=None) -> Operator:
     """
     fs = problem.system()
     if basepoint is None:
-        points = problem.evaluation_points()
-        basepoint = min(points) if points else Fraction(0)
+        basepoint = min(problem.evaluation_points(), default=0)
     fri = fundamental_right_inverse(fs, basepoint)
     p = projector(problem.conditions, fs)
     # presented in standard form at the chosen basepoint
     return (fri - p * fri).to_standard(basepoint)
+
+
+def certify(problem: BoundaryProblem, Geq: Operator) -> bool:
+    """Whether the construction proves ``T Geq = 1`` and ``beta_k Geq = 0``
+    without applying Geq to a function: ``T u_j = 0``, the Wronskian residues
+    ``rho_1..rho_n = 0, ..., 0, 1`` (so ``T T_inv = 1``), ``M M^-1 = I``, and
+    ``Geq = T_inv - sum_i v_i beta_i T_inv`` with ``v_i = sum_j u_j (M^-1)_ji``.
+    ``<p> d^l T_inv`` is ``fri_derivative`` at p, and by parts ``<b> int_a w
+    T_inv = sum_j W_j(b) <b> int_e r_j - <b> int_a W_j r_j`` (``W_j = int_a w u_j``,
+    ``r_j = cof_j / d``), so no operator product is taken.  G does not depend
+    on the basepoint e, which is the smallest evaluation point."""
+    fs, n, e = problem.system(), problem.order, min(problem.evaluation_points(), default=0)
+    m = evaluation_matrix(problem.conditions, fs)
+    try:
+        minv = mat_inv(m)
+    except ValueError:
+        return False
+    if (any(not problem.T.apply(uj).is_zero() for uj in fs.u)
+            or fri_residues(fs, n) != [ExpPoly.zero()] * (n - 1) + [ExpPoly.one()]
+            or not all(c.is_one() if i == j else c.is_zero()
+                       for j, column in enumerate(zip(*minv))
+                       for i, c in enumerate(mat_vec(m, column)))):
+        return False
+    closed = {l: fri_derivative(fs, l, e)[0]
+              for cond in problem.conditions for _p, l, _c in cond.local_terms}
+
+    def psi(cond: StieltjesCondition) -> Operator:
+        terms = []
+        for p, l, c in cond.local_terms:
+            terms += [Operator.global_term(p, a, ExpPoly.const(c * g.eval_at(p)), right)
+                      for a, g, right in closed[l].integral_part]
+            terms += [Operator.evaluation(p, k, ExpPoly.const(c * g.eval_at(p)))
+                      for k, g in closed[l].diff_part.items()]
+        for a, b, w in cond.global_terms:
+            for uj, r in zip(fs.u, fs.ratios()):
+                W = (w * uj).integrate_from(a)
+                terms += [Operator.global_term(b, e, ExpPoly.const(W.eval_at(b)), r),
+                          Operator.global_term(b, a, -ExpPoly.one(), W * r)]
+        return Operator.sum(terms)
+
+    projected = [psi(cond).left_mul(-ExpPoly.sum(uj * minv[j][i] for j, uj in enumerate(fs.u)))
+                 for i, cond in enumerate(problem.conditions)]
+    return Geq == Operator.sum([fundamental_right_inverse(fs, e)] + projected).to_equitable()
 
 
 def kernel_relations(fs: FundamentalSystem, a, b):

@@ -629,3 +629,23 @@ def test_integrand_frequency_verifies_quickly(tmp_path, capsys, coeffs, first, f
     assert main(["verify", write_spec(tmp_path, doc), "--format", "json"]) == 0
     assert time.perf_counter() - start < seconds
     assert json.loads(capsys.readouterr().out)["verified"] is True
+
+
+@pytest.mark.parametrize("doc, argv", [
+    ({"operator": {"coeffs": ["0", "1/777777", "1"]},
+      "conditions": INTRO_SPEC["conditions"]}, []),
+    ({"operator": {"coeffs": ["-1", "0", "1"]},
+      "conditions": [{"local": [{"point": "0", "order": 0, "coeff": "1"}]},
+                     {"local": [{"point": "1", "order": 0, "coeff": "1"},
+                                {"point": "100", "order": 0, "coeff": "1"}]}]},
+     ["--test-functions", "exp(3000*x)"]),
+], ids=["root-denominator-777777", "test-function-exp3000"])
+def test_forcing_frequency_verifies_quickly(tmp_path, capsys, doc, argv):
+    # applying G to the test functions built Constants on the grid 1/777777
+    # (about 14 s) or of 300000 terms (about 5 s); the certificate never does
+    import time
+
+    start = time.perf_counter()
+    assert main(["verify", write_spec(tmp_path, doc), "--format", "json", *argv]) == 0
+    assert time.perf_counter() - start < 2
+    assert json.loads(capsys.readouterr().out)["verified"] is True
