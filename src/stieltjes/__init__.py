@@ -24,6 +24,7 @@ from .errors import (
     NotRegularError,
     ParseError,
     SolverError,
+    VerificationError,
     WronskianError,
 )
 from .exppoly import (
@@ -53,6 +54,7 @@ __all__ = [
     "ParseError",
     "SolverError",
     "StieltjesCondition",
+    "VerificationError",
     "WronskianError",
     "apply",
     "apply_greens",

@@ -35,6 +35,7 @@ from .errors import (
     FundamentalSystemError,
     NotRegularError,
     ParseError,
+    VerificationError,
     WronskianError,
 )
 from .exppoly import ExpPoly
@@ -135,6 +136,20 @@ def solve_problem(problem: BoundaryProblem, basepoint=None, interval=None):
     return G, Geq, gf
 
 
+def _solve(problem: BoundaryProblem, basepoint, interval, verify: bool):
+    """``solve_problem``, except that under verification a G with fewer than
+    two breakpoints is certified before the domain is blamed: a G that
+    ``certify`` refutes is a failed verification (exit 1), not a domain that
+    needs an explicit interval (exit 2)."""
+    try:
+        return solve_problem(problem, basepoint, interval)
+    except DegenerateDomainError as exc:
+        if verify and not certify(problem, greens_operator(problem, basepoint).to_equitable()):
+            raise VerificationError(
+                f"verification failed: the certificates refute G ({exc})") from exc
+        raise
+
+
 def verify_problem(problem: BoundaryProblem, G: Operator, Geq: Operator,
                    gf: GreensFunction, test_functions) -> VerificationReport:
     """Residuals on the (text, parsed function) pairs of ``test_functions``,
@@ -210,7 +225,7 @@ def _spec_from_args(args):
 
 def _cmd_solve(args) -> int:
     problem, test_functions, basepoint, interval = _spec_from_args(args)
-    G, Geq, gf = solve_problem(problem, basepoint, interval)
+    G, Geq, gf = _solve(problem, basepoint, interval, verify=not args.no_verify)
     report = None
     if not args.no_verify:
         report = verify_problem(problem, G, Geq, gf, test_functions)
@@ -251,7 +266,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     problem, test_functions, basepoint, interval = _spec_from_args(args)
-    G, Geq, gf = solve_problem(problem, basepoint, interval)
+    G, Geq, gf = _solve(problem, basepoint, interval, verify=True)
     report = verify_problem(problem, G, Geq, gf, test_functions)
     if args.format == "json":
         print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
@@ -353,6 +368,9 @@ def main(argv=None) -> int:
         code = handlers[args.command](args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
+    except VerificationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # the "Note on SIGPIPE" of the signal module docs: stdout goes to
         # devnull, so that the flush at exit does not fail a second time

@@ -41,7 +41,9 @@ an integer and a power of ``t``.  Its terms keep their order, so the product
 needs no dict and no sort before ``_part_value`` divides out the content and
 the grid step (``e^(1/2) * e^(1/2)`` is on grid 1).  An evaluation ``f(x)``
 is one sum of such unit multiples that are left unreduced; a multiple is
-reduced only when no other summand shares its denominator.
+reduced only when no other summand shares its denominator.  A product of
+two scalars and a unit, as in an operator's action, folds the unit into
+whichever scalar is itself a unit, and stays an unreduced summand too.
 Two rationals take one integer gcd, and a sum of rationals one lcm and one
 gcd.  Only two non-units cancel crosswise, by ``gcd(N1, D2)`` and
 ``gcd(N2, D1)``, so the product needs no further gcd.
@@ -247,6 +249,24 @@ def _unit_part(c: "Constant", p: int, q: int, k: int, m: int) -> Part:
     f, k = n // c._n, k * (n // m)
     return (n, tuple([(e * f + k, a * p) for e, a in c._num]),
             tuple([(e * f, a * q) for e, a in c._den]), None)
+
+
+def _times_units(c: "Constant", d: "Constant", p: int, q: int, k: int, m: int) -> Part:
+    """The summand ``c * d * p/q * e^(k/m)`` of ``_sum``, for nonzero c and
+    d and a unit in lowest terms with ``q > 0``.  The unit is folded into c
+    or d, whichever is itself a unit, and ``_unit_part`` multiplies the
+    other factor by the merged unit; only two non-units are multiplied."""
+    if len(c._num) == len(c._den) == 1:
+        c, d = d, c
+    elif len(d._num) != 1 or len(d._den) != 1:
+        return _unit_part(c * d, p, q, k, m)
+    # d = a/b * e^(j/n) times p/q * e^(k/m), in lowest terms on the grid lcm(n, m)
+    (j, a), = d._num
+    n = d._n
+    grid = lcm(n, m)
+    a, q, k = a * p, d._den[0][1] * q, j * (grid // n) + k * (grid // m)
+    g, h = gcd(a, q), gcd(k, grid)
+    return _unit_part(c, a // g, q // g, k // h, grid // h)
 
 
 def _part_value(part: Part) -> "Constant":

@@ -21,6 +21,10 @@ class NotRegularError(SolverError):
         self.matrix = matrix
 
 
+class VerificationError(SolverError):
+    """The construction's certificates refute a computed Green's operator."""
+
+
 class DegenerateDomainError(SolverError):
     """Fewer than two breakpoints; an explicit interval is required."""
 

@@ -23,7 +23,7 @@ matters because every product adds the frequencies of all term pairs.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 from .constants import (_ONE, _ZERO, Constant, _join_signed, _ratio_latex, _ratio_text, _sum,
                         _unit_part)
@@ -43,19 +43,38 @@ def _freq(q) -> Freq:
     return q.numerator if q.denominator == 1 else q
 
 
-def _eval_sum(pairs, q: Fraction) -> Constant:
-    """The sum of ``c * q^n * e^(l*q)`` over ((l, n), c) pairs with nonzero
-    c, as one ``Constant`` sum of unit multiples of the c, which only the
-    sum reduces."""
+def _values(pairs, q: Freq, i: int = 0) -> list[tuple[Constant, tuple[int, int, int, int]]]:
+    """The value at q of the i-th derivative of the sum of ``c x^n e^(l x)``
+    over ((l, n), c) pairs with nonzero c, as the unit multiples ``(c, (p, r,
+    k, m))`` of the c, each ``c * p/r * e^(k/m)`` with the unit in lowest
+    terms and ``r, m > 0``, for ``_unit_part`` to leave unreduced.  By
+    Leibniz's rule the unit is ``s e^(l q)`` with
+    ``s = sum_{k <= min(i, n)} C(i, k) n!/(n-k)! q^(n-k) l^(i-k)``; a term
+    with ``s = 0`` gives no multiple.  The point is taken as it is, an int
+    or a Fraction, so no Fraction is built."""
     a, b = q.numerator, q.denominator
-    parts = []
-    for (freq, power), c in pairs:
-        if power and not a:
+    out = []
+    for (freq, n), c in pairs:
+        fa, fb = freq.numerator, freq.denominator
+        if i:
+            # s over the common denominator b^n fb^i of its summands
+            s, falling, bd = 0, 1, b * fb
+            for k in range(min(i, n) + 1):
+                s += comb(i, k) * falling * a ** (n - k) * fa ** (i - k) * bd ** k
+                falling *= n - k
+            if not s:
+                continue
+            r = b ** n * fb ** i
+            g = gcd(s, r)
+            p, r = s // g, r // g
+        elif n and not a:
             continue
-        k, m = freq.numerator * a, freq.denominator * b
+        else:
+            p, r = a ** n, b ** n
+        k, m = fa * a, fb * b
         g = gcd(k, m)
-        parts.append(_unit_part(c, a ** power, b ** power, k // g, m // g))
-    return _sum(parts)
+        out.append((c, (p, r, k // g, m // g)))
+    return out
 
 
 def _collect(pairs) -> "ExpPoly":
@@ -203,7 +222,7 @@ class ExpPoly:
         return F - ExpPoly.const(F.eval_at(a))
 
     def eval_at(self, q) -> Constant:
-        return _eval_sum(self._terms.items(), Fraction(q))
+        return _sum([_unit_part(c, *unit) for c, unit in _values(self._terms.items(), _freq(q))])
 
     # -- rendering --------------------------------------------------------
 
@@ -372,8 +391,7 @@ class BivariateExpPoly:
             for key, f in self._terms.items())
 
     def eval_at(self, x, xi) -> Constant:
-        values = ((key, f.eval_at(x)) for key, f in self._terms.items())
-        return _eval_sum([(key, c) for key, c in values if not c.is_zero()], Fraction(xi))
+        return ExpPoly({key: f.eval_at(x) for key, f in self._terms.items()}).eval_at(xi)
 
     # -- rendering --------------------------------------------------------
 

@@ -34,6 +34,20 @@ right term under a unit left factor (``<p> d^i`` as ``d^i`` followed by one
 evaluation at p per key), the summands of each key are added once and
 multiplied by the term's left factor once, and the results of all left
 terms are added by one ``ExpPoly.sum`` per key.
+
+The action on a function h is one accumulation as well: every term puts
+its contributions to each output monomial into one list of ``Constant``
+summands, and each output coefficient is reduced once.  A boundary value is
+a sum of unit multiples of coefficients, never reduced on its own.  The
+value of the i-th derivative at p is read off the terms ``c x^n e^(l x)``
+of h, with no derivative of h built::
+
+    d^i (x^n e^(l x)) at p = r e^(l p),
+    r = sum_{k <= min(i, n)} C(i, k) n!/(n-k)! p^(n-k) l^(i-k)
+
+A left coefficient times such a multiple is one summand: the unit is
+folded into whichever of the two coefficients is itself a unit, and only
+two non-units are multiplied out.
 """
 
 from __future__ import annotations
@@ -42,9 +56,9 @@ from functools import cache
 from itertools import chain
 from math import comb
 
-from .constants import _ONE, Constant, _join_signed
+from .constants import _ONE, Constant, _join_signed, _sum, _times_units
 from .errors import ParseError
-from .exppoly import ExpPoly, Freq, Monomial, _freq
+from .exppoly import ExpPoly, Freq, Monomial, _freq, _values
 from .parsing import _derivative_order, _nonnegative_int, parse_exppoly, parse_rational
 
 # Part dictionaries: keys identify a term, values are left ExpPoly factors.
@@ -250,25 +264,44 @@ class Operator:
     # -- action on functions ----------------------------------------------------
 
     def apply(self, h: ExpPoly) -> ExpPoly:
-        """The action on h: each derivative order of h is taken once, and each
-        right monomial m is integrated once, to ``F_m`` with its values at the
-        points.  The integral terms ``f_a int_a m`` of one m give
-        ``(sum_a f_a) F_m - sum_a f_a F_m(a)``, one full product per m (for a
-        kernel's operator ``sum_a f_a`` is the m-part of ``lower - upper``),
-        and ``f <p> int_a m`` gives ``f (F_m(p) - F_m(a))``."""
-        derivs = h.derivatives(max([*self._diff, *(i for _p, i in self._local)], default=0))
+        """The action on h, as one accumulation: every term puts its
+        contributions to each output monomial into one list of ``_sum``
+        parts, and each output coefficient is reduced once.
+
+        Only the differential part takes derivatives of h, each order once.
+        Each right monomial m is integrated once, to ``F_m``.  The integral
+        terms ``f_a int_a m`` of one m give ``(sum_a f_a) F_m``, one full
+        product per m (for a kernel's operator ``sum_a f_a`` is the m-part of
+        ``lower - upper``), and ``-f_a F_m(a)``.  A boundary value is a sum
+        of unit multiples of coefficients (``exppoly._values``):
+        ``F_m(p) - F_m(a)`` of ``f <p> int_a m``, and ``h^(i)(p)`` of
+        ``f <p> d^i``, read off each term ``c x^n e^(l x)`` of h as
+        ``c r e^(l p)`` with ``r = sum_{k <= min(i, n)} C(i, k) n!/(n-k)!
+        p^(n-k) l^(i-k)``.  Each multiple is multiplied into f coefficient by
+        coefficient, the unit folded into whichever factor is a unit."""
+        derivs = h.derivatives(self.order())
         lefts: dict[Monomial, list[ExpPoly]] = {}
         for (_a, m), f in self._integ.items():
             lefts.setdefault(m, []).append(f)
         anti = {m: (_mono(m) * h).antiderivative()
                 for m in lefts.keys() | {m for _p, _a, m in self._global}}
-        value = cache(lambda m, q: anti[m].eval_at(q))
-        return ExpPoly.sum(
-            [f * derivs[i] for i, f in self._diff.items()]
-            + [ExpPoly.sum(fs) * anti[m] for m, fs in lefts.items()]
-            + [f * -value(m, a) for (a, m), f in self._integ.items()]
-            + [f * derivs[i].eval_at(p) for (p, i), f in self._local.items()]
-            + [f * (value(m, p) - value(m, a)) for (p, a, m), f in self._global.items()])
+
+        @cache
+        def value(m: Monomial, q: Freq, sign: int) -> list:  # sign * F_m(q)
+            return [(c, (sign * p, *unit)) for c, (p, *unit) in _values(anti[m]._terms.items(), q)]
+
+        out: dict[Monomial, list] = {}
+        for f in ([f * derivs[i] for i, f in self._diff.items()]
+                  + [ExpPoly.sum(fs) * anti[m] for m, fs in lefts.items()]):
+            for key, c in f._terms.items():
+                out.setdefault(key, []).append((c._n, c._num, c._den, c))
+        for f, units in chain(
+                ((f, value(m, a, -1)) for (a, m), f in self._integ.items()),
+                ((f, _values(h._terms.items(), p, i)) for (p, i), f in self._local.items()),
+                ((f, value(m, p, 1) + value(m, a, -1)) for (p, a, m), f in self._global.items())):
+            for key, cf in f._terms.items():
+                out.setdefault(key, []).extend([_times_units(cf, c, *unit) for c, unit in units])
+        return ExpPoly({key: _sum(parts) for key, parts in out.items()})
 
     # -- translation between standard and equitable form ------------------------
 

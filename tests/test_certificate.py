@@ -13,7 +13,14 @@ import pytest
 
 from conftest import random_regular_problem
 
-from stieltjes import Operator, cli, extract, greens_operator, parse_exppoly
+from stieltjes import (
+    Operator,
+    cli,
+    extract,
+    fundamental_right_inverse,
+    greens_operator,
+    parse_exppoly,
+)
 from stieltjes.boundary import certify
 from stieltjes.cli import DEFAULT_TEST_FUNCTIONS, main, parse_problem, solve_problem, verify_problem
 
@@ -76,6 +83,45 @@ def test_a_wrong_greens_operator_fails_the_certificate(tmp_path, capsys, monkeyp
     assert len(residuals) == len(DEFAULT_TEST_FUNCTIONS) * 3
     assert any(r != "0" for r in residuals)
     assert captured.out.endswith("verified: False\n")
+
+
+INTRO_DOC = workloads.WORKED_EXAMPLES["intro"][0]
+ONE_POINT_DOC = {"operator": {"coeffs": ["0", "1"]},  # u' = f, u(0) = 0
+                 "conditions": [{"local": [{"point": "0", "order": 0, "coeff": "1"}]}]}
+
+
+def _fundamental_right_inverse_alone(problem, basepoint=None):
+    """A wrong G for the intro example: ``T_inv`` without the projector,
+    whose only breakpoint is its basepoint 0."""
+    return fundamental_right_inverse(problem.system(), 0 if basepoint is None else basepoint)
+
+
+@pytest.mark.parametrize("command", [["verify"], ["solve"], ["solve", "--format", "json"]])
+def test_a_wrong_greens_operator_with_one_breakpoint_fails_verification(
+        tmp_path, capsys, monkeypatch, command):
+    # extract refuses a domain of one breakpoint; the certificates, which need
+    # no kernel, show that G is wrong before the domain is blamed
+    monkeypatch.setattr(cli, "greens_operator", _fundamental_right_inverse_alone)
+    path = tmp_path / "intro.json"
+    path.write_text(json.dumps(INTRO_DOC))
+    assert main([*command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "verification failed" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert captured.out == ""
+    # unverified, the domain is all that is wrong
+    if command[0] == "solve":
+        assert main([*command, str(path), "--no-verify"]) == 2
+        assert "degenerate domain" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "solve"])
+def test_a_correct_one_point_problem_still_needs_an_interval(tmp_path, capsys, command):
+    path = tmp_path / "one_point.json"
+    path.write_text(json.dumps(ONE_POINT_DOC))
+    assert main([command, str(path)]) == 2
+    assert "degenerate domain" in capsys.readouterr().err
+    assert main([command, str(path), "--interval", "0,1"]) == 0
 
 
 @pytest.fixture
