@@ -120,22 +120,23 @@ class FundamentalSystem:
     ``d`` is the Wronskian determinant (must be an exponential monomial so it
     can be inverted inside the coefficient algebra) and ``cofactors[j]`` is
     the determinant of the Wronskian matrix with column j replaced by the
-    last unit vector.
+    last unit vector.  The Wronskian rows ``(u_1^(i), ..., u_n^(i))``, i < n,
+    and the quotients ``r_j = cofactors[j] / d`` are computed once and kept.
     """
 
-    __slots__ = ("u", "d", "cofactors")
+    __slots__ = ("u", "d", "cofactors", "_rows", "_ratios")
 
     def __init__(self, u):
         u = tuple(u)
         if not u:
             raise FundamentalSystemError("fundamental system must be supplied")
-        n = len(u)
-        w = [list(row) for row in zip(*(uj.derivatives(n - 1) for uj in u))]
+        self._rows = tuple(zip(*(uj.derivatives(len(u) - 1) for uj in u)))
         self.u = u
-        self.cofactors = tuple(_last_row_cofactors(w))
-        self.d = ExpPoly.sum(e * cof for e, cof in zip(w[-1], self.cofactors))
-        if self.d.is_zero() or _monomial_inverse(self.d) is None:
+        self.cofactors = tuple(_last_row_cofactors(self._rows))
+        self.d = ExpPoly.sum(e * cof for e, cof in zip(self._rows[-1], self.cofactors))
+        if (inv := _monomial_inverse(self.d)) is None:
             raise WronskianError("Wronskian not invertible in coefficient algebra")
+        self._ratios = tuple(cof * inv for cof in self.cofactors)
 
     @property
     def size(self) -> int:
@@ -143,11 +144,15 @@ class FundamentalSystem:
 
     def ratios(self) -> tuple[ExpPoly, ...]:
         """The quotients cofactor_j / d."""
-        inv = _monomial_inverse(self.d)
-        return tuple(dj * inv for dj in self.cofactors)
+        return self._ratios
+
+    def _row(self, k: int) -> tuple[ExpPoly, ...]:
+        """``(u_1^(k), ..., u_n^(k))``: stored for k < n, else derived and not kept."""
+        last = len(self._rows) - 1
+        return self._rows[k] if k <= last else tuple(f.derive(k - last) for f in self._rows[-1])
 
 
-def _last_row_cofactors(w: list[list[ExpPoly]]) -> list[ExpPoly]:
+def _last_row_cofactors(w: tuple[tuple[ExpPoly, ...], ...]) -> list[ExpPoly]:
     """The cofactors of the last row of the square matrix ``w``.
 
     Cofactor j is the signed minor of the first n-1 rows without column j.
@@ -170,11 +175,9 @@ def _signed(f: ExpPoly, k: int) -> ExpPoly:
 def _monomial_inverse(f: ExpPoly) -> ExpPoly | None:
     """Invert c*x^0*exp(l*x); None when f is not such a monomial."""
     terms = list(f.terms())
-    if len(terms) != 1:
+    if len(terms) != 1 or terms[0][1] != 0:
         return None
-    freq, power, c = terms[0]
-    if power != 0:
-        return None
+    freq, _power, c = terms[0]
     return ExpPoly.monomial(-freq, 0, c.inverse())
 
 
@@ -281,14 +284,12 @@ def _polynomial_text(coeffs: list[Fraction]) -> str:
 
 
 # The scalar field stores e^(lambda*p) on the minimal grid of its exponents,
-# so its gcds and divisions run on polynomials with up to one coefficient per
-# grid step, and solve time grows faster than the spread, and with the order.
-# With the cap lifted, ``python -m stieltjes solve`` (Python 3.11 on a
-# shared 2-core x86 host, interpreter start included) takes 0.25 s for order 2
-# at 500 steps, 0.6 s at 2000 and 17 s at 20000, and does not finish in a
-# minute at the 2*10^5 steps of one evaluation point at 10^5; order 3 at 480
-# steps takes 1.3 s and order 4 at 320 steps 2.2 s.  The worked examples and
-# the seeded test problems stay below 60 steps.
+# so its gcds and divisions run on dense polynomials with up to one coefficient
+# per grid step.  With the cap lifted, ``python -m stieltjes verify`` (Python
+# 3.11 on a shared 2-core x86 host, start-up included) takes 1.9-3.5 s for
+# order 2 at 2*10^5 steps, 1.5 s for order 3 at 1200 steps and 10-14 s at 4800,
+# and 3.6-4.5 s for order 4 at 800 steps and over a minute at 3200.  The worked
+# examples and the seeded test problems stay below 60 steps.
 MAX_EXPONENT_SPREAD = 500
 
 # The operator order sets the size of the fundamental system, and its table of
@@ -390,10 +391,8 @@ def fundamental_right_inverse(fs: FundamentalSystem, basepoint) -> Operator:
 
 
 def fri_residues(fs: FundamentalSystem, k: int) -> list[ExpPoly]:
-    """The functions rho_1..rho_k with rho_j = (1/d) sum u_i^{(j-1)} cof_i."""
-    inv = _monomial_inverse(fs.d)
-    return [ExpPoly.sum(ui.derive(j - 1) * cof for ui, cof in zip(fs.u, fs.cofactors)) * inv
-            for j in range(1, k + 1)]
+    """The functions rho_1..rho_k with rho_j = sum_i u_i^{(j-1)} cof_i/d."""
+    return [ExpPoly.sum(f * r for f, r in zip(fs._row(j), fs.ratios())) for j in range(k)]
 
 
 def fri_derivative(fs: FundamentalSystem, k: int, basepoint):
@@ -404,8 +403,8 @@ def fri_derivative(fs: FundamentalSystem, k: int, basepoint):
     """
     residues = fri_residues(fs, k)
     # d^{k-j} * rho_j expanded by Leibniz into normal form
-    op = Operator.sum([Operator.integral(basepoint, uj.derive(k), ratio)
-                       for uj, ratio in zip(fs.u, fs.ratios())]
+    op = Operator.sum([Operator.integral(basepoint, f, ratio)
+                       for f, ratio in zip(fs._row(k), fs.ratios())]
                       + [Operator(diff=dict(_leibniz(k - j, rho)))
                          for j, rho in enumerate(residues, start=1)])
     return op, residues
@@ -464,7 +463,7 @@ def certify(problem: BoundaryProblem, Geq: Operator) -> bool:
                        for i, c in enumerate(mat_vec(m, column)))):
         return False
     closed = {l: fri_derivative(fs, l, e)[0]
-              for cond in problem.conditions for _p, l, _c in cond.local_terms}
+              for l in {l for cond in problem.conditions for _p, l, _c in cond.local_terms}}
 
     def psi(cond: StieltjesCondition) -> Operator:
         terms = []

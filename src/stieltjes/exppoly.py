@@ -23,10 +23,10 @@ matters because every product adds the frequencies of all term pairs.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, perm
 
-from .constants import (_ONE, _ZERO, Constant, _join_signed, _ratio_latex, _ratio_text, _sum,
-                        _unit_part)
+from .constants import (_ONE, _ZERO, Constant, _join_signed, _part_value, _ratio_latex,
+                        _ratio_text, _sum, _unit_part)
 
 # A frequency key: an int when integral, else a Fraction (see above).
 Freq = int | Fraction
@@ -205,15 +205,15 @@ class ExpPoly:
         pairs = []
         for (freq, power), c in self._terms.items():
             if freq == 0:
-                pairs.append(((0, power + 1), c * Fraction(1, power + 1)))
+                pairs.append(((0, power + 1), _part_value(_unit_part(c, 1, power + 1, 0, 1))))
                 continue
-            # int x^P e^{lx} = sum_n r_n x^n e^{lx} with the rational
-            # r_n = (-1)^(P-n) P! / (n! l^(P-n+1)), so r_P = 1/l and
-            # r_(n-1) = -n r_n / l
-            r = 1 / Fraction(freq)
+            # int x^P e^{lx} = sum_n r_n x^n e^{lx}, r_n = (-1)^(P-n) P!/(n! l^(P-n+1)),
+            # built from 1/l = t/s in lowest terms as (-t)^(P-n) t P!/n! / s^(P-n+1)
+            s, t = abs(freq.numerator), freq.denominator if freq > 0 else -freq.denominator
             for n in range(power, -1, -1):
-                pairs.append(((freq, n), c * r))
-                r = -n * r / freq
+                p, q = perm(power, power - n) * (-t) ** (power - n) * t, s ** (power - n + 1)
+                g = gcd(p, q)
+                pairs.append(((freq, n), _part_value(_unit_part(c, p // g, q // g, 0, 1))))
         return _collect(pairs)
 
     def integrate_from(self, a) -> "ExpPoly":

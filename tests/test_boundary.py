@@ -180,6 +180,9 @@ class TestFriDerivative:
         lambda: Operator.derivative(2),
         lambda: Operator.derivative(2) - Operator.identity(),
         lambda: Operator.derivative(3) - Operator.derivative(1),
+        # roots 1, 1, -1: x*exp(x) in the basis
+        lambda: (Operator.derivative(3) - Operator.derivative(2) - Operator.derivative(1)
+                 + Operator.identity()),
     ])
     def test_matches_operator_product(self, make_T):
         T = make_T()

@@ -355,12 +355,21 @@ SPREAD_SPEC = {
     ],
 }
 
+# roots +-1 and +-2 with u(0) = u(1/2) = u(1) = u(100) = 0: only 800 grid
+# steps, but a dense solve of order 4 that wide takes seconds past the cap
+FAR_ORDER_4_SPEC = {
+    "operator": {"coeffs": ["4", "0", "-5", "0", "1"]},
+    "conditions": [{"local": [{"point": p, "order": 0, "coeff": "1"}]}
+                   for p in ("0", "1/2", "1", "100")],
+}
+
 
 @pytest.mark.parametrize("doc, argv", [
     (SPREAD_SPEC, ["solve"]),
     (SPREAD_SPEC, ["verify"]),
     (NONLOCAL_SPEC, ["solve", "--basepoint", "10000000"]),
-], ids=["solve", "verify", "basepoint"])
+    (FAR_ORDER_4_SPEC, ["verify"]),
+], ids=["solve", "verify", "basepoint", "order-4"])
 def test_exponent_spread_cap_exit_2(tmp_path, capsys, doc, argv):
     import time
 
