@@ -7,6 +7,15 @@ definite integrals against weight functions, stored as its functional
 regular problem the Green's operator is ``G = (1 - P) * T_inv`` where
 ``T_inv`` is the variation-of-constants right inverse and ``P`` projects onto
 ker T along the space of admissible functions.
+
+``P = sum_i v_i beta_i`` with ``v_i = sum_j u_j (M^-1)_ji``, M the evaluation
+matrix ``(beta_i(u_j))``, so ``G = T_inv - sum_i v_i psi_i`` with
+``psi_i = beta_i T_inv``.  The solve builds each ``psi_i`` in closed form,
+with no operator product: ``<p> d^l T_inv`` is ``fri_derivative`` evaluated
+at p, and an integral ``<b> int_a w`` is integrated by parts against
+``T_inv``.  A problem computes its fundamental system and the pair
+``(M, M^-1)`` once.  ``certify`` derives G a second way, by the products
+``beta_i * T_inv`` in the operator ring, and compares.
 """
 
 from __future__ import annotations
@@ -322,9 +331,12 @@ def check_exponent_spread(fs: FundamentalSystem, points) -> None:
 
 
 class BoundaryProblem:
-    """A monic differential operator of order n with n boundary conditions."""
+    """A monic differential operator of order n with n boundary conditions.
 
-    __slots__ = ("T", "conditions", "_fs")
+    The fundamental system and the evaluation matrix with its inverse are
+    computed on first use and kept."""
+
+    __slots__ = ("T", "conditions", "_fs", "_matrices")
 
     def __init__(self, T: Operator, conditions, basis=None):
         if not T.is_differential():
@@ -347,6 +359,7 @@ class BoundaryProblem:
         self.T = T
         self.conditions = conditions
         self._fs = basis
+        self._matrices = None
 
     @property
     def order(self) -> int:
@@ -356,6 +369,17 @@ class BoundaryProblem:
         if self._fs is None:
             self._fs = fundamental_system(self.T)
         return self._fs
+
+    def evaluation_inverse(self):
+        """The evaluation matrix M and its inverse; raises NotRegularError,
+        carrying M, when M is singular."""
+        if self._matrices is None:
+            m = evaluation_matrix(self.conditions, self.system())
+            try:
+                self._matrices = m, mat_inv(m)
+            except ValueError:
+                raise NotRegularError("boundary problem not regular", matrix=m) from None
+        return self._matrices
 
     def evaluation_points(self) -> set[Freq]:
         return set().union(*(cond.evaluation_points() for cond in self.conditions))
@@ -425,36 +449,60 @@ def projector(conditions, fs: FundamentalSystem) -> Operator:
     return out.to_equitable()
 
 
-def greens_operator(problem: BoundaryProblem, basepoint=None) -> Operator:
-    """The Green's operator G = (1 - P) T_inv of a regular problem.
+def _psi(fs: FundamentalSystem, cond: StieltjesCondition, e, closed) -> Operator:
+    """``beta T_inv`` in closed form, with T_inv at the basepoint e and
+    ``closed[l]`` the closed form of ``d^l T_inv`` for each local order l.
+    ``<p> d^l T_inv`` is ``closed[l]`` evaluated at p, and by parts
+    ``<b> int_a w T_inv = sum_j W_j(b) <b> int_e r_j - <b> int_a W_j r_j``
+    with ``W_j = int_a w u_j`` and ``r_j = cof_j / d``."""
+    terms = []
+    for p, l, c in cond.local_terms:
+        terms += [Operator.global_term(p, a, ExpPoly.const(c * g.eval_at(p)), right)
+                  for a, g, right in closed[l].integral_part]
+        terms += [Operator.evaluation(p, k, ExpPoly.const(c * g.eval_at(p)))
+                  for k, g in closed[l].diff_part.items()]
+    for a, b, w in cond.global_terms:
+        for uj, r in zip(fs.u, fs.ratios()):
+            W = (w * uj).integrate_from(a)
+            terms += [Operator.global_term(b, e, ExpPoly.const(W.eval_at(b)), r),
+                      Operator.global_term(b, a, -ExpPoly.one(), W * r)]
+    return Operator.sum(terms)
 
-    The integral basepoint defaults to the smallest evaluation point of the
-    problem, which keeps the extracted Green's function free of spurious
-    case branches.
+
+def greens_operator(problem: BoundaryProblem, basepoint=None) -> Operator:
+    """The Green's operator G = (1 - P) T_inv of a regular problem, built as
+    ``T_inv - sum_i v_i psi_i`` from the closed forms ``psi_i = beta_i T_inv``
+    (see the module docstring) with no operator product, and presented in
+    standard form at ``basepoint``.
+
+    T_inv is taken at the smallest evaluation point e, because G does not
+    depend on it.  The basepoint defaults to e, which keeps the extracted
+    Green's function free of spurious case branches.
     """
     fs = problem.system()
-    if basepoint is None:
-        basepoint = min(problem.evaluation_points(), default=0)
-    fri = fundamental_right_inverse(fs, basepoint)
-    p = projector(problem.conditions, fs)
-    # presented in standard form at the chosen basepoint
-    return (fri - p * fri).to_standard(basepoint)
+    e = min(problem.evaluation_points(), default=0)
+    _m, minv = problem.evaluation_inverse()
+    closed = {l: fri_derivative(fs, l, e)[0]
+              for l in {l for cond in problem.conditions for _p, l, _c in cond.local_terms}}
+    projected = [_psi(fs, cond, e, closed).left_mul(
+                     -ExpPoly.sum(uj * minv[j][i] for j, uj in enumerate(fs.u)))
+                 for i, cond in enumerate(problem.conditions)]
+    G = Operator.sum([fundamental_right_inverse(fs, e)] + projected)
+    return G.to_standard(e if basepoint is None else basepoint)
 
 
 def certify(problem: BoundaryProblem, Geq: Operator) -> bool:
     """Whether the construction proves ``T Geq = 1`` and ``beta_k Geq = 0``
     without applying Geq to a function: ``T u_j = 0``, the Wronskian residues
     ``rho_1..rho_n = 0, ..., 0, 1`` (so ``T T_inv = 1``), ``M M^-1 = I``, and
-    ``Geq = T_inv - sum_i v_i beta_i T_inv`` with ``v_i = sum_j u_j (M^-1)_ji``.
-    ``<p> d^l T_inv`` is ``fri_derivative`` at p, and by parts ``<b> int_a w
-    T_inv = sum_j W_j(b) <b> int_e r_j - <b> int_a W_j r_j`` (``W_j = int_a w u_j``,
-    ``r_j = cof_j / d``), so no operator product is taken.  G does not depend
-    on the basepoint e, which is the smallest evaluation point."""
+    ``Geq = T_inv - sum_i v_i (beta_i * T_inv)`` with
+    ``v_i = sum_j u_j (M^-1)_ji``.  The products ``beta_i * T_inv`` are taken
+    in the operator ring, so this derivation shares no step with the closed
+    form of ``greens_operator`` after T_inv and M^-1."""
     fs, n, e = problem.system(), problem.order, min(problem.evaluation_points(), default=0)
-    m = evaluation_matrix(problem.conditions, fs)
     try:
-        minv = mat_inv(m)
-    except ValueError:
+        m, minv = problem.evaluation_inverse()
+    except NotRegularError:
         return False
     if (any(not problem.T.apply(uj).is_zero() for uj in fs.u)
             or fri_residues(fs, n) != [ExpPoly.zero()] * (n - 1) + [ExpPoly.one()]
@@ -462,26 +510,11 @@ def certify(problem: BoundaryProblem, Geq: Operator) -> bool:
                        for j, column in enumerate(zip(*minv))
                        for i, c in enumerate(mat_vec(m, column)))):
         return False
-    closed = {l: fri_derivative(fs, l, e)[0]
-              for l in {l for cond in problem.conditions for _p, l, _c in cond.local_terms}}
-
-    def psi(cond: StieltjesCondition) -> Operator:
-        terms = []
-        for p, l, c in cond.local_terms:
-            terms += [Operator.global_term(p, a, ExpPoly.const(c * g.eval_at(p)), right)
-                      for a, g, right in closed[l].integral_part]
-            terms += [Operator.evaluation(p, k, ExpPoly.const(c * g.eval_at(p)))
-                      for k, g in closed[l].diff_part.items()]
-        for a, b, w in cond.global_terms:
-            for uj, r in zip(fs.u, fs.ratios()):
-                W = (w * uj).integrate_from(a)
-                terms += [Operator.global_term(b, e, ExpPoly.const(W.eval_at(b)), r),
-                          Operator.global_term(b, a, -ExpPoly.one(), W * r)]
-        return Operator.sum(terms)
-
-    projected = [psi(cond).left_mul(-ExpPoly.sum(uj * minv[j][i] for j, uj in enumerate(fs.u)))
+    fri = fundamental_right_inverse(fs, e)
+    projected = [(cond.as_operator() * fri).left_mul(
+                     -ExpPoly.sum(uj * minv[j][i] for j, uj in enumerate(fs.u)))
                  for i, cond in enumerate(problem.conditions)]
-    return Geq == Operator.sum([fundamental_right_inverse(fs, e)] + projected).to_equitable()
+    return Geq == Operator.sum([fri] + projected).to_equitable()
 
 
 def kernel_relations(fs: FundamentalSystem, a, b):

@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 
 from .boundary import (
     MAX_OPERATOR_ORDER,
@@ -330,7 +331,10 @@ def _cmd_kernel(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process: ``parse_args`` keeps
+    no state in it between calls."""
     parser = argparse.ArgumentParser(
         prog="stieltjes",
         description="Exact Green's operators and Green's functions for "
@@ -361,8 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     handlers = {"solve": _cmd_solve, "verify": _cmd_verify, "kernel": _cmd_kernel}
     try:
         code = handlers[args.command](args)

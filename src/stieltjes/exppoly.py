@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import comb, gcd, perm
 
 from .constants import (_ONE, _ZERO, Constant, _join_signed, _part_value, _ratio_latex,
-                        _ratio_text, _sum, _unit_part)
+                        _ratio_text, _sum, _times_units, _unit_part)
 
 # A frequency key: an int when integral, else a Fraction (see above).
 Freq = int | Fraction
@@ -84,6 +84,19 @@ def _collect(pairs) -> "ExpPoly":
     for key, c in pairs:
         slots.setdefault(key, []).append(c)
     return ExpPoly({key: cs[0] if len(cs) == 1 else Constant.sum(cs) for key, cs in slots.items()})
+
+
+def _product_sum(pairs) -> "ExpPoly":
+    """``sum f * g`` over (f, g) pairs of ExpPolys, as one accumulation: each
+    coefficient product is a ``_sum`` part, left unreduced when a factor is
+    a unit, and each output coefficient is reduced once."""
+    out: dict[Monomial, list] = {}
+    for f, g in pairs:
+        for (f1, n1), c1 in f._terms.items():
+            for (f2, n2), c2 in g._terms.items():
+                out.setdefault((_freq(f1 + f2), n1 + n2), []).append(
+                    _times_units(c1, c2, 1, 1, 0, 1))
+    return ExpPoly({key: _sum(parts) for key, parts in out.items()})
 
 
 class ExpPoly:

@@ -31,9 +31,10 @@ of Regensburger, Rosenkranz and Middeke).  The rules are::
 
 The product is one accumulation.  Each left term is composed with every
 right term under a unit left factor (``<p> d^i`` as ``d^i`` followed by one
-evaluation at p per key), the summands of each key are added once and
-multiplied by the term's left factor once, and the results of all left
-terms are added by one ``ExpPoly.sum`` per key.
+evaluation at p per key).  The pairs of a left factor f and a summand g are
+collected per key, and one product sum per key adds every ``f * g``
+coefficient product into one ``Constant`` sum per output monomial, so each
+output coefficient is reduced once.
 
 The action on a function h is one accumulation as well: every term puts
 its contributions to each output monomial into one list of ``Constant``
@@ -58,7 +59,7 @@ from math import comb
 
 from .constants import _ONE, Constant, _join_signed, _sum, _times_units
 from .errors import ParseError
-from .exppoly import ExpPoly, Freq, Monomial, _freq, _values
+from .exppoly import ExpPoly, Freq, Monomial, _freq, _product_sum, _values
 from .parsing import _derivative_order, _nonnegative_int, parse_exppoly, parse_rational
 
 # Part dictionaries: keys identify a term, values are left ExpPoly factors.
@@ -473,8 +474,8 @@ def _compose(u: Operator, v: Operator) -> Operator:
                           ((f, _evaluation_after(p, after[i])) for (p, i), f in u._local.items())):
         for target, part in zip(total, parts):
             for key, g in part.items():
-                _add(target, key, f * g)
-    return Operator(*_summed(total))
+                _add(target, key, (f, g))
+    return Operator(*[{key: _product_sum(pairs) for key, pairs in part.items()} for part in total])
 
 
 # -- function-style aliases ----------------------------------------------------

@@ -31,6 +31,7 @@ from stieltjes import (
     kernel_relations,
     projector,
 )
+from stieltjes.boundary import certify
 
 X = ExpPoly.x()
 ONE = ExpPoly.one()
@@ -259,8 +260,10 @@ class TestGreensOperator:
             Operator.derivative(2),
             [StieltjesCondition([(0, 1, 1)]), StieltjesCondition([(1, 1, 1)])],
         )
-        with pytest.raises(NotRegularError):
+        with pytest.raises(NotRegularError) as info:
             greens_operator(prob)
+        assert [[c.to_text() for c in row] for row in info.value.matrix] == [["0", "1"], ["0", "1"]]
+        assert not certify(prob, Operator.zero())
 
     def test_standard_form_at_default_basepoint(self):
         prob = nonlocal_problem()

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from stieltjes.cli import main, parse_problem
+from stieltjes.cli import build_parser, main, parse_problem
 
 INTRO_SPEC = {
     "operator": {"coeffs": ["0", "0", "1"]},
@@ -295,6 +295,20 @@ def test_console_entry_point():
         input=json.dumps(INTRO_SPEC), capture_output=True, text=True)
     assert result.returncode == 0
     assert json.loads(result.stdout)["report"]["verified"] is True
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    path = write_spec(tmp_path, INTRO_SPEC)
+    assert main(["solve", path, "--no-verify"]) == 0
+    assert "verification:" not in capsys.readouterr().out
+    # options of an earlier call do not carry over to the next
+    assert main(["solve", path]) == 0
+    assert "verified: True" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as info:
+        main(["kernel", path, "0"])
+    assert info.value.code == 2
+    assert main(["kernel", path, "0", "1"]) == 0
 
 
 def _intro_with_order(order):

@@ -1,14 +1,13 @@
 """The Wronskian data of a fundamental system are computed once: the rows
 ``u_j^(i)``, i < n, and the quotients ``r_j = cof_j / d`` are kept by
-``FundamentalSystem``, and ``certify`` derives the closed form of
+``FundamentalSystem``, and ``greens_operator`` derives the closed form of
 ``<p> d^l T_inv`` once per distinct order l, counted like the counters of
 ``test_one_antiderivative.py``."""
 
 from test_certificate import document_problems  # the 15 `documents` problems
 
 from stieltjes import ExpPoly, FundamentalSystem, boundary
-from stieltjes.boundary import certify, fri_residues
-from stieltjes.cli import solve_problem
+from stieltjes.boundary import fri_residues, greens_operator
 from stieltjes.parsing import parse_exppoly
 
 
@@ -25,17 +24,19 @@ def counter(monkeypatch, owner, name):
     return calls
 
 
-def test_certify_derives_each_order_once_and_never_inverts_d(monkeypatch):
-    solved = [(problem, solve_problem(problem)[1]) for problem in document_problems()]
+def test_greens_operator_derives_each_order_once_and_never_inverts_d(monkeypatch):
+    problems = document_problems()
     orders = [sorted(l for cond in problem.conditions for _p, l, _c in cond.local_terms)
-              for problem, _Geq in solved]
+              for problem in problems]
     # the documents repeat local orders, so one closed form per term would be more
     assert sum(map(len, orders)) > sum(len(set(o)) for o in orders)
+    for problem in problems:
+        problem.system()  # built once, with the one inverse of d
     closed = counter(monkeypatch, boundary, "fri_derivative")
     inverses = counter(monkeypatch, boundary, "_monomial_inverse")
-    for (problem, Geq), local_orders in zip(solved, orders):
+    for problem, local_orders in zip(problems, orders):
         closed.clear()
-        assert certify(problem, Geq)
+        greens_operator(problem)
         assert sorted(k for _fs, k, _e in closed) == sorted(set(local_orders))
     assert inverses == []
 
