@@ -44,37 +44,65 @@ def _freq(q) -> Freq:
 
 
 def _values(pairs, q: Freq, i: int = 0) -> list[tuple[Constant, tuple[int, int, int, int]]]:
-    """The value at q of the i-th derivative of the sum of ``c x^n e^(l x)``
-    over ((l, n), c) pairs with nonzero c, as the unit multiples ``(c, (p, r,
-    k, m))`` of the c, each ``c * p/r * e^(k/m)`` with the unit in lowest
-    terms and ``r, m > 0``, for ``_unit_part`` to leave unreduced.  By
-    Leibniz's rule the unit is ``s e^(l q)`` with
-    ``s = sum_{k <= min(i, n)} C(i, k) n!/(n-k)! q^(n-k) l^(i-k)``; a term
-    with ``s = 0`` gives no multiple.  The point is taken as it is, an int
+    """The value at q of the i-th derivative of the sum of ``c s/t x^n e^(l x)``
+    over the scaled pairs ((l, n), (c, s, t)) with nonzero c and s/t in
+    lowest terms, ``t > 0``, as the unit multiples ``(c, (p, r, k, m))`` of
+    the c, each ``c * p/r * e^(k/m)`` with the unit in lowest terms and
+    ``r, m > 0``, for ``_unit_part`` to leave unreduced.  By Leibniz's rule
+    the unit is ``s/t u e^(l q)`` with
+    ``u = sum_{k <= min(i, n)} C(i, k) n!/(n-k)! q^(n-k) l^(i-k)``; a term
+    with ``u = 0`` gives no multiple.  The point is taken as it is, an int
     or a Fraction, so no Fraction is built."""
     a, b = q.numerator, q.denominator
     out = []
-    for (freq, n), c in pairs:
+    for (freq, n), (c, s, t) in pairs:
         fa, fb = freq.numerator, freq.denominator
         if i:
-            # s over the common denominator b^n fb^i of its summands
-            s, falling, bd = 0, 1, b * fb
+            # u over the common denominator b^n fb^i of its summands
+            u, falling, bd = 0, 1, b * fb
             for k in range(min(i, n) + 1):
-                s += comb(i, k) * falling * a ** (n - k) * fa ** (i - k) * bd ** k
+                u += comb(i, k) * falling * a ** (n - k) * fa ** (i - k) * bd ** k
                 falling *= n - k
-            if not s:
+            if not u:
                 continue
-            r = b ** n * fb ** i
-            g = gcd(s, r)
-            p, r = s // g, r // g
+            p, r = u * s, b ** n * fb ** i * t
         elif n and not a:
             continue
         else:
-            p, r = a ** n, b ** n
+            p, r = a ** n * s, b ** n * t
+        g = gcd(p, r)
         k, m = fa * a, fb * b
-        g = gcd(k, m)
-        out.append((c, (p, r, k // g, m // g)))
+        h = gcd(k, m)
+        out.append((c, (p // g, r // g, k // h, m // h)))
     return out
+
+
+def _scaled(f: "ExpPoly") -> list:
+    """The terms of f as the scaled pairs of ``_values``, each scale 1/1."""
+    return [(key, (c, 1, 1)) for key, c in f._terms.items()]
+
+
+def _antiderivative(pairs) -> dict[Monomial, tuple[Constant, int, int]]:
+    """The integration routine of ``ExpPoly.antiderivative`` and
+    ``Operator.apply``: an antiderivative of the sum of ``c x^P e^(l x)``
+    over ((l, P), c) pairs, as the scaled pairs ``(c, p, q)`` of ``_values``.
+    A monomial that one pair reaches keeps its multiple ``c p/q`` unreduced;
+    the multiples that meet in one are added by one ``_sum``, a zero dropped."""
+    slots: dict[Monomial, list] = {}
+    for (freq, power), c in pairs:
+        if freq == 0:
+            slots.setdefault((0, power + 1), []).append((c, 1, power + 1))
+            continue
+        # int x^P e^{lx} = sum_n r_n x^n e^{lx}, r_n = (-1)^(P-n) P!/(n! l^(P-n+1)),
+        # built from 1/l = t/s in lowest terms as (-t)^(P-n) t P!/n! / s^(P-n+1)
+        s, t = abs(freq.numerator), freq.denominator if freq > 0 else -freq.denominator
+        for n in range(power, -1, -1):
+            p, q = perm(power, power - n) * (-t) ** (power - n) * t, s ** (power - n + 1)
+            g = gcd(p, q)
+            slots.setdefault((freq, n), []).append((c, p // g, q // g))
+    out = {key: us[0] if len(us) == 1 else (_sum([_unit_part(*u, 0, 1) for u in us]), 1, 1)
+           for key, us in slots.items()}
+    return {key: u for key, u in out.items() if not u[0].is_zero()}
 
 
 def _collect(pairs) -> "ExpPoly":
@@ -215,19 +243,9 @@ class ExpPoly:
         return out
 
     def antiderivative(self) -> "ExpPoly":
-        pairs = []
-        for (freq, power), c in self._terms.items():
-            if freq == 0:
-                pairs.append(((0, power + 1), _part_value(_unit_part(c, 1, power + 1, 0, 1))))
-                continue
-            # int x^P e^{lx} = sum_n r_n x^n e^{lx}, r_n = (-1)^(P-n) P!/(n! l^(P-n+1)),
-            # built from 1/l = t/s in lowest terms as (-t)^(P-n) t P!/n! / s^(P-n+1)
-            s, t = abs(freq.numerator), freq.denominator if freq > 0 else -freq.denominator
-            for n in range(power, -1, -1):
-                p, q = perm(power, power - n) * (-t) ** (power - n) * t, s ** (power - n + 1)
-                g = gcd(p, q)
-                pairs.append(((freq, n), _part_value(_unit_part(c, p // g, q // g, 0, 1))))
-        return _collect(pairs)
+        """The reduced form of ``_antiderivative``, which ``Operator.apply`` reads."""
+        return ExpPoly({key: _part_value(_unit_part(c, p, q, 0, 1))
+                        for key, (c, p, q) in _antiderivative(self._terms.items()).items()})
 
     def integrate_from(self, a) -> "ExpPoly":
         """The antiderivative F with F(a) = 0."""
@@ -235,7 +253,7 @@ class ExpPoly:
         return F - ExpPoly.const(F.eval_at(a))
 
     def eval_at(self, q) -> Constant:
-        return _sum([_unit_part(c, *unit) for c, unit in _values(self._terms.items(), _freq(q))])
+        return _sum([_unit_part(c, *unit) for c, unit in _values(_scaled(self), _freq(q))])
 
     # -- rendering --------------------------------------------------------
 

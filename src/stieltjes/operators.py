@@ -36,12 +36,13 @@ collected per key, and one product sum per key adds every ``f * g``
 coefficient product into one ``Constant`` sum per output monomial, so each
 output coefficient is reduced once.
 
-The action on a function h is one accumulation as well: every term puts
-its contributions to each output monomial into one list of ``Constant``
-summands, and each output coefficient is reduced once.  A boundary value is
-a sum of unit multiples of coefficients, never reduced on its own.  The
-value of the i-th derivative at p is read off the terms ``c x^n e^(l x)``
-of h, with no derivative of h built::
+The action on a function h is one accumulation as well, from an action
+plan built on the first application: the integral terms' left factors
+summed per right monomial m, and one signed left factor per boundary value
+``F_m(q)``, which several terms may share.  The antiderivative ``F_m`` of
+``m h`` and every boundary value are unit multiples of h's coefficients,
+never reduced on their own, and each output coefficient is reduced once.
+The i-th derivative at p is read off the terms ``c x^n e^(l x)`` of h::
 
     d^i (x^n e^(l x)) at p = r e^(l p),
     r = sum_{k <= min(i, n)} C(i, k) n!/(n-k)! p^(n-k) l^(i-k)
@@ -53,13 +54,13 @@ two non-units are multiplied out.
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import chain
 from math import comb
 
 from .constants import _ONE, Constant, _join_signed, _sum, _times_units
 from .errors import ParseError
-from .exppoly import ExpPoly, Freq, Monomial, _freq, _product_sum, _values
+from .exppoly import (ExpPoly, Freq, Monomial, _antiderivative, _freq, _product_sum, _scaled,
+                      _values)
 from .parsing import _derivative_order, _nonnegative_int, parse_exppoly, parse_rational
 
 # Part dictionaries: keys identify a term, values are left ExpPoly factors.
@@ -85,7 +86,8 @@ def _leibniz(n: int, g: ExpPoly):
 class Operator:
     """A normal-form element of the unified operator ring."""
 
-    __slots__ = ("_diff", "_integ", "_local", "_global")
+    # _plan, apply's action plan, is built on first use and kept out of ==, hash and JSON
+    __slots__ = ("_diff", "_integ", "_local", "_global", "_plan")
 
     def __init__(self, diff=None, integ=None, local=None, glob=None):
         self._diff: dict[DiffKey, ExpPoly] = {}
@@ -105,6 +107,7 @@ class Operator:
             p, a = _freq(p), _freq(a)
             if p != a and not f.is_zero():
                 self._global[(p, a, mono)] = f
+        self._plan = None
 
     # -- construction -------------------------------------------------------
 
@@ -269,37 +272,42 @@ class Operator:
         contributions to each output monomial into one list of ``_sum``
         parts, and each output coefficient is reduced once.
 
-        Only the differential part takes derivatives of h, each order once.
-        Each right monomial m is integrated once, to ``F_m``.  The integral
-        terms ``f_a int_a m`` of one m give ``(sum_a f_a) F_m``, one full
-        product per m (for a kernel's operator ``sum_a f_a`` is the m-part of
-        ``lower - upper``), and ``-f_a F_m(a)``.  A boundary value is a sum
-        of unit multiples of coefficients (``exppoly._values``):
-        ``F_m(p) - F_m(a)`` of ``f <p> int_a m``, and ``h^(i)(p)`` of
-        ``f <p> d^i``, read off each term ``c x^n e^(l x)`` of h as
-        ``c r e^(l p)`` with ``r = sum_{k <= min(i, n)} C(i, k) n!/(n-k)!
-        p^(n-k) l^(i-k)``.  Each multiple is multiplied into f coefficient by
+        The action plan is built on the first call: the left factors of the
+        integral terms ``f int_a m`` summed per m, and one signed left factor
+        per boundary value ``F_m(q)``, collecting ``-f`` of each
+        ``f int_q m``, ``f`` of each ``f <q> int_a m`` and ``-f`` of each
+        ``f <p> int_q m``; zero sums are dropped.  Only the differential
+        part takes derivatives of h, each order once.  Each right monomial
+        m is integrated once, by ``exppoly._antiderivative``, to ``F_m`` as
+        unit multiples of h's coefficients, with no ``ExpPoly`` built.  A
+        product of a left factor and ``h^(i)`` or ``F_m`` gives one part per
+        pair of terms.  A boundary value is a list of unit multiples
+        (``exppoly._values``): ``F_m(q)``, and ``h^(i)(p)`` of ``f <p> d^i``.
+        Each multiple is multiplied into its factor coefficient by
         coefficient, the unit folded into whichever factor is a unit."""
+        if self._plan is None:
+            lefts, bounds = {}, {}
+            for (a, m), f in self._integ.items():
+                _add(lefts, m, f)
+                _add(bounds, (m, a), -f)
+            for (p, a, m), f in self._global.items():
+                _add(bounds, (m, p), f)
+                _add(bounds, (m, a), -f)
+            self._plan = _summed([lefts, bounds])
+        lefts, bounds = self._plan
         derivs = h.derivatives(self.order())
-        lefts: dict[Monomial, list[ExpPoly]] = {}
-        for (_a, m), f in self._integ.items():
-            lefts.setdefault(m, []).append(f)
-        anti = {m: (_mono(m) * h).antiderivative()
-                for m in lefts.keys() | {m for _p, _a, m in self._global}}
-
-        @cache
-        def value(m: Monomial, q: Freq, sign: int) -> list:  # sign * F_m(q)
-            return [(c, (sign * p, *unit)) for c, (p, *unit) in _values(anti[m]._terms.items(), q)]
-
+        anti = {m: _antiderivative([((_freq(m[0] + l), m[1] + n), c)
+                                    for (l, n), c in h._terms.items()])
+                for m in lefts.keys() | {m for m, _q in bounds}}
         out: dict[Monomial, list] = {}
-        for f in ([f * derivs[i] for i, f in self._diff.items()]
-                  + [ExpPoly.sum(fs) * anti[m] for m, fs in lefts.items()]):
-            for key, c in f._terms.items():
-                out.setdefault(key, []).append((c._n, c._num, c._den, c))
-        for f, units in chain(
-                ((f, value(m, a, -1)) for (a, m), f in self._integ.items()),
-                ((f, _values(h._terms.items(), p, i)) for (p, i), f in self._local.items()),
-                ((f, value(m, p, 1) + value(m, a, -1)) for (p, a, m), f in self._global.items())):
+        for f, g in chain(((f, _scaled(derivs[i])) for i, f in self._diff.items()),
+                          ((f, anti[m].items()) for m, f in lefts.items())):
+            for (l1, n1), cf in f._terms.items():
+                for (l2, n2), (c, p, q) in g:
+                    out.setdefault((_freq(l1 + l2), n1 + n2), []).append(
+                        _times_units(cf, c, p, q, 0, 1))
+        for f, units in chain(((f, _values(anti[m].items(), q)) for (m, q), f in bounds.items()),
+                              ((f, _values(_scaled(h), *key)) for key, f in self._local.items())):
             for key, cf in f._terms.items():
                 out.setdefault(key, []).extend([_times_units(cf, c, *unit) for c, unit in units])
         return ExpPoly({key: _sum(parts) for key, parts in out.items()})

@@ -36,6 +36,12 @@ MAX_POWER = 50
 # use orders up to 4.
 MAX_DERIVATIVE_ORDER = 40
 
+# Python prints no int of over 4300 digits (int_max_str_digits), but
+# Fraction("1e9999") builds one; so a rational literal is capped there.
+MAX_LITERAL_DIGITS = 4300
+_LITERAL_BOUND = 10 ** MAX_LITERAL_DIGITS
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)$")
+
 _TOKEN = re.compile(r"\s*(?:(\d+)|(x(?:i)?|exp)|([()+\-*/^])|(\S))")
 
 
@@ -233,10 +239,17 @@ def parse_exppoly(text: str) -> ExpPoly:
 def parse_rational(text: str) -> Fraction:
     if type(text) is float:  # its binary value is rarely the number meant
         raise ParseError(f"bad rational literal {text!r}: write it as a string")
+    text = str(text).strip()
     try:
-        return Fraction(str(text).strip())
+        # Fraction builds 10^e first; past twice the cap the literal is too long anyway
+        exponent = _EXPONENT.search(text)
+        if exponent is None or abs(int(exponent.group(1))) <= 2 * MAX_LITERAL_DIGITS:
+            q = Fraction(text)
+            if max(abs(q.numerator), q.denominator) < _LITERAL_BOUND:
+                return q
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational literal {text!r}") from exc
+    raise ParseError(f"rational literal {text!r} has over {MAX_LITERAL_DIGITS} digits")
 
 
 def _nonnegative_int(value, what: str) -> int:

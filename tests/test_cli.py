@@ -495,6 +495,29 @@ def test_integer_literal_over_the_digit_limit_exit_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _far_point_spec(point):
+    doc = json.loads(json.dumps(INTRO_SPEC))
+    doc["conditions"][1]["local"][0]["point"] = point
+    return doc
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["kernel", "-", "1e9999", "0"], INTRO_SPEC),
+    (["solve", "-", "--basepoint", "1e9999"], INTRO_SPEC),
+    (["solve", "-", "--interval", "1e-5000,1"], INTRO_SPEC),
+    (["verify", "-"], _far_point_spec("1e9999")),
+], ids=["kernel-point", "basepoint", "interval", "document-point"])
+def test_rational_literal_over_the_digit_limit_exit_2(capsys, monkeypatch, argv, doc):
+    # Fraction("1e9999") builds 10^9999, and printing it later raised
+    # Python's int-to-str ValueError in a traceback
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: rational literal '1e") and err.endswith(" has over 4300 digits\n")
+
+
 # u^(10) = f with the ten characteristic roots -5..4, u^(i)(0) = 0 for i < 9
 # and u(1) = 0: the Wronskian by one cofactor expansion per determinant took 45 s
 def _roots_spec(roots):

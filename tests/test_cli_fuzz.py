@@ -34,9 +34,12 @@ LEAVES = [
     '"1/0"', '"x/0"', '"x/(x-x)"', '"0"', '"-1"', '"1/3"', '"x"', '"exp(x)"', '"xi"', '""',
     '"(("', '"x^"', '"1e5"', '"' + "9" * 40 + '"', '"-' + "9" * 40 + '"', '"1/' + "7" * 40 + '"',
     '"' + "9" * 5000 + '"', "9" * 5000, str(10**40), "-1", "0", "3", "41", "1.5", "1e999",
-    "true", "false", "null", "[]", "{}", '["0", "1"]', '{"point": "0"}',
+    "true", "false", "null", '"1e9999"', "[]", "{}", '["0", "1"]', '{"point": "0"}',
     "[" * 100000 + "]" * 100000, "[" * 30 + '"1"' + "]" * 30,
 ]
+# Rationals given on the command line: points, a basepoint and an interval
+RATIONALS = ["1e9999", "-1e-9999", "1e9999999", "1/0", "9" * 5000, "x", "", "1,2,3",
+             "0", "1", "-1/2", "2"]
 SENTINEL = "\x00leaf\x00"
 
 
@@ -109,6 +112,17 @@ FUZZ = settings(derandomize=True, database=None, deadline=None,
 @given(argv=st.sampled_from(COMMANDS), value=json_values)
 def test_arbitrary_json_values_end_in_an_exit_code(argv, value):
     assert run_main(argv, json.dumps(value)) in range(5)
+
+
+@settings(FUZZ, max_examples=100)
+@given(form=st.sampled_from(["kernel", "basepoint", "interval"]),
+       a=st.sampled_from(RATIONALS), b=st.sampled_from(RATIONALS))
+def test_command_line_rationals_end_in_an_exit_code(form, a, b):
+    # "--" and "=" keep a value such as -1e-9999 from being read as an option
+    argv = {"kernel": ["kernel", "-", "--", a, b],
+            "basepoint": ["solve", "-", f"--basepoint={a}"],
+            "interval": ["solve", "-", f"--interval={a},{b}"]}[form]
+    assert run_main(argv, json.dumps(INTRO_SPEC)) in range(5)
 
 
 @settings(FUZZ, max_examples=500)

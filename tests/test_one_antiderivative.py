@@ -2,9 +2,12 @@
 derivative order of its differential part once (a boundary value takes
 none): ``Operator.apply``, ``GreensFunction.apply_to`` and
 ``StieltjesCondition.apply``, counted like the ``apply_to`` counter of
-``test_agreement_gate.py``.  ``apply_to`` is the action of the kernel's
-operator, which needs ``K = lower - upper`` to be one bivariate, so a kernel
-whose ``K`` changes between intervals is refused for every f."""
+``test_agreement_gate.py``.  All three integrate through
+``exppoly._antiderivative``, which ``Operator.apply`` calls once per
+distinct right monomial and reads unreduced.  ``apply_to`` is the action of
+the kernel's operator, which needs ``K = lower - upper`` to be one
+bivariate, so a kernel whose ``K`` changes between intervals is refused for
+every f."""
 
 import random
 
@@ -19,7 +22,8 @@ from conftest import (
 )
 from test_cli import NONLOCAL_SPEC  # integral, global and dirac terms, two cells
 
-from stieltjes import BivariateExpPoly, ExpPoly, GreensFunction, extract, greens_operator
+from stieltjes import (BivariateExpPoly, ExpPoly, GreensFunction, extract, greens_operator,
+                       operators)
 from stieltjes.cli import parse_problem, solve_problem
 from stieltjes.greens import REGION_LOWER
 
@@ -34,6 +38,19 @@ def counter(monkeypatch, name):
         return method(self, *args)
 
     monkeypatch.setattr(ExpPoly, name, counted)
+    return calls
+
+
+def integrations(monkeypatch):
+    """Record every call of the integration routine of ``Operator.apply``."""
+    calls = []
+    original = operators._antiderivative
+
+    def counted(pairs):
+        calls.append(pairs)
+        return original(pairs)
+
+    monkeypatch.setattr(operators, "_antiderivative", counted)
     return calls
 
 
@@ -52,7 +69,7 @@ def test_operator_apply_integrates_each_right_monomial_once(monkeypatch, nonloca
     # only the differential part derives h: a boundary value h^(i)(p) is
     # taken from h's coefficients, with no derivative built
     top = G.order()
-    antiderivative = counter(monkeypatch, "antiderivative")
+    antiderivative = integrations(monkeypatch)
     derive = counter(monkeypatch, "derive")
     for f in forcing_functions():
         antiderivative.clear()
@@ -74,7 +91,7 @@ def kernels():
 @pytest.mark.parametrize("gf", kernels(), ids=["nonlocal", "four-point", "four-breakpoint"])
 def test_apply_to_integrates_each_xi_monomial_once(monkeypatch, gf):
     monomials = {B for _lo, _hi, _region, branch in gf.case_rows() for _A, B in branch.pairs()}
-    antiderivative = counter(monkeypatch, "antiderivative")
+    antiderivative = integrations(monkeypatch)
     for f in forcing_functions():
         antiderivative.clear()
         gf.apply_to(f)
@@ -86,7 +103,7 @@ def test_condition_apply_derives_each_order_once(monkeypatch):
                   + exponential_four_point_problem().conditions)
     assert max(cond.max_local_order() for cond in conditions) == 3
     derive = counter(monkeypatch, "derive")
-    antiderivative = counter(monkeypatch, "antiderivative")
+    antiderivative = integrations(monkeypatch)
     for cond in conditions:
         for f in forcing_functions():
             derive.clear()
@@ -108,8 +125,9 @@ def test_a_kernel_not_smooth_across_breakpoints_is_refused_for_every_f(f):
 
 
 def test_standard_and_equitable_forms_act_alike_on_the_suite():
-    """Global terms share antiderivative values with the integral terms of
-    the standard form; the equitable form has none."""
+    """Global terms share boundary values ``F_m(q)`` with the integral
+    terms of the standard form, and the action plan merges their left
+    factors into one per value; the equitable form has no global terms."""
     rng = random.Random(2024)
     with_global = 0
     for _ in range(50):

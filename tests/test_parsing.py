@@ -67,6 +67,25 @@ def test_errors():
         parse_rational("one")
 
 
+@pytest.mark.parametrize("text, value", [
+    ("1e4299", F(10**4299)), ("-1e-4299", F(-1, 10**4299)), ("0.25e2", F(25)), ("0e999", F(0)),
+])
+def test_rational_literals_up_to_the_digit_limit(text, value):
+    assert parse_rational(text) == value
+
+
+@pytest.mark.parametrize("text", ["1e4300", "-1e-4300", "0.5e-4300", "1e9999999", "1e-9999999",
+                                  "0e9999999"])
+def test_rational_literals_over_the_digit_limit_are_refused_at_once(text):
+    # 10^e is not built for an exponent e beyond twice the limit
+    import time
+
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="has over 4300 digits"):
+        parse_rational(text)
+    assert time.perf_counter() - start < 0.5
+
+
 def test_text_roundtrip_randomized():
     rng = random.Random(23)
     for _ in range(30):
