@@ -20,7 +20,7 @@ coprime); division by a primitive gcd is exact over Z by Gauss's lemma, and
 the gcd comes with both quotients.  Every operation cancels its polynomial
 gcds first and then hands the terms to one routine, ``_part_value``, which
 divides out the joint integer content and the grid step (the gcd of ``N``
-and every exponent); only rationals skip it.
+and every exponent); only a sum of rationals skips it.
 ``Fraction`` appears only at the boundary: the constructors, the
 ``num``/``den``/``as_rational``/``as_monomial`` views and JSON.
 
@@ -34,19 +34,20 @@ by ``gcd(num, D)``, which is skipped for one member or ``D = 1``.  Only the
 partial sums of different ``D`` are added by Henrici's method (Knuth, TAOCP
 vol. 2, 4.5.1): with ``g = gcd(d1, d2)``, only ``gcd(num, g)`` can cancel.
 
-Products.  A unit ``p/q * t^k``, one numerator term over one denominator
-term, has no divisors but units, so no polynomial gcd can cancel against
-it: its product with a reduced ``N/D`` is ``p*t^k*N / (q*D)``, reduced up to
-an integer and a power of ``t``.  Its terms keep their order, so the product
-needs no dict and no sort before ``_part_value`` divides out the content and
-the grid step (``e^(1/2) * e^(1/2)`` is on grid 1).  An evaluation ``f(x)``
-is one sum of such unit multiples that are left unreduced; a multiple is
-reduced only when no other summand shares its denominator.  A product of
-two scalars and a unit, as in an operator's action, folds the unit into
-whichever scalar is itself a unit, and stays an unreduced summand too.
-Two rationals take one integer gcd, and a sum of rationals one lcm and one
-gcd.  Only two non-units cancel crosswise, by ``gcd(N1, D2)`` and
-``gcd(N2, D1)``, so the product needs no further gcd.
+Products.  Every product is one routine, ``_times_units``: ``c * d * u``
+for two scalars and a unit ``u = p/q * t^k``, as a summand of ``_sum``;
+``*`` is the case ``u = 1``, finished by ``_part_value``.  A unit, one
+numerator term over one denominator term, has no divisors but units, so no
+polynomial gcd can cancel against it: u is folded into whichever of c and
+d is itself a unit, and its product with the other, a reduced ``N/D``,
+is ``p*t^k*N / (q*D)``, reduced up to an integer and a power of ``t``.  Its
+terms keep their order, so it needs no dict and no sort before
+``_part_value`` divides out the content and the grid step
+(``e^(1/2) * e^(1/2)`` is on grid 1).  A sum of such products, as in an
+evaluation ``f(x)``, a product of functions or an operator's action, leaves
+them unreduced: a summand is reduced only when no other shares its
+denominator.  Only two non-units cancel crosswise, by ``gcd(N1, D2)`` and
+``gcd(N2, D1)``, so their product needs no further gcd.
 
 Rendering reads the stored integers: each exponent ``k/N`` and each
 coefficient over the leading denominator coefficient is put in lowest terms
@@ -244,7 +245,10 @@ Part = tuple
 def _unit_part(c: "Constant", p: int, q: int, k: int, m: int) -> Part:
     """The summand ``c * p/q * e^(k/m)`` of ``_sum``, for a nonzero c and a
     unit in lowest terms with ``q > 0``, left unreduced: the terms of c keep
-    their order, so the denominator stays anchored and positive."""
+    their order, so the denominator stays anchored and positive; for the
+    unit 1, c's own canonical part, which is not reduced again."""
+    if p == q == 1 and not k:
+        return (c._n, c._num, c._den, c)
     n = lcm(c._n, m)
     f, k = n // c._n, k * (n // m)
     return (n, tuple([(e * f + k, a * p) for e, a in c._num]),
@@ -255,23 +259,38 @@ def _times_units(c: "Constant", d: "Constant", p: int, q: int, k: int, m: int) -
     """The summand ``c * d * p/q * e^(k/m)`` of ``_sum``, for nonzero c and
     d and a unit in lowest terms with ``q > 0``.  The unit is folded into c
     or d, whichever is itself a unit, and ``_unit_part`` multiplies the
-    other factor by the merged unit; only two non-units are multiplied."""
+    other factor by the merged unit; only two non-units are multiplied, by
+    ``_cross_product``."""
     if len(c._num) == len(c._den) == 1:
         c, d = d, c
     elif len(d._num) != 1 or len(d._den) != 1:
-        return _unit_part(c * d, p, q, k, m)
+        return _unit_part(_cross_product(c, d), p, q, k, m)
     # d = a/b * e^(j/n) times p/q * e^(k/m), in lowest terms on the grid lcm(n, m)
     (j, a), = d._num
-    n = d._n
-    grid = lcm(n, m)
+    n, grid = d._n, lcm(d._n, m)
     a, q, k = a * p, d._den[0][1] * q, j * (grid // n) + k * (grid // m)
     g, h = gcd(a, q), gcd(k, grid)
     return _unit_part(c, a // g, q // g, k // h, grid // h)
 
 
+def _cross_product(c: "Constant", d: "Constant") -> "Constant":
+    """``c * d`` for two non-units: both are reduced, so cancelling
+    ``gcd(N1, D2)`` and ``gcd(N2, D1)`` leaves a product that needs no gcd."""
+    n = lcm(c._n, d._n)
+    n1, d1 = c._polys(n)
+    n2, d2 = d._polys(n)
+    r = _poly_gcd(n1, d2)
+    if r is not None:
+        _, n1, d2 = r
+    r = _poly_gcd(n2, d1)
+    if r is not None:
+        _, n2, d1 = r
+    return _make(n, _pmul(n1, n2), _pmul(d1, d2))
+
+
 def _part_value(part: Part) -> "Constant":
     """The canonical value of a part: the one routine that finishes every
-    value that is not rational.  Only the joint integer content and the grid
+    value but a sum of rationals.  Only the joint integer content and the grid
     step are left to divide out."""
     n, num, den, c = part
     if c is not None:
@@ -503,27 +522,7 @@ class Constant:
             return NotImplemented
         if not self._num or not other._num:
             return _ZERO
-        a, b = (other, self) if len(other._num) == len(other._den) == 1 else (self, other)
-        if len(a._num) == len(a._den) == 1:
-            # a = p/q * t^k is a unit: no gcd is needed (see the module docstring)
-            (k, p), = a._num
-            q = a._den[0][1]
-            if not k and len(b._num) == len(b._den) == 1 and not b._num[0][0]:
-                x, y = p * b._num[0][1], q * b._den[0][1]
-                g = gcd(x, y)
-                return _stored(1, ((0, x // g),), ((0, y // g),))
-            return _part_value(_unit_part(b, p, q, k, a._n))
-        n = lcm(self._n, other._n)
-        n1, d1 = self._polys(n)
-        n2, d2 = other._polys(n)
-        # inputs are reduced; cross-cancel so the product needs no gcd
-        r = _poly_gcd(n1, d2)
-        if r is not None:
-            _, n1, d2 = r
-        r = _poly_gcd(n2, d1)
-        if r is not None:
-            _, n2, d1 = r
-        return _make(n, _pmul(n1, n2), _pmul(d1, d2))
+        return _part_value(_times_units(self, other, 1, 1, 0, 1))
 
     __rmul__ = __mul__
 

@@ -10,8 +10,10 @@ An ``ExpPoly`` is stored as one sparse dict from the monomial key ``(l, n)``
 to a nonzero coefficient: the key of the operator ring's right factors and
 of the ``xi`` monomials of ``BivariateExpPoly``, which represents finite sums
 ``sum f_i(x) * g_i(xi)`` with the ``xi`` factor split into monomials so that
-equality is structural.  A sum, product or derivative collects the
-coefficients of each key and adds them by one ``Constant.sum``.
+equality is structural.  Every sum, product, derivative and definite
+integral, and ``Operator.apply``, ends in one finisher, ``_accumulate``: a
+contribution to a monomial is a coefficient times a unit, left unreduced,
+and each output coefficient is reduced once, by one ``_sum``.
 
 A frequency is stored as an ``int`` when it is integral and as a ``Fraction``
 otherwise.  The two compare and hash alike, so dict lookups, ``==``, ``hash``
@@ -23,6 +25,7 @@ matters because every product adds the frequencies of all term pairs.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import comb, gcd, perm
 
 from .constants import (_ONE, _ZERO, Constant, _join_signed, _part_value, _ratio_latex,
@@ -105,26 +108,25 @@ def _antiderivative(pairs) -> dict[Monomial, tuple[Constant, int, int]]:
     return {key: u for key, u in out.items() if not u[0].is_zero()}
 
 
-def _collect(pairs) -> "ExpPoly":
-    """The ExpPoly of (monomial, coefficient) pairs: the coefficients that
-    meet in one monomial are added by one ``Constant.sum``."""
-    slots: dict[Monomial, list[Constant]] = {}
-    for key, c in pairs:
-        slots.setdefault(key, []).append(c)
-    return ExpPoly({key: cs[0] if len(cs) == 1 else Constant.sum(cs) for key, cs in slots.items()})
+def _accumulate(pairs) -> "ExpPoly":
+    """The finisher of all ExpPoly arithmetic: the ExpPoly of (monomial,
+    ``_sum`` part) pairs, the parts of each monomial added by one ``_sum``."""
+    out: dict[Monomial, list] = {}
+    for key, part in pairs:
+        out.setdefault(key, []).append(part)
+    return ExpPoly({key: _sum(parts) for key, parts in out.items()})
+
+
+def _products(f: "ExpPoly", g) -> list:
+    """The (monomial, part) pairs of ``f * g`` for g given as the scaled
+    pairs of ``_values``: one ``_times_units`` part per pair of terms."""
+    return [((_freq(l1 + l2), n1 + n2), _times_units(c1, c2, p, q, 0, 1))
+            for (l1, n1), c1 in f._terms.items() for (l2, n2), (c2, p, q) in g]
 
 
 def _product_sum(pairs) -> "ExpPoly":
-    """``sum f * g`` over (f, g) pairs of ExpPolys, as one accumulation: each
-    coefficient product is a ``_sum`` part, left unreduced when a factor is
-    a unit, and each output coefficient is reduced once."""
-    out: dict[Monomial, list] = {}
-    for f, g in pairs:
-        for (f1, n1), c1 in f._terms.items():
-            for (f2, n2), c2 in g._terms.items():
-                out.setdefault((_freq(f1 + f2), n1 + n2), []).append(
-                    _times_units(c1, c2, 1, 1, 0, 1))
-    return ExpPoly({key: _sum(parts) for key, parts in out.items()})
+    """``sum f * g`` over (f, g) pairs of ExpPolys, as one accumulation."""
+    return _accumulate(chain(*[_products(f, _scaled(g)) for f, g in pairs]))
 
 
 class ExpPoly:
@@ -186,8 +188,9 @@ class ExpPoly:
     def sum(cls, items) -> "ExpPoly":
         """The sum of exponential polynomials, merged in one pass: the
         coefficients of each monomial that several summands share are added
-        by one ``Constant.sum``."""
-        return _collect(pair for item in items for pair in item._terms.items())
+        by one ``_sum``."""
+        return _accumulate([(key, _unit_part(c, 1, 1, 0, 1))
+                            for item in items for key, c in item._terms.items()])
 
     def __add__(self, other):
         if not isinstance(other, ExpPoly):
@@ -204,9 +207,7 @@ class ExpPoly:
 
     def __mul__(self, other):
         if isinstance(other, ExpPoly):
-            return _collect(((_freq(f1 + f2), n1 + n2), c1 * c2)
-                            for (f1, n1), c1 in self._terms.items()
-                            for (f2, n2), c2 in other._terms.items())
+            return _product_sum(((self, other),))
         c = Constant._coerce(other)
         if c is None:
             return NotImplemented
@@ -231,8 +232,10 @@ class ExpPoly:
         result = self
         for _ in range(times):
             terms = result._terms.items()
-            result = _collect([((freq, n - 1), c * n) for (freq, n), c in terms if n]
-                              + [((freq, n), c * freq) for (freq, n), c in terms if freq])
+            result = _accumulate(
+                [((l, n - 1), _unit_part(c, n, 1, 0, 1)) for (l, n), c in terms if n]
+                + [((l, n), _unit_part(c, l.numerator, l.denominator, 0, 1))
+                   for (l, n), c in terms if l])
         return result
 
     def derivatives(self, n: int) -> list["ExpPoly"]:
@@ -243,14 +246,18 @@ class ExpPoly:
         return out
 
     def antiderivative(self) -> "ExpPoly":
-        """The reduced form of ``_antiderivative``, which ``Operator.apply`` reads."""
+        """The reduced form of ``_antiderivative``, which ``integrate_from`` and
+        ``Operator.apply`` read unreduced."""
         return ExpPoly({key: _part_value(_unit_part(c, p, q, 0, 1))
                         for key, (c, p, q) in _antiderivative(self._terms.items()).items()})
 
     def integrate_from(self, a) -> "ExpPoly":
-        """The antiderivative F with F(a) = 0."""
-        F = self.antiderivative()
-        return F - ExpPoly.const(F.eval_at(a))
+        """The antiderivative F with F(a) = 0: the unit multiples of
+        ``_antiderivative``, and at the monomial 1 those of ``-F(a)``."""
+        F = _antiderivative(self._terms.items())
+        return _accumulate([*[(key, _unit_part(c, p, q, 0, 1)) for key, (c, p, q) in F.items()],
+                            *[((0, 0), _unit_part(c, -p, r, k, m))
+                              for c, (p, r, k, m) in _values(F.items(), _freq(a))]])
 
     def eval_at(self, q) -> Constant:
         return _sum([_unit_part(c, *unit) for c, unit in _values(_scaled(self), _freq(q))])

@@ -32,24 +32,23 @@ of Regensburger, Rosenkranz and Middeke).  The rules are::
 The product is one accumulation.  Each left term is composed with every
 right term under a unit left factor (``<p> d^i`` as ``d^i`` followed by one
 evaluation at p per key).  The pairs of a left factor f and a summand g are
-collected per key, and one product sum per key adds every ``f * g``
-coefficient product into one ``Constant`` sum per output monomial, so each
-output coefficient is reduced once.
+collected per key, and one ``exppoly._product_sum`` per key hands every
+``f * g`` coefficient product to the finisher of ExpPoly arithmetic,
+``exppoly._accumulate``, so each output coefficient is reduced once.
 
-The action on a function h is one accumulation as well, from an action
-plan built on the first application: the integral terms' left factors
-summed per right monomial m, and one signed left factor per boundary value
+The action on a function h ends in the same finisher, from an action plan
+built on the first application: the integral terms' left factors summed
+per right monomial m, and one signed left factor per boundary value
 ``F_m(q)``, which several terms may share.  The antiderivative ``F_m`` of
 ``m h`` and every boundary value are unit multiples of h's coefficients,
-never reduced on their own, and each output coefficient is reduced once.
-The i-th derivative at p is read off the terms ``c x^n e^(l x)`` of h::
+never reduced on their own.  The i-th derivative at p is read off the
+terms ``c x^n e^(l x)`` of h::
 
     d^i (x^n e^(l x)) at p = r e^(l p),
     r = sum_{k <= min(i, n)} C(i, k) n!/(n-k)! p^(n-k) l^(i-k)
 
-A left coefficient times such a multiple is one summand: the unit is
-folded into whichever of the two coefficients is itself a unit, and only
-two non-units are multiplied out.
+A left coefficient times such a multiple is one summand, a
+``constants._times_units`` part.
 """
 
 from __future__ import annotations
@@ -57,10 +56,10 @@ from __future__ import annotations
 from itertools import chain
 from math import comb
 
-from .constants import _ONE, Constant, _join_signed, _sum, _times_units
+from .constants import _ONE, Constant, _join_signed, _times_units
 from .errors import ParseError
-from .exppoly import (ExpPoly, Freq, Monomial, _antiderivative, _freq, _product_sum, _scaled,
-                      _values)
+from .exppoly import (ExpPoly, Freq, Monomial, _accumulate, _antiderivative, _freq, _product_sum,
+                      _products, _scaled, _values)
 from .parsing import _derivative_order, _nonnegative_int, parse_exppoly, parse_rational
 
 # Part dictionaries: keys identify a term, values are left ExpPoly factors.
@@ -268,23 +267,20 @@ class Operator:
     # -- action on functions ----------------------------------------------------
 
     def apply(self, h: ExpPoly) -> ExpPoly:
-        """The action on h, as one accumulation: every term puts its
-        contributions to each output monomial into one list of ``_sum``
-        parts, and each output coefficient is reduced once.
+        """The action on h, as one accumulation (see the module docstring).
 
-        The action plan is built on the first call: the left factors of the
-        integral terms ``f int_a m`` summed per m, and one signed left factor
-        per boundary value ``F_m(q)``, collecting ``-f`` of each
-        ``f int_q m``, ``f`` of each ``f <q> int_a m`` and ``-f`` of each
-        ``f <p> int_q m``; zero sums are dropped.  Only the differential
-        part takes derivatives of h, each order once.  Each right monomial
-        m is integrated once, by ``exppoly._antiderivative``, to ``F_m`` as
-        unit multiples of h's coefficients, with no ``ExpPoly`` built.  A
-        product of a left factor and ``h^(i)`` or ``F_m`` gives one part per
-        pair of terms.  A boundary value is a list of unit multiples
-        (``exppoly._values``): ``F_m(q)``, and ``h^(i)(p)`` of ``f <p> d^i``.
-        Each multiple is multiplied into its factor coefficient by
-        coefficient, the unit folded into whichever factor is a unit."""
+        The action plan, built on the first call, sums the left factors of
+        the integral terms ``f int_a m`` per m, and collects one signed left
+        factor per boundary value ``F_m(q)``: ``-f`` of each ``f int_q m``,
+        ``f`` of each ``f <q> int_a m`` and ``-f`` of each ``f <p> int_q m``;
+        zero sums are dropped.  Only the differential part takes derivatives
+        of h, each order once.  Each right monomial m is integrated once, by
+        ``exppoly._antiderivative``, to ``F_m`` as unit multiples of h's
+        coefficients.  A product of a left factor and ``h^(i)`` or ``F_m``
+        gives one part per pair of terms (``exppoly._products``), and a
+        boundary value, ``F_m(q)`` or ``h^(i)(p)`` of ``f <p> d^i``, is a
+        list of unit multiples (``exppoly._values``), each multiplied into
+        the left factor coefficient by coefficient."""
         if self._plan is None:
             lefts, bounds = {}, {}
             for (a, m), f in self._integ.items():
@@ -299,18 +295,14 @@ class Operator:
         anti = {m: _antiderivative([((_freq(m[0] + l), m[1] + n), c)
                                     for (l, n), c in h._terms.items()])
                 for m in lefts.keys() | {m for m, _q in bounds}}
-        out: dict[Monomial, list] = {}
-        for f, g in chain(((f, _scaled(derivs[i])) for i, f in self._diff.items()),
-                          ((f, anti[m].items()) for m, f in lefts.items())):
-            for (l1, n1), cf in f._terms.items():
-                for (l2, n2), (c, p, q) in g:
-                    out.setdefault((_freq(l1 + l2), n1 + n2), []).append(
-                        _times_units(cf, c, p, q, 0, 1))
-        for f, units in chain(((f, _values(anti[m].items(), q)) for (m, q), f in bounds.items()),
-                              ((f, _values(_scaled(h), *key)) for key, f in self._local.items())):
-            for key, cf in f._terms.items():
-                out.setdefault(key, []).extend([_times_units(cf, c, *unit) for c, unit in units])
-        return ExpPoly({key: _sum(parts) for key, parts in out.items()})
+        products = chain(((f, _scaled(derivs[i])) for i, f in self._diff.items()),
+                         ((f, anti[m].items()) for m, f in lefts.items()))
+        values = chain(((f, _values(anti[m].items(), q)) for (m, q), f in bounds.items()),
+                       ((f, _values(_scaled(h), *key)) for key, f in self._local.items()))
+        return _accumulate(chain(
+            *[_products(f, g) for f, g in products],
+            [(key, _times_units(cf, c, *unit))
+             for f, units in values for key, cf in f._terms.items() for c, unit in units]))
 
     # -- translation between standard and equitable form ------------------------
 

@@ -240,6 +240,7 @@ def parse_rational(text: str) -> Fraction:
     if type(text) is float:  # its binary value is rarely the number meant
         raise ParseError(f"bad rational literal {text!r}: write it as a string")
     text = str(text).strip()
+    quoted = repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
     try:
         # Fraction builds 10^e first; past twice the cap the literal is too long anyway
         exponent = _EXPONENT.search(text)
@@ -248,8 +249,8 @@ def parse_rational(text: str) -> Fraction:
             if max(abs(q.numerator), q.denominator) < _LITERAL_BOUND:
                 return q
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational literal {text!r}") from exc
-    raise ParseError(f"rational literal {text!r} has over {MAX_LITERAL_DIGITS} digits")
+        raise ParseError(f"bad rational literal {quoted}") from exc
+    raise ParseError(f"rational literal {quoted} has over {MAX_LITERAL_DIGITS} digits")
 
 
 def _nonnegative_int(value, what: str) -> int:

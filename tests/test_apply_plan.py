@@ -84,13 +84,14 @@ def test_dense_forcing_gives_one_part_per_pair(monkeypatch, suite_greens_operato
         for op in (G, G.to_equitable()):
             assert op.apply(DENSE) == reference_apply(op, DENSE)
     parts = []
-    original = operators._sum
+    original = operators._accumulate
 
-    def counted(summands):
-        parts.append(len(summands))
-        return original(summands)
+    def counted(pairs):  # the (monomial, part) pairs that apply hands to the finisher
+        pairs = list(pairs)
+        parts.append(len(pairs))
+        return original(pairs)
 
-    monkeypatch.setattr(operators, "_sum", counted)
+    monkeypatch.setattr(operators, "_accumulate", counted)
     met = 0
     for G in suite_greens_operators:
         for a, f, g in G.integral_part:
@@ -100,7 +101,8 @@ def test_dense_forcing_gives_one_part_per_pair(monkeypatch, suite_greens_operato
             # the pairs (term of m h, monomial of F_m) that integration reaches
             reached = sum(n + 1 if l else 1 for (l, n) in (g * DENSE)._terms)
             met += reached > len(F._terms)
+            op = Operator.integral(a, f, g)
             parts.clear()
-            Operator.integral(a, f, g).apply(DENSE)
+            op.apply(DENSE)
             assert sum(parts) == len(f._terms) * (len(F._terms) + len(at_a))
     assert met

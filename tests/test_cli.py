@@ -518,6 +518,19 @@ def test_rational_literal_over_the_digit_limit_exit_2(capsys, monkeypatch, argv,
     assert err.startswith("error: rational literal '1e") and err.endswith(" has over 4300 digits\n")
 
 
+@pytest.mark.parametrize("literal", ["9" * 5000, "a" * 3000], ids=["5000-nines", "3000-letters"])
+def test_a_long_rational_literal_is_quoted_by_a_bounded_prefix(capsys, monkeypatch, literal):
+    # both errors of parse_rational quote a bounded prefix and the length, not the literal
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(INTRO_SPEC)))
+    assert main(["kernel", "-", literal, "0"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 200
+    assert err.startswith(f"error: bad rational literal {literal[:20]!r}...")
+    assert f"({len(literal)} characters)" in err
+
+
 # u^(10) = f with the ten characteristic roots -5..4, u^(i)(0) = 0 for i < 9
 # and u(1) = 0: the Wronskian by one cofactor expansion per determinant took 45 s
 def _roots_spec(roots):

@@ -85,7 +85,9 @@ def test_operands_evaluate_like_their_description():
         assert_close(constant_value(c), expected, abs(expected))
 
 
-def test_random_operations_match_numeric_oracle():
+def check_random_operations():
+    """Assert that 250 seeded field operations on a growing pool of operands
+    agree with mpmath, and that a sum or product undone is the operand."""
     rng = random.Random(2024)
     pool = [random_operand(rng)[1] for _ in range(12)]
     pool += [Constant.from_rational(F(3, 7)), Constant.e_power(F(1, 2), -2)]
@@ -110,6 +112,10 @@ def test_random_operations_match_numeric_oracle():
         grown = a * b + a
         if rng.random() < 0.3 and len(pool) < 40 and not grown.is_zero():
             pool.append(grown)
+
+
+def test_random_operations_match_numeric_oracle():
+    check_random_operations()
 
 
 def test_shared_factor_denominators():

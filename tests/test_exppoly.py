@@ -157,3 +157,48 @@ class TestFrequencyKeys:
                     == Operator.multiplication(as_fraction).to_json())
             mono = BivariateExpPoly.tensor(ONE, as_int)
             assert mono.to_text() == BivariateExpPoly.tensor(ONE, as_fraction).to_text()
+
+
+def _reached(f: ExpPoly) -> list:
+    """The antiderivative monomials that each term of f reaches, with repeats."""
+    return [key for (l, n) in f._terms for key in ([(0, n + 1)] if l == 0
+                                                    else [(l, k) for k in range(n + 1)])]
+
+
+def test_integrate_from_reduces_each_output_coefficient_once(monkeypatch):
+    """``integrate_from`` reads ``-F(a)`` off the unreduced multiples of the
+    antiderivative, with no ``eval_at`` and no subtraction, and reduces each
+    output coefficient by one ``_sum``; the multiples that meet in one
+    monomial of F are added once before, by ``_antiderivative``."""
+    from stieltjes import exppoly
+
+    e = Constant.e_power(1)
+    sparse = (X * X * EX + ExpPoly.monomial(-1, 0, Constant.e_power(F(1, 2), 3))
+              + ExpPoly.monomial(F(1, 3), 1, 1 / (e - 1)) + X * ((e + 2) / (e * e - 3)))
+    dense = ExpPoly.sum([ExpPoly.monomial(1, n, n + 1) for n in range(6)] + [sparse])
+    sums = []
+    original = exppoly._sum
+
+    def counted(parts):
+        sums.append(parts)
+        return original(parts)
+
+    def refused(*args):
+        raise AssertionError("integrate_from evaluated or subtracted an ExpPoly")
+
+    for f in (sparse, dense):
+        reached = _reached(f)
+        met = len({key for key in reached if reached.count(key) > 1})
+        assert bool(met) == (f is dense)
+        for a in (F(1, 2), -1, 0):
+            anti = f.antiderivative()
+            expected = anti - ExpPoly.const(anti.eval_at(a))
+            with monkeypatch.context() as patch:
+                patch.setattr(exppoly, "_sum", counted)
+                patch.setattr(ExpPoly, "eval_at", refused)
+                patch.setattr(ExpPoly, "__sub__", refused)
+                sums.clear()
+                got = f.integrate_from(a)
+            assert got == expected
+            assert (0, 0) in got._terms  # F(a) != 0 at these points
+            assert len(sums) == len(got._terms) + met

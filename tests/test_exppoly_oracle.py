@@ -49,8 +49,9 @@ def assert_value(f: ExpPoly, x: F, expected):
     assert abs(got - expected) <= mpmath.mpf(10) ** -30 * (1 + abs(expected))
 
 
-def test_algebra_and_calculus_agree_with_mpmath():
-    start = time.perf_counter()
+def check_algebra_and_calculus():
+    """Assert that ``f*g``, ``f+g``, ``f'`` and ``f.integrate_from(a)`` agree
+    with mpmath on the operands of every seed."""
     for seed in SEEDS:
         rng = random.Random(seed)
         (ft, f), (gt, g) = random_operand(rng), random_operand(rng)
@@ -64,4 +65,9 @@ def test_algebra_and_calculus_agree_with_mpmath():
             assert_value(total, x, fn(xm) + gn(xm))
             assert_value(derivative, x, mpmath.diff(fn, xm))
             assert_value(integral, x, mpmath.quad(fn, [mp(a), xm]))
+
+
+def test_algebra_and_calculus_agree_with_mpmath():
+    start = time.perf_counter()
+    check_algebra_and_calculus()
     assert time.perf_counter() - start < 2

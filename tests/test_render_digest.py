@@ -12,6 +12,12 @@ It hashes, in this order and without separators:
 
 A change to how scalars are built, reduced or printed that alters one
 character of any of these changes the digest.
+
+A second digest pins the operator ring on the benchmark's ``ring`` triples
+(u, v, w), which the first never composes: with ``uv = u*v`` and
+``vw = v*w``, it hashes ``to_text()`` and then ``to_latex()`` of ``uv``,
+``uv*w``, ``u*vw`` and ``uv.to_standard(0)``, then ``uv.apply(h).to_text()``
+for each test function h of the triple.
 """
 
 import hashlib
@@ -28,6 +34,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
 
 RENDER_SHA256 = "0989721aa2a85611412fc2685938320d64f8ee3df12eb21d90f0baa96ba5abc4"
+RING_SHA256 = "27caeccae17a5f6215a3584a8386b907d86e1165fd935562d58769a839d18bec"
 DOCUMENT_ARGVS = (("solve", "-", "--format", "text"), ("solve", "-", "--format", "json"),
                   ("solve", "-", "--format", "latex"), ("verify", "-", "--format", "json"))
 
@@ -57,3 +64,19 @@ def test_rendered_output_digest():
     for piece in rendered_pieces():
         digest.update(piece.encode())
     assert digest.hexdigest() == RENDER_SHA256
+
+
+def ring_pieces():
+    for (u, v, w), tests in workloads.build("ring"):
+        uv, vw = u * v, v * w
+        for op in (uv, uv * w, u * vw, uv.to_standard(0)):
+            yield from (op.to_text(), op.to_latex())
+        for h in tests:
+            yield uv.apply(h).to_text()
+
+
+def test_operator_ring_digest():
+    digest = hashlib.sha256()
+    for piece in ring_pieces():
+        digest.update(piece.encode())
+    assert digest.hexdigest() == RING_SHA256
