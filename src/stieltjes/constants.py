@@ -18,36 +18,37 @@ digits of one integer gcd of the values of their two operands at a power of
 two, on the smallest grid of the operands (one evaluation proves most pairs
 coprime); division by a primitive gcd is exact over Z by Gauss's lemma, and
 the gcd comes with both quotients.  Every operation cancels its polynomial
-gcds first and then hands the terms to one routine, ``_part_value``, which
+gcds first and then hands the terms to one routine, ``_canonical``, which
 divides out the joint integer content and the grid step (the gcd of ``N``
-and every exponent); only a sum of rationals skips it.
+and every exponent); only a rational sum or product skips it.
 ``Fraction`` appears only at the boundary: the constructors, the
 ``num``/``den``/``as_rational``/``as_monomial`` views and JSON.
 
-Sums.  Every sum, ``+`` and ``-`` included, is one ``Constant.sum``.  On the
-common grid of its summands each stored denominator is an integer content
-``k`` times a primitive polynomial ``D``, and the summands are grouped by
-``D``: all rationals and all ``c*e^q`` share ``D = 1``, and the entries of one
-matrix row share the determinant.  A group is put over ``lcm(k)*D``, its
-numerators are added as integer polynomials, and the group is reduced once,
-by ``gcd(num, D)``, which is skipped for one member or ``D = 1``.  Only the
-partial sums of different ``D`` are added by Henrici's method (Knuth, TAOCP
-vol. 2, 4.5.1): with ``g = gcd(d1, d2)``, only ``gcd(num, g)`` can cancel.
+Sums.  Every sum, ``+`` and ``-`` included, is one ``_sum`` of unit
+multiples ``c * p/q * e^(k/m)`` (the unit 1 for ``Constant.sum``).  On the
+common grid each stored denominator, normalised once per call, is an
+integer content ``h`` times a primitive polynomial ``D``; the summands are
+grouped by ``D``: all rationals and all ``c*e^q`` share ``D = 1``, and the
+entries of one matrix row share the determinant.  A group is put over
+``lcm(q*h)*D``, each numerator is scaled and shifted where it is added, and
+the group is reduced once, by ``gcd(num, D)``, skipped for one member or
+``D = 1``.  Only the partial sums of different ``D`` are added by Henrici's
+method (Knuth, TAOCP vol. 2, 4.5.1): with ``g = gcd(d1, d2)``, only
+``gcd(num, g)`` can cancel.
 
 Products.  Every product is one routine, ``_times_units``: ``c * d * u``
 for two scalars and a unit ``u = p/q * t^k``, as a summand of ``_sum``;
 ``*`` is the case ``u = 1``, finished by ``_part_value``.  A unit, one
 numerator term over one denominator term, has no divisors but units, so no
-polynomial gcd can cancel against it: u is folded into whichever of c and
-d is itself a unit, and its product with the other, a reduced ``N/D``,
-is ``p*t^k*N / (q*D)``, reduced up to an integer and a power of ``t``.  Its
-terms keep their order, so it needs no dict and no sort before
-``_part_value`` divides out the content and the grid step
-(``e^(1/2) * e^(1/2)`` is on grid 1).  A sum of such products, as in an
-evaluation ``f(x)``, a product of functions or an operator's action, leaves
-them unreduced: a summand is reduced only when no other shares its
-denominator.  Only two non-units cancel crosswise, by ``gcd(N1, D2)`` and
-``gcd(N2, D1)``, so their product needs no further gcd.
+polynomial gcd can cancel against it: u is merged with whichever of c and
+d is itself a unit, and the summand is the other factor, a reduced
+``N/D``, times the merged unit: ``p*t^k*N / (q*D)``, reduced up to an
+integer and a power of ``t``.  A summand is reduced only when no other
+shares its denominator, by ``_part_value``: c itself for ``u = 1``, one gcd
+for a rational times a rational, else its terms scaled and shifted in their
+order, with no dict and no sort, before ``_canonical`` (``e^(1/2) *
+e^(1/2)`` is on grid 1).  Only two non-units cancel crosswise, by
+``gcd(N1, D2)`` and ``gcd(N2, D1)``, so their product needs no further gcd.
 
 Rendering reads the stored integers: each exponent ``k/N`` and each
 coefficient over the leading denominator coefficient is put in lowest terms
@@ -227,7 +228,7 @@ def _make(n: int, num: Poly, den: Poly) -> "Constant":
     if s or sign < 0:
         num = [(k - s, c * sign) for k, c in num]
         den = [(k - s, c * sign) for k, c in den]
-    return _part_value((n, tuple(num), tuple(den), None))
+    return _canonical(n, tuple(num), tuple(den))
 
 
 def _stored(n: int, num: Terms, den: Terms) -> "Constant":
@@ -236,41 +237,41 @@ def _stored(n: int, num: Terms, den: Terms) -> "Constant":
     return c
 
 
-# A summand of ``_sum``: the grid and stored terms of a nonzero value, reduced
-# up to units, with an anchored positive denominator; and the value itself
-# when those terms are its canonical form, else None.
+def _canonical(n: int, num: Terms, den: Terms) -> "Constant":
+    """The Constant of terms on grid ``n``, reduced up to integers and a grid
+    step, with an anchored positive denominator: only the joint integer
+    content and the grid step are left to divide out."""
+    g = gcd(*[a for _e, a in num], *[a for _e, a in den])
+    step = gcd(n, *[e for e, _a in num], *[e for e, _a in den]) if n > 1 else 1
+    if g == 1 and step == 1:
+        return _stored(n, num, den)
+    return _stored(n // step, tuple([(e // step, a // g) for e, a in num]),
+                   tuple([(e // step, a // g) for e, a in den]))
+
+
+# A summand of ``_sum``: the unit multiple ``(c, p, q, k, m)``, meaning
+# ``c * p/q * e^(k/m)`` for a canonical nonzero c and a unit in lowest terms
+# with ``q, m > 0``, which is reduced up to an integer and a power of ``t``.
 Part = tuple
-
-
-def _unit_part(c: "Constant", p: int, q: int, k: int, m: int) -> Part:
-    """The summand ``c * p/q * e^(k/m)`` of ``_sum``, for a nonzero c and a
-    unit in lowest terms with ``q > 0``, left unreduced: the terms of c keep
-    their order, so the denominator stays anchored and positive; for the
-    unit 1, c's own canonical part, which is not reduced again."""
-    if p == q == 1 and not k:
-        return (c._n, c._num, c._den, c)
-    n = lcm(c._n, m)
-    f, k = n // c._n, k * (n // m)
-    return (n, tuple([(e * f + k, a * p) for e, a in c._num]),
-            tuple([(e * f, a * q) for e, a in c._den]), None)
 
 
 def _times_units(c: "Constant", d: "Constant", p: int, q: int, k: int, m: int) -> Part:
     """The summand ``c * d * p/q * e^(k/m)`` of ``_sum``, for nonzero c and
-    d and a unit in lowest terms with ``q > 0``.  The unit is folded into c
-    or d, whichever is itself a unit, and ``_unit_part`` multiplies the
-    other factor by the merged unit; only two non-units are multiplied, by
+    d and a unit in lowest terms with ``q > 0``.  The unit is merged with c
+    or d, whichever is itself a unit; only two non-units are multiplied, by
     ``_cross_product``."""
     if len(c._num) == len(c._den) == 1:
         c, d = d, c
     elif len(d._num) != 1 or len(d._den) != 1:
-        return _unit_part(_cross_product(c, d), p, q, k, m)
+        return (_cross_product(c, d), p, q, k, m)
     # d = a/b * e^(j/n) times p/q * e^(k/m), in lowest terms on the grid lcm(n, m)
     (j, a), = d._num
+    if p == q == 1 and not k:
+        return (c, a, d._den[0][1], j, d._n)
     n, grid = d._n, lcm(d._n, m)
     a, q, k = a * p, d._den[0][1] * q, j * (grid // n) + k * (grid // m)
     g, h = gcd(a, q), gcd(k, grid)
-    return _unit_part(c, a // g, q // g, k // h, grid // h)
+    return (c, a // g, q // g, k // h, grid // h)
 
 
 def _cross_product(c: "Constant", d: "Constant") -> "Constant":
@@ -289,18 +290,21 @@ def _cross_product(c: "Constant", d: "Constant") -> "Constant":
 
 
 def _part_value(part: Part) -> "Constant":
-    """The canonical value of a part: the one routine that finishes every
-    value but a sum of rationals.  Only the joint integer content and the grid
-    step are left to divide out."""
-    n, num, den, c = part
-    if c is not None:
+    """The canonical value of a summand: c itself for the unit 1, a rational
+    c times a rational by one gcd, else c's terms scaled and shifted in their
+    order, finished by ``_canonical``."""
+    c, p, q, k, m = part
+    if p == q == 1 and not k:
         return c
-    g = gcd(*[a for _e, a in num], *[a for _e, a in den])
-    step = gcd(n, *[e for e, _a in num], *[e for e, _a in den]) if n > 1 else 1
-    if g == 1 and step == 1:
-        return _stored(n, num, den)
-    return _stored(n // step, tuple([(e // step, a // g) for e, a in num]),
-                   tuple([(e // step, a // g) for e, a in den]))
+    num, den = c._num, c._den
+    if not k and len(num) == len(den) == 1 and not num[0][0]:
+        a, b = num[0][1] * p, den[0][1] * q
+        g = gcd(a, b)
+        return _stored(1, ((0, a // g),), ((0, b // g),))
+    n = lcm(c._n, m)
+    f, k = n // c._n, k * (n // m)
+    return _canonical(n, tuple([(e * f + k, a * p) for e, a in num]),
+                      tuple([(e * f, a * q) for e, a in den]))
 
 
 def _sum(parts: list[Part]) -> "Constant":
@@ -308,39 +312,51 @@ def _sum(parts: list[Part]) -> "Constant":
     denominator (see ``Constant.sum``)."""
     if len(parts) < 2:
         return _part_value(parts[0]) if parts else _ZERO
-    if all(len(num) == 1 and len(den) == 1 and not num[0][0] for _n, num, den, _c in parts):
-        # rationals p/q: one lcm and one gcd
-        m = lcm(*[den[0][1] for _n, _num, den, _c in parts])
-        s = sum([num[0][1] * (m // den[0][1]) for _n, num, den, _c in parts])
-        if not s:
-            return _ZERO
-        g = gcd(s, m)
-        return _stored(1, ((0, s // g),), ((0, m // g),))
     # gcd, lcm and tuple are fed lists, not generators: a tuple built from
     # a generator is allocated at a default length and shrunk, so it is
     # freed onto another length's free list, and over a solve those lists
     # fill up (1.4 MB of peak RSS on the benchmark's documents pass)
-    n = lcm(*[part[0] for part in parts])
+    rats = []
+    for c, p, q, k, _m in parts:
+        num, den = c._num, c._den
+        if k or len(num) != 1 or len(den) != 1 or num[0][0]:
+            break
+        rats.append((num[0][1] * p, den[0][1] * q))
+    else:
+        # rationals a/b: one lcm and one gcd
+        m = lcm(*[b for _a, b in rats])
+        s = sum([a * (m // b) for a, b in rats])
+        if not s:
+            return _ZERO
+        g = gcd(s, m)
+        return _stored(1, ((0, s // g),), ((0, m // g),))
+    n = lcm(*[c._n for c, _p, _q, _k, _m in parts], *[m for _c, _p, _q, _k, m in parts])
+    # each stored denominator on the grid n, as its content and primitive
+    # part, once per grid and terms
+    dens: dict[tuple, tuple] = {}
     groups: dict[Terms, list] = {}
     for part in parts:
-        den = part[2]
+        c, den = part[0], part[0]._den
         if len(den) == 1:
-            k, key = den[0][1], _UNIT
+            cont, key = den[0][1], _UNIT
         else:
-            k, f = gcd(*[a for _e, a in den]), n // part[0]
-            key = den if k == 1 and f == 1 else tuple([(e * f, a // k) for e, a in den])
-        groups.setdefault(key, []).append((k, part))
+            d = dens.get((c._n, den))
+            if d is None:
+                cont, f = gcd(*[a for _e, a in den]), n // c._n
+                d = dens[c._n, den] = cont, tuple([(e * f, a // cont) for e, a in den])
+            cont, key = d
+        groups.setdefault(key, []).append((cont * part[2], part))
     partial = []
     for key, members in groups.items():
         if len(members) == 1:
             partial.append(_part_value(members[0][1]))
             continue
-        m = lcm(*[k for k, _part in members])
+        m = lcm(*[cont for cont, _part in members])
         num: Poly = {}
-        for k, (pn, terms, _den, _c) in members:
-            s, f = m // k, n // pn
-            for e, a in terms:
-                e, a = e * f, a * s
+        for cont, (c, p, _q, k, grid) in members:
+            s, f, k = m // cont * p, n // c._n, k * (n // grid)
+            for e, a in c._num:
+                e, a = e * f + k, a * s
                 if e in num:
                     x = num[e] + a
                     if x:
@@ -490,7 +506,7 @@ class Constant:
             if c is None:
                 raise TypeError(f"cannot add {type(item).__name__} to a Constant")
             if c._num:
-                parts.append((c._n, c._num, c._den, c))
+                parts.append((c, 1, 1, 0, 1))
         return _sum(parts)
 
     def __add__(self, other):

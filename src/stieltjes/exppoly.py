@@ -12,8 +12,9 @@ of the ``xi`` monomials of ``BivariateExpPoly``, which represents finite sums
 ``sum f_i(x) * g_i(xi)`` with the ``xi`` factor split into monomials so that
 equality is structural.  Every sum, product, derivative and definite
 integral, and ``Operator.apply``, ends in one finisher, ``_accumulate``: a
-contribution to a monomial is a coefficient times a unit, left unreduced,
-and each output coefficient is reduced once, by one ``_sum``.
+contribution to a monomial is the ``_sum`` summand ``(c, p, q, k, m)``, a
+coefficient times a unit that the caller writes down unreduced, and each
+output coefficient is reduced once, by one ``_sum``; a zero one is dropped.
 
 A frequency is stored as an ``int`` when it is integral and as a ``Fraction``
 otherwise.  The two compare and hash alike, so dict lookups, ``==``, ``hash``
@@ -29,7 +30,7 @@ from itertools import chain
 from math import comb, gcd, perm
 
 from .constants import (_ONE, _ZERO, Constant, _join_signed, _part_value, _ratio_latex,
-                        _ratio_text, _sum, _times_units, _unit_part)
+                        _ratio_text, _sum, _times_units)
 
 # A frequency key: an int when integral, else a Fraction (see above).
 Freq = int | Fraction
@@ -46,12 +47,12 @@ def _freq(q) -> Freq:
     return q.numerator if q.denominator == 1 else q
 
 
-def _values(pairs, q: Freq, i: int = 0) -> list[tuple[Constant, tuple[int, int, int, int]]]:
+def _values(pairs, q: Freq, i: int = 0) -> list[tuple[Constant, int, int, int, int]]:
     """The value at q of the i-th derivative of the sum of ``c s/t x^n e^(l x)``
     over the scaled pairs ((l, n), (c, s, t)) with nonzero c and s/t in
-    lowest terms, ``t > 0``, as the unit multiples ``(c, (p, r, k, m))`` of
+    lowest terms, ``t > 0``, as the unit multiples ``(c, p, r, k, m)`` of
     the c, each ``c * p/r * e^(k/m)`` with the unit in lowest terms and
-    ``r, m > 0``, for ``_unit_part`` to leave unreduced.  By Leibniz's rule
+    ``r, m > 0``: summands of ``_sum``, left unreduced.  By Leibniz's rule
     the unit is ``s/t u e^(l q)`` with
     ``u = sum_{k <= min(i, n)} C(i, k) n!/(n-k)! q^(n-k) l^(i-k)``; a term
     with ``u = 0`` gives no multiple.  The point is taken as it is, an int
@@ -76,7 +77,7 @@ def _values(pairs, q: Freq, i: int = 0) -> list[tuple[Constant, tuple[int, int, 
         g = gcd(p, r)
         k, m = fa * a, fb * b
         h = gcd(k, m)
-        out.append((c, (p // g, r // g, k // h, m // h)))
+        out.append((c, p // g, r // g, k // h, m // h))
     return out
 
 
@@ -103,7 +104,7 @@ def _antiderivative(pairs) -> dict[Monomial, tuple[Constant, int, int]]:
             p, q = perm(power, power - n) * (-t) ** (power - n) * t, s ** (power - n + 1)
             g = gcd(p, q)
             slots.setdefault((freq, n), []).append((c, p // g, q // g))
-    out = {key: us[0] if len(us) == 1 else (_sum([_unit_part(*u, 0, 1) for u in us]), 1, 1)
+    out = {key: us[0] if len(us) == 1 else (_sum([(c, p, q, 0, 1) for c, p, q in us]), 1, 1)
            for key, us in slots.items()}
     return {key: u for key, u in out.items() if not u[0].is_zero()}
 
@@ -114,7 +115,9 @@ def _accumulate(pairs) -> "ExpPoly":
     out: dict[Monomial, list] = {}
     for key, part in pairs:
         out.setdefault(key, []).append(part)
-    return ExpPoly({key: _sum(parts) for key, parts in out.items()})
+    f = ExpPoly.__new__(ExpPoly)
+    f._terms = {key: c for key, parts in out.items() if (c := _sum(parts))._num}
+    return f
 
 
 def _products(f: "ExpPoly", g) -> list:
@@ -189,7 +192,7 @@ class ExpPoly:
         """The sum of exponential polynomials, merged in one pass: the
         coefficients of each monomial that several summands share are added
         by one ``_sum``."""
-        return _accumulate([(key, _unit_part(c, 1, 1, 0, 1))
+        return _accumulate([(key, (c, 1, 1, 0, 1))
                             for item in items for key, c in item._terms.items()])
 
     def __add__(self, other):
@@ -233,8 +236,8 @@ class ExpPoly:
         for _ in range(times):
             terms = result._terms.items()
             result = _accumulate(
-                [((l, n - 1), _unit_part(c, n, 1, 0, 1)) for (l, n), c in terms if n]
-                + [((l, n), _unit_part(c, l.numerator, l.denominator, 0, 1))
+                [((l, n - 1), (c, n, 1, 0, 1)) for (l, n), c in terms if n]
+                + [((l, n), (c, l.numerator, l.denominator, 0, 1))
                    for (l, n), c in terms if l])
         return result
 
@@ -248,19 +251,19 @@ class ExpPoly:
     def antiderivative(self) -> "ExpPoly":
         """The reduced form of ``_antiderivative``, which ``integrate_from`` and
         ``Operator.apply`` read unreduced."""
-        return ExpPoly({key: _part_value(_unit_part(c, p, q, 0, 1))
+        return ExpPoly({key: _part_value((c, p, q, 0, 1))
                         for key, (c, p, q) in _antiderivative(self._terms.items()).items()})
 
     def integrate_from(self, a) -> "ExpPoly":
         """The antiderivative F with F(a) = 0: the unit multiples of
         ``_antiderivative``, and at the monomial 1 those of ``-F(a)``."""
         F = _antiderivative(self._terms.items())
-        return _accumulate([*[(key, _unit_part(c, p, q, 0, 1)) for key, (c, p, q) in F.items()],
-                            *[((0, 0), _unit_part(c, -p, r, k, m))
-                              for c, (p, r, k, m) in _values(F.items(), _freq(a))]])
+        return _accumulate([*[(key, (c, p, q, 0, 1)) for key, (c, p, q) in F.items()],
+                            *[((0, 0), (c, -p, r, k, m))
+                              for c, p, r, k, m in _values(F.items(), _freq(a))]])
 
     def eval_at(self, q) -> Constant:
-        return _sum([_unit_part(c, *unit) for c, unit in _values(_scaled(self), _freq(q))])
+        return _sum(_values(_scaled(self), _freq(q)))
 
     # -- rendering --------------------------------------------------------
 

@@ -301,8 +301,8 @@ class Operator:
                        ((f, _values(_scaled(h), *key)) for key, f in self._local.items()))
         return _accumulate(chain(
             *[_products(f, g) for f, g in products],
-            [(key, _times_units(cf, c, *unit))
-             for f, units in values for key, cf in f._terms.items() for c, unit in units]))
+            [(key, _times_units(cf, *unit))
+             for f, units in values for key, cf in f._terms.items() for unit in units]))
 
     # -- translation between standard and equitable form ------------------------
 

@@ -116,3 +116,18 @@ def test_unit_products_never_reach_the_polynomial_gcd(monkeypatch):
     assert not calls
     others[4] * others[5]  # two non-units still cancel crosswise
     assert calls
+
+
+def test_a_product_of_two_rationals_takes_one_gcd(monkeypatch):
+    """Two rationals multiply in the one-gcd branch of ``_part_value``: no
+    polynomial gcd, no lcm and a single integer gcd."""
+    a, b = Constant.from_rational(F(3, 7)), Constant.from_rational(F(-5, 12))
+    calls = dict.fromkeys(("_poly_gcd", "gcd", "lcm"), 0)
+    for name in calls:
+        def counted(*args, name=name, original=getattr(constants, name)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(constants, name, counted)
+    for product in (a * b, b * a):
+        assert (product._n, product._num, product._den) == (1, ((0, -5),), ((0, 28),))
+    assert calls == {"_poly_gcd": 0, "gcd": 2, "lcm": 0}

@@ -202,3 +202,18 @@ def test_integrate_from_reduces_each_output_coefficient_once(monkeypatch):
             assert got == expected
             assert (0, 0) in got._terms  # F(a) != 0 at these points
             assert len(sums) == len(got._terms) + met
+
+
+def test_sum_of_disjoint_summands_keeps_their_coefficients():
+    """A monomial that one summand alone reaches keeps that summand's own
+    coefficient object: ``ExpPoly.sum`` finishes no lone coefficient again."""
+    e = Constant.e_power(1)
+    f = ExpPoly.sum([ExpPoly.monomial(0, 0, F(3, 4)),
+                     ExpPoly.monomial(1, 2, Constant.e_power(F(1, 2), 3))])
+    g = ExpPoly.sum([ExpPoly.monomial(-1, 0, (e + 2) / (e * e - 3)),
+                     ExpPoly.monomial(F(1, 2), 1, 5)])
+    for total in (ExpPoly.sum([f, g]), f + g, g + f):
+        assert len(total._terms) == 4
+        for h in (f, g):
+            for key, c in h._terms.items():
+                assert total._terms[key] is c

@@ -3,12 +3,14 @@
 Every sum, product, derivative and definite integral of ``ExpPoly``, and
 every product of scalars, runs through a few shared routines: the finisher
 ``exppoly._accumulate``, the product generator ``exppoly._products``, the
-antiderivative, ``constants._times_units`` with ``_unit_part`` and
-``_cross_product``, and ``constants._sum``.  A fault in one of them is a
-fault of every caller, so each row below mutates one of them, by
-``test_certificate_mutations.install``, and requires the mpmath oracle of
-``test_exppoly_oracle`` or of ``test_constant_oracle``, whose operands are
-plain rational descriptions, to fail under it.
+antiderivative, ``constants._times_units`` with ``_cross_product``, and
+``constants._sum`` with ``_part_value``.  Their summand is the unit
+multiple ``(c, p, q, k, m)``, which ``_sum`` scales and shifts where it
+adds it, and ``_part_value`` where it finishes a lone one.  A fault in one
+of them is a fault of every caller, so each row below mutates one of them,
+by ``test_certificate_mutations.install``, and requires the mpmath oracle
+of ``test_exppoly_oracle`` or of ``test_constant_oracle``, whose operands
+are plain rational descriptions, to fail under it.
 
 A name that another module imported is rebound there too, so that
 ``ExpPoly`` arithmetic sees a mutated ``_times_units`` as ``Constant.__mul__``
@@ -32,13 +34,13 @@ ROWS = [
     ("_accumulate keeps only each monomial's first part", exppoly, "_accumulate",
      "_sum(parts)", "_sum(parts[:1])"),
     ("derive drops its factor n", ExpPoly, "derive",
-     "_unit_part(c, n, 1, 0, 1)", "_unit_part(c, 1, 1, 0, 1)"),
+     "(c, n, 1, 0, 1)", "(c, 1, 1, 0, 1)"),
     ("integrate_from drops the -F(a) multiples", ExpPoly, "integrate_from",
      "_values(F.items(), _freq(a))", "()"),
     ("_times_units inverts the folded unit", constants, "_times_units",
-     "_unit_part(c, a // g, q // g, k // h, grid // h)",
-     "_unit_part(c, q // g if a > 0 else -q // g, abs(a) // g, -k // h, grid // h)"),
-    ("_unit_part takes p/q = 1 for the unit 1", constants, "_unit_part",
+     "(c, a, d._den[0][1], j, d._n)",
+     "(c, d._den[0][1] if a > 0 else -d._den[0][1], abs(a), -j, d._n)"),
+    ("_part_value takes p/q = 1 for the unit 1", constants, "_part_value",
      "if p == q == 1 and not k:", "if p == q == 1:"),
     ("_cross_product squares the first denominator", constants, "_cross_product",
      "_pmul(d1, d2)", "_pmul(d1, d1)"),
@@ -47,7 +49,11 @@ ROWS = [
     ("_antiderivative drops the sign (-1)^(P-n)", exppoly, "_antiderivative",
      "(-t) ** (power - n)", "t ** (power - n)"),
     ("_sum adds rationals without their common denominator", constants, "_sum",
-     "num[0][1] * (m // den[0][1])", "num[0][1]"),
+     "a * (m // b)", "a"),
+    ("_sum drops a member's shift k", constants, "_sum",
+     "e * f + k, a * s", "e * f, a * s"),
+    ("_sum drops a member's factor p", constants, "_sum",
+     "m // cont * p", "m // cont"),
 ]
 
 
