@@ -37,7 +37,7 @@ from .exppoly import ExpPoly, Freq
 from .linalg import mat_det, mat_from_rows, mat_inv, mat_vec, left_kernel
 from .operators import Operator, _leibniz
 from .parsing import MAX_DERIVATIVE_ORDER  # noqa: F401  (the cap stays importable from here)
-from .parsing import _derivative_order, parse_exppoly, parse_rational
+from .parsing import _derivative_order, _fields, parse_exppoly, parse_rational
 
 
 class StieltjesCondition:
@@ -105,22 +105,29 @@ class StieltjesCondition:
 
     @classmethod
     def from_json(cls, data: dict) -> "StieltjesCondition":
-        if not isinstance(data, dict):
-            raise ParseError("condition must be a JSON object")
+        _fields(data, "condition", ("local", "global"))
         try:
             local = [
                 (parse_rational(entry["point"]), _derivative_order(entry["order"]),
                  Constant.from_rational(parse_rational(entry["coeff"])))
-                for entry in data.get("local", ())
+                for entry in _terms(data, "local", ("point", "order", "coeff"))
             ]
             glob = [
                 (parse_rational(entry["lower"]), parse_rational(entry["upper"]),
                  parse_exppoly(entry["integrand"]))
-                for entry in data.get("global", ())
+                for entry in _terms(data, "global", ("lower", "upper", "integrand"))
             ]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad condition document: {exc}") from exc
         return cls(local, glob)
+
+
+def _terms(data: dict, part: str, names: tuple[str, ...]) -> list[dict]:
+    """The term objects of the list ``part`` of a condition document."""
+    terms = data.get(part, [])
+    if not isinstance(terms, list):
+        raise ParseError(f"condition field {part!r} must be a list")
+    return [_fields(term, f"{part} term", names) for term in terms]
 
 
 class FundamentalSystem:
@@ -371,14 +378,9 @@ class BoundaryProblem:
         return self._fs
 
     def evaluation_inverse(self):
-        """The evaluation matrix M and its inverse; raises NotRegularError,
-        carrying M, when M is singular."""
+        """``(M, M^-1)`` of ``_evaluation_inverse``, computed once and kept."""
         if self._matrices is None:
-            m = evaluation_matrix(self.conditions, self.system())
-            try:
-                self._matrices = m, mat_inv(m)
-            except ValueError:
-                raise NotRegularError("boundary problem not regular", matrix=m) from None
+            self._matrices = _evaluation_inverse(self.conditions, self.system())
         return self._matrices
 
     def evaluation_points(self) -> set[Freq]:
@@ -401,6 +403,15 @@ def evaluation_matrix(conditions, fs: FundamentalSystem):
     return mat_from_rows(
         [[cond.apply(uj) for uj in fs.u] for cond in conditions]
     )
+
+
+def _evaluation_inverse(conditions, fs: FundamentalSystem):
+    """(M, M^-1) of the evaluation matrix M; NotRegularError carries a singular M."""
+    m = evaluation_matrix(conditions, fs)
+    try:
+        return m, mat_inv(m)
+    except ValueError:
+        raise NotRegularError("boundary problem not regular", matrix=m) from None
 
 
 def is_regular(problem: BoundaryProblem) -> bool:
@@ -437,11 +448,7 @@ def fri_derivative(fs: FundamentalSystem, k: int, basepoint):
 def projector(conditions, fs: FundamentalSystem) -> Operator:
     """The projector onto ker T along the admissible space:
     P = sum_i (sum_j u_j (M^{-1})_{j,i}) beta_i with M the evaluation matrix."""
-    m = evaluation_matrix(conditions, fs)
-    try:
-        minv = mat_inv(m)
-    except ValueError:
-        raise NotRegularError("boundary problem not regular", matrix=m) from None
+    _m, minv = _evaluation_inverse(conditions, fs)
     out = Operator.sum(
         cond.as_operator().left_mul(ExpPoly.sum(uj * minv[j][i] for j, uj in enumerate(fs.u)))
         for i, cond in enumerate(conditions))
@@ -518,8 +525,8 @@ def certify(problem: BoundaryProblem, Geq: Operator) -> bool:
 
 
 def kernel_relations(fs: FundamentalSystem, a, b):
-    """The evaluation matrix of the point functionals u -> u^(i)(p) at a and
-    b, i < n, and a basis of its left kernel (the relations forced on ker T)."""
-    matrix = evaluation_matrix([StieltjesCondition([(p, i, 1)]) for p in (a, b)
-                                for i in range(fs.size)], fs)
+    """The matrix of u -> u^(i)(p) at a and b, i < n, read off the Wronskian
+    rows, and a basis of its left kernel (the relations forced on ker T)."""
+    matrix = mat_from_rows([f.eval_at(p) for f in fs._row(i)]
+                           for p in (a, b) for i in range(fs.size))
     return matrix, left_kernel(matrix)

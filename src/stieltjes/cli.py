@@ -8,8 +8,9 @@ Problem documents are JSON::
      "fundamental_system": ["exp(x)", "exp(-x)"]}      # optional
 
 Exit codes: 0 success, 1 failed verification or a closed stdout, 2 malformed
-input, 3 irregular problem, 4 unsupported operator (no computable fundamental
-system, a supplied function with T u != 0, or a bad Wronskian).
+input (a field not shown above too), 3 irregular problem, 4 unsupported
+operator (no computable fundamental system, a supplied function with
+T u != 0, or a bad Wronskian).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .errors import (
 from .exppoly import ExpPoly
 from .greens import GreensFunction, extract
 from .operators import Operator
-from .parsing import parse_exppoly, parse_rational
+from .parsing import _fields, parse_exppoly, parse_rational
 
 DEFAULT_TEST_FUNCTIONS = ("1", "x", "x^2", "exp(x)", "x*exp(-x)")
 
@@ -50,62 +51,56 @@ DEFAULT_TEST_FUNCTIONS = ("1", "x", "x^2", "exp(x)", "x*exp(-x)")
 @dataclass
 class VerificationReport:
     """Residuals of the defining properties on test functions (0 when
-    ``boundary.certify`` holds), and whether the kernel agrees with G."""
+    ``boundary.certify`` holds) and whether ``kernel`` agrees with G; the
+    kernel's own facts are read off it.  Only a regular problem has one."""
 
-    regular: bool
+    kernel: GreensFunction
     test_functions: list[str] = field(default_factory=list)
     operator_residuals: dict = field(default_factory=dict)   # f -> T(Gf) - f
     condition_residuals: dict = field(default_factory=dict)  # f -> [beta_i(Gf)]
     agreement: bool = True
-    branch_count: int = 0
-    breakpoints: list[str] = field(default_factory=list)
-    dirac_terms: list[str] = field(default_factory=list)
-    diagonal_terms: list[str] = field(default_factory=list)
 
     def all_zero(self) -> bool:
-        return (self.regular and self.agreement
+        return (self.agreement
                 and all(r == "0" for r in self.operator_residuals.values())
                 and all(all(r == "0" for r in rs)
                         for rs in self.condition_residuals.values()))
 
     def to_json_dict(self) -> dict:
         return {
-            "regular": self.regular,
+            "regular": True,
             "test_functions": self.test_functions,
             "operator_residuals": self.operator_residuals,
             "condition_residuals": self.condition_residuals,
             "operator_function_agreement": self.agreement,
-            "branch_count": self.branch_count,
-            "breakpoints": self.breakpoints,
-            "dirac_terms": self.dirac_terms,
-            "diagonal_terms": self.diagonal_terms,
+            "branch_count": self.kernel.branch_count,
+            "breakpoints": [str(p) for p in self.kernel.breakpoints],
+            "dirac_terms": [f"order {i} at {p}: {c.to_text()}" for p, i, c in self.kernel.dirac],
+            "diagonal_terms": [f"order {i}: {c.to_text()}" for i, c in self.kernel.diagonal],
             "verified": self.all_zero(),
         }
 
     def to_text(self) -> str:
-        lines = [f"regular: {self.regular}"]
-        for f in self.test_functions:
-            lines.append(f"T(G f) - f for f = {f}: {self.operator_residuals[f]}")
-            for i, r in enumerate(self.condition_residuals[f], start=1):
+        doc = self.to_json_dict()
+        lines = [f"regular: {doc['regular']}"]
+        for f in doc["test_functions"]:
+            lines.append(f"T(G f) - f for f = {f}: {doc['operator_residuals'][f]}")
+            for i, r in enumerate(doc["condition_residuals"][f], start=1):
                 lines.append(f"condition {i} of G f for f = {f}: {r}")
-        lines.append(f"operator/function agreement: {self.agreement}")
-        lines.append(f"branch count: {self.branch_count}")
-        lines.append(f"breakpoints: {', '.join(self.breakpoints)}")
-        if self.dirac_terms:
-            lines.append("distributional part: " + "; ".join(self.dirac_terms))
-        else:
-            lines.append("distributional part: none")
-        lines.append(f"verified: {self.all_zero()}")
+        lines.append(f"operator/function agreement: {doc['operator_function_agreement']}")
+        lines.append(f"branch count: {doc['branch_count']}")
+        lines.append(f"breakpoints: {', '.join(doc['breakpoints'])}")
+        lines.append("distributional part: " + ("; ".join(doc["dirac_terms"]) or "none"))
+        lines.append(f"verified: {doc['verified']}")
         return "\n".join(lines)
 
 
 def parse_problem(data: dict) -> BoundaryProblem:
-    if not isinstance(data, dict):
-        raise ParseError("problem document must be a JSON object")
+    _fields(data, "problem document", ("operator", "conditions", "fundamental_system"))
     try:
-        coeff_strings = data["operator"]["coeffs"]
+        coeff_strings = _fields(data["operator"], "operator", ("coeffs",))["coeffs"]
         condition_docs = data["conditions"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ParseError(f"missing field: {exc}") from exc
     if not isinstance(coeff_strings, list) or not coeff_strings:
         raise ParseError("operator.coeffs must be a nonempty list")
@@ -156,18 +151,11 @@ def verify_problem(problem: BoundaryProblem, G: Operator, Geq: Operator,
     """Residuals on the (text, parsed function) pairs of ``test_functions``,
     each 0 when ``certify(problem, Geq)`` holds; kernel/operator agreement is
     the identity ``gf.to_operator() == Geq``."""
-    report = VerificationReport(regular=True,
-                                test_functions=[text for text, _f in test_functions])
+    report = VerificationReport(gf, test_functions=[text for text, _f in test_functions])
     try:
         report.agreement = gf.to_operator() == Geq
     except ValueError:
         report.agreement = False
-    report.branch_count = gf.branch_count
-    report.breakpoints = [str(p) for p in gf.breakpoints]
-    report.dirac_terms = [
-        f"order {i} at {p}: {c.to_text()}" for p, i, c in gf.dirac
-    ]
-    report.diagonal_terms = [f"order {i}: {c.to_text()}" for i, c in gf.diagonal]
     certified = certify(problem, Geq)
     for text, f in test_functions:
         if certified:  # each residual is the zero operator applied to f
@@ -243,25 +231,18 @@ def _cmd_solve(args) -> int:
         if report is not None:
             doc["report"] = report.to_json_dict()
         print(json.dumps(doc, sort_keys=True, indent=2))
-    elif args.format == "latex":
-        print("% Green's operator")
-        print(G.to_latex())
-        print("% equitable form")
-        print(Geq.to_latex())
-        print("% Green's function")
-        print(gf.to_latex())
-    else:
-        print("Green's operator:")
-        print("  " + G.to_text())
-        print("equitable form:")
-        print("  " + Geq.to_text())
-        print("Green's function:")
-        for line in gf.to_text().splitlines():
+        return 0
+    sections = [("Green's operator", G), ("equitable form", Geq), ("Green's function", gf)]
+    if args.format == "latex":
+        for title, value in sections:
+            print(f"% {title}\n{value.to_latex()}")
+        return 0
+    if report is not None:
+        sections.append(("verification", report))
+    for title, value in sections:
+        print(f"{title}:")
+        for line in value.to_text().splitlines():
             print("  " + line)
-        if report is not None:
-            print("verification:")
-            for line in report.to_text().splitlines():
-                print("  " + line)
     return 0
 
 
@@ -269,10 +250,8 @@ def _cmd_verify(args) -> int:
     problem, test_functions, basepoint, interval = _spec_from_args(args)
     G, Geq, gf = _solve(problem, basepoint, interval, verify=True)
     report = verify_problem(problem, G, Geq, gf, test_functions)
-    if args.format == "json":
-        print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
-    else:
-        print(report.to_text())
+    print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2) if args.format == "json"
+          else report.to_text())
     return 0 if report.all_zero() else 1
 
 
@@ -346,16 +325,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("spec", help="problem JSON path, or - for stdin")
         p.add_argument("--basepoint", help="integral basepoint override (rational)")
         p.add_argument("--interval", help="explicit domain a,b added to the breakpoints")
-        p.add_argument("--format", choices=("text", "json", "latex"), default="text")
         p.add_argument("--test-functions", dest="test_functions",
                        help="comma-separated forcing functions used for verification")
 
     solve = sub.add_parser("solve", help="compute operator, equitable form and kernel")
     common(solve)
+    solve.add_argument("--format", choices=("text", "json", "latex"), default="text")
     solve.add_argument("--no-verify", dest="no_verify", action="store_true",
                        help="skip the verification pass")
     verify = sub.add_parser("verify", help="report defining-property residuals")
     common(verify)
+    verify.add_argument("--format", choices=("text", "json"), default="text")
     kernel = sub.add_parser("kernel", help="extended evaluation matrix relations")
     kernel.add_argument("spec", help="problem JSON path, or - for stdin")
     kernel.add_argument("a", help="first evaluation point")

@@ -271,7 +271,10 @@ class GreensFunction:
 
     @classmethod
     def from_json(cls, text: str) -> "GreensFunction":
-        return cls.from_json_dict(json.loads(text))
+        try:
+            return cls.from_json_dict(json.loads(text))
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ParseError(f"bad Green's function document: {exc}") from exc
 
 
 def extract(op: Operator, interval=None) -> GreensFunction:
@@ -291,8 +294,6 @@ def extract(op: Operator, interval=None) -> GreensFunction:
         a, b = interval
         points.add(Fraction(a))
         points.add(Fraction(b))
-    if len(points) < 2:
-        raise DegenerateDomainError("degenerate domain: supply explicit interval")
     breakpoints = sorted(points)
     tensors = [(a, BivariateExpPoly.tensor(left, right)) for a, left, right in op.integral_part]
     branches: dict[tuple[int, str], BivariateExpPoly] = {}

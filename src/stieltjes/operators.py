@@ -60,7 +60,7 @@ from .constants import _ONE, Constant, _join_signed, _times_units
 from .errors import ParseError
 from .exppoly import (ExpPoly, Freq, Monomial, _accumulate, _antiderivative, _freq, _product_sum,
                       _products, _scaled, _values)
-from .parsing import _derivative_order, _nonnegative_int, parse_exppoly, parse_rational
+from .parsing import _derivative_order, _fields, _nonnegative_int, parse_exppoly, parse_rational
 
 # Part dictionaries: keys identify a term, values are left ExpPoly factors.
 DiffKey = int                                   # derivative order
@@ -364,6 +364,7 @@ class Operator:
 
     @classmethod
     def from_json(cls, data: dict) -> "Operator":
+        _fields(data, "operator document", ("diff", "integral", "local", "global"))
         try:
             return cls.sum(
                 [cls.derivative(_derivative_order(entry["order"]), parse_exppoly(entry["coeff"]))

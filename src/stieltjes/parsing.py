@@ -267,3 +267,12 @@ def _derivative_order(order) -> int:
         raise ParseError(f"derivative order {order} exceeds the cap "
                          f"MAX_DERIVATIVE_ORDER = {MAX_DERIVATIVE_ORDER}")
     return order
+
+
+def _fields(doc, what: str, names: tuple[str, ...]) -> dict:
+    """``doc`` when it is a JSON object with no field outside ``names``."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"{what} must be a JSON object")
+    if unknown := [key for key in doc if key not in names]:
+        raise ParseError(f"unknown field {unknown[0]!r} in {what} (fields: {', '.join(names)})")
+    return doc
