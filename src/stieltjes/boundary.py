@@ -33,11 +33,11 @@ from .errors import (
     ParseError,
     WronskianError,
 )
-from .exppoly import ExpPoly, Freq
-from .linalg import mat_det, mat_from_rows, mat_inv, mat_vec, left_kernel
+from .exppoly import ExpPoly, Freq, _accumulate, _scaled
+from .linalg import mat_from_rows, mat_inv, mat_vec, left_kernel
 from .operators import Operator, _leibniz
 from .parsing import MAX_DERIVATIVE_ORDER  # noqa: F401  (the cap stays importable from here)
-from .parsing import _derivative_order, _fields, parse_exppoly, parse_rational
+from .parsing import _derivative_order, _entries, _fields, parse_exppoly, parse_rational
 
 
 class StieltjesCondition:
@@ -110,24 +110,16 @@ class StieltjesCondition:
             local = [
                 (parse_rational(entry["point"]), _derivative_order(entry["order"]),
                  Constant.from_rational(parse_rational(entry["coeff"])))
-                for entry in _terms(data, "local", ("point", "order", "coeff"))
+                for entry in _entries(data, "condition", "local", ("point", "order", "coeff"))
             ]
             glob = [
                 (parse_rational(entry["lower"]), parse_rational(entry["upper"]),
                  parse_exppoly(entry["integrand"]))
-                for entry in _terms(data, "global", ("lower", "upper", "integrand"))
+                for entry in _entries(data, "condition", "global", ("lower", "upper", "integrand"))
             ]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad condition document: {exc}") from exc
         return cls(local, glob)
-
-
-def _terms(data: dict, part: str, names: tuple[str, ...]) -> list[dict]:
-    """The term objects of the list ``part`` of a condition document."""
-    terms = data.get(part, [])
-    if not isinstance(terms, list):
-        raise ParseError(f"condition field {part!r} must be a list")
-    return [_fields(term, f"{part} term", names) for term in terms]
 
 
 class FundamentalSystem:
@@ -415,8 +407,12 @@ def _evaluation_inverse(conditions, fs: FundamentalSystem):
 
 
 def is_regular(problem: BoundaryProblem) -> bool:
-    m = evaluation_matrix(problem.conditions, problem.system())
-    return not mat_det(m).is_zero()
+    """Whether the kept ``(M, M^-1)`` of the problem exists."""
+    try:
+        problem.evaluation_inverse()
+    except NotRegularError:
+        return False
+    return True
 
 
 def fundamental_right_inverse(fs: FundamentalSystem, basepoint) -> Operator:
@@ -440,7 +436,8 @@ def fri_derivative(fs: FundamentalSystem, k: int, basepoint):
     # d^{k-j} * rho_j expanded by Leibniz into normal form
     op = Operator.sum([Operator.integral(basepoint, f, ratio)
                        for f, ratio in zip(fs._row(k), fs.ratios())]
-                      + [Operator(diff=dict(_leibniz(k - j, rho)))
+                      + [Operator(diff={l: _accumulate(pairs)
+                                        for l, pairs in _leibniz(k - j, _scaled(rho))})
                          for j, rho in enumerate(residues, start=1)])
     return op, residues
 

@@ -206,6 +206,8 @@ def _spec_from_args(args):
         texts = tuple(s.strip() for s in args.test_functions.split(",") if s.strip())
         if not texts:
             raise ParseError("--test-functions names no function")
+        if repeated := [text for i, text in enumerate(texts) if text in texts[:i]]:
+            raise ParseError(f"--test-functions names {repeated[0]!r} twice")
     test_functions = tuple((text, parse_exppoly(text)) for text in texts)
     extra = [basepoint] if basepoint is not None else []
     check_exponent_spread(problem.system(), problem.evaluation_points().union(extra))

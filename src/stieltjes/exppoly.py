@@ -11,10 +11,15 @@ to a nonzero coefficient: the key of the operator ring's right factors and
 of the ``xi`` monomials of ``BivariateExpPoly``, which represents finite sums
 ``sum f_i(x) * g_i(xi)`` with the ``xi`` factor split into monomials so that
 equality is structural.  Every sum, product, derivative and definite
-integral, and ``Operator.apply``, ends in one finisher, ``_accumulate``: a
-contribution to a monomial is the ``_sum`` summand ``(c, p, q, k, m)``, a
-coefficient times a unit that the caller writes down unreduced, and each
-output coefficient is reduced once, by one ``_sum``; a zero one is dropped.
+integral, and ``Operator.apply`` and the operator product, ends in one
+finisher, ``_accumulate``.  Until then a function is the one unreduced form,
+a list of (monomial, part) pairs: the part is the ``_sum`` summand
+``(c, p, q, k, m)``, a coefficient times a unit that the caller writes down
+unreduced.  One routine per rule maps pairs to pairs: ``_derived`` for
+derivatives, ``_antiderivative`` and ``_integral`` for integrals,
+``_values`` for values at a point, ``_shift`` and ``_products`` for
+products.  ``_accumulate`` reduces each output coefficient once, by one
+``_sum``, and drops a zero one.
 
 A frequency is stored as an ``int`` when it is integral and as a ``Fraction``
 otherwise.  The two compare and hash alike, so dict lookups, ``==``, ``hash``
@@ -26,11 +31,10 @@ matters because every product adds the frequencies of all term pairs.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import comb, gcd, perm
 
-from .constants import (_ONE, _ZERO, Constant, _join_signed, _part_value, _ratio_latex,
-                        _ratio_text, _sum, _times_units)
+from .constants import (_ONE, _ZERO, Constant, _join_signed, _ratio_latex, _ratio_text, _sum,
+                        _times_units)
 
 # A frequency key: an int when integral, else a Fraction (see above).
 Freq = int | Fraction
@@ -47,66 +51,81 @@ def _freq(q) -> Freq:
     return q.numerator if q.denominator == 1 else q
 
 
-def _values(pairs, q: Freq, i: int = 0) -> list[tuple[Constant, int, int, int, int]]:
-    """The value at q of the i-th derivative of the sum of ``c s/t x^n e^(l x)``
-    over the scaled pairs ((l, n), (c, s, t)) with nonzero c and s/t in
-    lowest terms, ``t > 0``, as the unit multiples ``(c, p, r, k, m)`` of
-    the c, each ``c * p/r * e^(k/m)`` with the unit in lowest terms and
-    ``r, m > 0``: summands of ``_sum``, left unreduced.  By Leibniz's rule
-    the unit is ``s/t u e^(l q)`` with
-    ``u = sum_{k <= min(i, n)} C(i, k) n!/(n-k)! q^(n-k) l^(i-k)``; a term
-    with ``u = 0`` gives no multiple.  The point is taken as it is, an int
-    or a Fraction, so no Fraction is built."""
-    a, b = q.numerator, q.denominator
+def _scaled(f: "ExpPoly") -> list:
+    """The terms of f as (monomial, part) pairs, each under the unit 1."""
+    return [(key, (c, 1, 1, 0, 1)) for key, c in f._terms.items()]
+
+
+def _shift(pairs, m: Monomial) -> list:
+    """The pairs of the monomial m times the sum of the pairs: a key shift."""
+    l, n = m
+    return [((_freq(l + l2), n + n2), part) for (l2, n2), part in pairs]
+
+
+def _derived(pairs, i: int, scale: int = 1) -> list:
+    """``scale * d^i`` of the sum of the (monomial, part) pairs, as pairs:
+    one part per term and ``j <= min(i, n)``, by Leibniz's rule
+    ``d^i (x^n e^(l x)) = sum_j C(i, j) n!/(n-j)! l^(i-j) x^(n-j) e^(l x)``,
+    with no part for a zero multiple.  Order 0 with scale -1 negates."""
     out = []
-    for (freq, n), (c, s, t) in pairs:
+    for (freq, n), (c, p, q, k, m) in pairs:
         fa, fb = freq.numerator, freq.denominator
-        if i:
-            # u over the common denominator b^n fb^i of its summands
-            u, falling, bd = 0, 1, b * fb
-            for k in range(min(i, n) + 1):
-                u += comb(i, k) * falling * a ** (n - k) * fa ** (i - k) * bd ** k
-                falling *= n - k
-            if not u:
-                continue
-            p, r = u * s, b ** n * fb ** i * t
-        elif n and not a:
-            continue
-        else:
-            p, r = a ** n * s, b ** n * t
-        g = gcd(p, r)
-        k, m = fa * a, fb * b
-        h = gcd(k, m)
-        out.append((c, p // g, r // g, k // h, m // h))
+        for j in range(min(i, n) + 1):
+            if fa or j == i:
+                a, b = comb(i, j) * perm(n, j) * fa ** (i - j) * scale * p, fb ** (i - j) * q
+                g = gcd(a, b)
+                out.append(((freq, n - j), (c, a // g, b // g, k, m)))
     return out
 
 
-def _scaled(f: "ExpPoly") -> list:
-    """The terms of f as the scaled pairs of ``_values``, each scale 1/1."""
-    return [(key, (c, 1, 1)) for key, c in f._terms.items()]
+def _values(pairs, q: Freq) -> list:
+    """The value at q of the sum of the (monomial, part) pairs, as pairs at
+    the monomial 1: the part ``(c, s, t, k, m)`` of ``x^n e^(l x)`` gives
+    ``c * s q^n/t * e^(l q + k/m)``, with the unit in lowest terms, and
+    nothing where ``q^n = 0``.  The point is taken as it is, an int or a
+    Fraction, so no Fraction is built."""
+    a, b = q.numerator, q.denominator
+    out = []
+    for (freq, n), (c, s, t, k, m) in pairs:
+        if n and not a:
+            continue
+        p, r = a ** n * s, b ** n * t
+        g = gcd(p, r)
+        fb = freq.denominator * b
+        k, m = freq.numerator * a * m + k * fb, fb * m
+        h = gcd(k, m)
+        out.append(((0, 0), (c, p // g, r // g, k // h, m // h)))
+    return out
 
 
-def _antiderivative(pairs) -> dict[Monomial, tuple[Constant, int, int]]:
-    """The integration routine of ``ExpPoly.antiderivative`` and
-    ``Operator.apply``: an antiderivative of the sum of ``c x^P e^(l x)``
-    over ((l, P), c) pairs, as the scaled pairs ``(c, p, q)`` of ``_values``.
-    A monomial that one pair reaches keeps its multiple ``c p/q`` unreduced;
-    the multiples that meet in one are added by one ``_sum``, a zero dropped."""
+def _antiderivative(pairs) -> list:
+    """The integration routine of ExpPoly, ``Operator.apply`` and the
+    operator product: an antiderivative of the sum of the (monomial, part)
+    pairs, as pairs.  A monomial that one part reaches keeps its multiple
+    unreduced; the multiples that meet in one are added by one ``_sum``, a
+    zero dropped."""
     slots: dict[Monomial, list] = {}
-    for (freq, power), c in pairs:
+    for (freq, power), (c, s0, t0, k, m) in pairs:
         if freq == 0:
-            slots.setdefault((0, power + 1), []).append((c, 1, power + 1))
+            g = gcd(s0, t0 * (power + 1))
+            slots.setdefault((0, power + 1), []).append((c, s0 // g, t0 * (power + 1) // g, k, m))
             continue
         # int x^P e^{lx} = sum_n r_n x^n e^{lx}, r_n = (-1)^(P-n) P!/(n! l^(P-n+1)),
         # built from 1/l = t/s in lowest terms as (-t)^(P-n) t P!/n! / s^(P-n+1)
         s, t = abs(freq.numerator), freq.denominator if freq > 0 else -freq.denominator
         for n in range(power, -1, -1):
-            p, q = perm(power, power - n) * (-t) ** (power - n) * t, s ** (power - n + 1)
+            p, q = perm(power, power - n) * (-t) ** (power - n) * t * s0, s ** (power - n + 1) * t0
             g = gcd(p, q)
-            slots.setdefault((freq, n), []).append((c, p // g, q // g))
-    out = {key: us[0] if len(us) == 1 else (_sum([(c, p, q, 0, 1) for c, p, q in us]), 1, 1)
-           for key, us in slots.items()}
-    return {key: u for key, u in out.items() if not u[0].is_zero()}
+            slots.setdefault((freq, n), []).append((c, p // g, q // g, k, m))
+    out = [(key, us[0] if len(us) == 1 else (_sum(us), 1, 1, 0, 1)) for key, us in slots.items()]
+    return [(key, part) for key, part in out if part[0]._num]
+
+
+def _integral(pairs, a: Freq) -> list:
+    """The integral from a of the sum of the (monomial, part) pairs, as
+    pairs: the antiderivative F and, at the monomial 1, ``-F(a)``."""
+    F = _antiderivative(pairs)
+    return F + _derived(_values(F, a), 0, -1)
 
 
 def _accumulate(pairs) -> "ExpPoly":
@@ -120,16 +139,11 @@ def _accumulate(pairs) -> "ExpPoly":
     return f
 
 
-def _products(f: "ExpPoly", g) -> list:
-    """The (monomial, part) pairs of ``f * g`` for g given as the scaled
-    pairs of ``_values``: one ``_times_units`` part per pair of terms."""
-    return [((_freq(l1 + l2), n1 + n2), _times_units(c1, c2, p, q, 0, 1))
-            for (l1, n1), c1 in f._terms.items() for (l2, n2), (c2, p, q) in g]
-
-
-def _product_sum(pairs) -> "ExpPoly":
-    """``sum f * g`` over (f, g) pairs of ExpPolys, as one accumulation."""
-    return _accumulate(chain(*[_products(f, _scaled(g)) for f, g in pairs]))
+def _products(f: "ExpPoly", pairs) -> list:
+    """The (monomial, part) pairs of f times the sum of the pairs: one
+    ``_times_units`` part per pair of terms."""
+    return [((_freq(l1 + l2), n1 + n2), _times_units(c1, c2, p, q, k, m))
+            for (l1, n1), c1 in f._terms.items() for (l2, n2), (c2, p, q, k, m) in pairs]
 
 
 class ExpPoly:
@@ -210,7 +224,7 @@ class ExpPoly:
 
     def __mul__(self, other):
         if isinstance(other, ExpPoly):
-            return _product_sum(((self, other),))
+            return _accumulate(_products(self, _scaled(other)))
         c = Constant._coerce(other)
         if c is None:
             return NotImplemented
@@ -231,15 +245,8 @@ class ExpPoly:
     # -- calculus ---------------------------------------------------------
 
     def derive(self, times: int = 1) -> "ExpPoly":
-        """The derivative: d/dx(x^n e^{lx}) = n x^{n-1} e^{lx} + l x^n e^{lx}."""
-        result = self
-        for _ in range(times):
-            terms = result._terms.items()
-            result = _accumulate(
-                [((l, n - 1), (c, n, 1, 0, 1)) for (l, n), c in terms if n]
-                + [((l, n), (c, l.numerator, l.denominator, 0, 1))
-                   for (l, n), c in terms if l])
-        return result
+        """The derivative of order ``times``, by ``_derived``."""
+        return _accumulate(_derived(_scaled(self), times))
 
     def derivatives(self, n: int) -> list["ExpPoly"]:
         """``[f, f', ..., f^(n)]``, each derived once from the one before."""
@@ -249,21 +256,16 @@ class ExpPoly:
         return out
 
     def antiderivative(self) -> "ExpPoly":
-        """The reduced form of ``_antiderivative``, which ``integrate_from`` and
+        """The reduced form of ``_antiderivative``, which ``_integral`` and
         ``Operator.apply`` read unreduced."""
-        return ExpPoly({key: _part_value((c, p, q, 0, 1))
-                        for key, (c, p, q) in _antiderivative(self._terms.items()).items()})
+        return _accumulate(_antiderivative(_scaled(self)))
 
     def integrate_from(self, a) -> "ExpPoly":
-        """The antiderivative F with F(a) = 0: the unit multiples of
-        ``_antiderivative``, and at the monomial 1 those of ``-F(a)``."""
-        F = _antiderivative(self._terms.items())
-        return _accumulate([*[(key, (c, p, q, 0, 1)) for key, (c, p, q) in F.items()],
-                            *[((0, 0), (c, -p, r, k, m))
-                              for c, p, r, k, m in _values(F.items(), _freq(a))]])
+        """The antiderivative F with F(a) = 0, by ``_integral``."""
+        return _accumulate(_integral(_scaled(self), _freq(a)))
 
     def eval_at(self, q) -> Constant:
-        return _sum(_values(_scaled(self), _freq(q)))
+        return _sum([part for _key, part in _values(_scaled(self), _freq(q))])
 
     # -- rendering --------------------------------------------------------
 

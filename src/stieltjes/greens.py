@@ -25,8 +25,8 @@ from .constants import Constant
 from .errors import DegenerateDomainError, NotEquitableError, ParseError
 from .exppoly import BivariateExpPoly, ExpPoly
 from .operators import Operator
-from .parsing import (_derivative_order, _nonnegative_int, parse_bivariate, parse_exppoly,
-                      parse_rational)
+from .parsing import (_derivative_order, _entries, _fields, _nonnegative_int, parse_bivariate,
+                      parse_exppoly, parse_rational)
 
 REGION_LOWER = "xi<=x"
 REGION_UPPER = "x<=xi"
@@ -249,21 +249,23 @@ class GreensFunction:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GreensFunction":
+        doc = "Green's function document"
+        _fields(data, doc, ("breakpoints", "branches", "dirac", "diagonal"))
         try:
             breakpoints = [parse_rational(p) for p in data["breakpoints"]]
             branches = {
                 (_nonnegative_int(entry["interval"], "interval"), str(entry["region"])):
                     parse_bivariate(entry["term"])
-                for entry in data.get("branches", ())
+                for entry in _entries(data, doc, "branches", ("interval", "region", "term"))
             }
             dirac = [
                 (parse_rational(entry["point"]), _derivative_order(entry["order"]),
                  parse_exppoly(entry["coeff"]))
-                for entry in data.get("dirac", ())
+                for entry in _entries(data, doc, "dirac", ("point", "order", "coeff"))
             ]
             diagonal = [
                 (_derivative_order(entry["order"]), parse_exppoly(entry["coeff"]))
-                for entry in data.get("diagonal", ())
+                for entry in _entries(data, doc, "diagonal", ("order", "coeff"))
             ]
             return cls(breakpoints, branches, dirac, diagonal)
         except (KeyError, TypeError, ValueError) as exc:

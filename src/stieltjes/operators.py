@@ -29,26 +29,28 @@ of Regensburger, Rosenkranz and Middeke).  The rules are::
     <p>*f      -> f(p)*<p>,  <p><q> -> <q>,  d^k <p> -> 0 (k >= 1)
     <p>*int_a  -> int_a - int_p,  <p>*int_p -> 0
 
-The product is one accumulation.  Each left term is composed with every
-right term under a unit left factor (``<p> d^i`` as ``d^i`` followed by one
-evaluation at p per key).  The pairs of a left factor f and a summand g are
-collected per key, and one ``exppoly._product_sum`` per key hands every
-``f * g`` coefficient product to the finisher of ExpPoly arithmetic,
-``exppoly._accumulate``, so each output coefficient is reduced once.
+The product is one accumulation, in the unreduced form of ExpPoly
+arithmetic: (monomial, part) pairs, a part being a ``_sum`` summand
+``(c, p, q, k, m)``.  Each left term is composed with every right term
+under a unit left factor (``<p> d^i`` as ``d^i`` followed by one evaluation
+at p per key), and each rewrite emits, per key, the pairs of its left
+factor: a right monomial is a key shift (``exppoly._shift``), a derivative
+comes from the one derivative rule ``exppoly._derived``, a definite
+integral from ``exppoly._integral`` and a value from ``exppoly._values``.
+The ``d * int`` rule is taken i steps at once::
+
+    d^i g int_b m -> g^(i) int_b m + sum_{r<i} d^(i-1-r) g^(r) m
+
+Each left factor of u is multiplied into those pairs by
+``exppoly._products``, and each output coefficient is reduced once, by
+the finisher of ExpPoly arithmetic, ``exppoly._accumulate``.
 
 The action on a function h ends in the same finisher, from an action plan
 built on the first application: the integral terms' left factors summed
 per right monomial m, and one signed left factor per boundary value
 ``F_m(q)``, which several terms may share.  The antiderivative ``F_m`` of
 ``m h`` and every boundary value are unit multiples of h's coefficients,
-never reduced on their own.  The i-th derivative at p is read off the
-terms ``c x^n e^(l x)`` of h::
-
-    d^i (x^n e^(l x)) at p = r e^(l p),
-    r = sum_{k <= min(i, n)} C(i, k) n!/(n-k)! p^(n-k) l^(i-k)
-
-A left coefficient times such a multiple is one summand, a
-``constants._times_units`` part.
+never reduced on their own.
 """
 
 from __future__ import annotations
@@ -56,10 +58,10 @@ from __future__ import annotations
 from itertools import chain
 from math import comb
 
-from .constants import _ONE, Constant, _join_signed, _times_units
+from .constants import _ONE, Constant, _join_signed
 from .errors import ParseError
-from .exppoly import (ExpPoly, Freq, Monomial, _accumulate, _antiderivative, _freq, _product_sum,
-                      _products, _scaled, _values)
+from .exppoly import (ExpPoly, Freq, Monomial, _accumulate, _antiderivative, _derived, _freq,
+                      _integral, _products, _scaled, _shift, _values)
 from .parsing import _derivative_order, _fields, _nonnegative_int, parse_exppoly, parse_rational
 
 # Part dictionaries: keys identify a term, values are left ExpPoly factors.
@@ -75,11 +77,11 @@ def _mono(m: Monomial) -> ExpPoly:
     return ExpPoly({m: _ONE})
 
 
-def _leibniz(n: int, g: ExpPoly):
-    """Yield (k, comb(n, k) * g^(n-k)), the summands of d^n g = sum_k ... d^k."""
-    gs = g.derivatives(n)
+def _leibniz(n: int, pairs):
+    """Yield (k, pairs of C(n, k) g^(n-k)), the summands of d^n g = sum_k ... d^k,
+    for the g of the (monomial, part) pairs."""
     for k in range(n + 1):
-        yield k, gs[n - k] * comb(n, k)
+        yield k, _derived(pairs, n - k, comb(n, k))
 
 
 class Operator:
@@ -212,7 +214,7 @@ class Operator:
         for op in ops:
             for target, source in zip(parts, op._parts()):
                 for key, f in source.items():
-                    _add(target, key, f)
+                    _extend(target, key, (f,))
         return cls(*_summed(parts))
 
     def __add__(self, other):
@@ -276,33 +278,30 @@ class Operator:
         zero sums are dropped.  Only the differential part takes derivatives
         of h, each order once.  Each right monomial m is integrated once, by
         ``exppoly._antiderivative``, to ``F_m`` as unit multiples of h's
-        coefficients.  A product of a left factor and ``h^(i)`` or ``F_m``
-        gives one part per pair of terms (``exppoly._products``), and a
-        boundary value, ``F_m(q)`` or ``h^(i)(p)`` of ``f <p> d^i``, is a
-        list of unit multiples (``exppoly._values``), each multiplied into
-        the left factor coefficient by coefficient."""
+        coefficients.  A boundary value, ``F_m(q)`` or ``h^(i)(p)`` of
+        ``f <p> d^i``, is a list of unit multiples (``exppoly._values``, of
+        ``exppoly._derived`` for ``h^(i)``).  A left factor times ``h^(i)``,
+        ``F_m`` or a value gives one part per pair of terms
+        (``exppoly._products``)."""
         if self._plan is None:
             lefts, bounds = {}, {}
             for (a, m), f in self._integ.items():
-                _add(lefts, m, f)
-                _add(bounds, (m, a), -f)
+                _extend(lefts, m, (f,))
+                _extend(bounds, (m, a), (-f,))
             for (p, a, m), f in self._global.items():
-                _add(bounds, (m, p), f)
-                _add(bounds, (m, a), -f)
+                _extend(bounds, (m, p), (f,))
+                _extend(bounds, (m, a), (-f,))
             self._plan = _summed([lefts, bounds])
         lefts, bounds = self._plan
         derivs = h.derivatives(self.order())
-        anti = {m: _antiderivative([((_freq(m[0] + l), m[1] + n), c)
-                                    for (l, n), c in h._terms.items()])
+        anti = {m: _antiderivative(_shift(_scaled(h), m))
                 for m in lefts.keys() | {m for m, _q in bounds}}
-        products = chain(((f, _scaled(derivs[i])) for i, f in self._diff.items()),
-                         ((f, anti[m].items()) for m, f in lefts.items()))
-        values = chain(((f, _values(anti[m].items(), q)) for (m, q), f in bounds.items()),
-                       ((f, _values(_scaled(h), *key)) for key, f in self._local.items()))
         return _accumulate(chain(
-            *[_products(f, g) for f, g in products],
-            [(key, _times_units(cf, *unit))
-             for f, units in values for key, cf in f._terms.items() for unit in units]))
+            *[_products(f, _scaled(derivs[i])) for i, f in self._diff.items()],
+            *[_products(f, anti[m]) for m, f in lefts.items()],
+            *[_products(f, _values(anti[m], q)) for (m, q), f in bounds.items()],
+            *[_products(f, _values(_derived(_scaled(h), i), p))
+              for (p, i), f in self._local.items()]))
 
     # -- translation between standard and equitable form ------------------------
 
@@ -395,8 +394,8 @@ def _as_exppoly(value) -> ExpPoly | None:
 # -- composition of equitable operators -----------------------------------------
 
 
-def _add(part: dict, key, f: ExpPoly):
-    part.setdefault(key, []).append(f)
+def _extend(part: dict, key, items) -> None:
+    part.setdefault(key, []).extend(items)
 
 
 def _summed(parts) -> list[dict]:
@@ -407,23 +406,21 @@ def _summed(parts) -> list[dict]:
 
 
 def _diff_after(i: int, v: Operator) -> list[dict]:
-    """The diff, integ and local parts of d^i * v."""
-    if i == 0:
-        return [v._diff, v._integ, v._local]
+    """The diff, integ and local parts of d^i * v, as lists of (monomial,
+    part) pairs per key."""
     diff, integ, local = parts = ({}, {}, {})
     for j, g in v._diff.items():
-        for k, c in _leibniz(i, g):
-            _add(diff, k + j, c)
+        for k, pairs in _leibniz(i, _scaled(g)):
+            _extend(diff, k + j, pairs)
     for (b, m), g in v._integ.items():
-        for k, c in _leibniz(i, g):
-            if k == 0:
-                _add(integ, (b, m), c)
-            else:  # d^k int_b m = d^(k-1) m: one derivative cancels the integral
-                for l, e in _leibniz(k - 1, _mono(m)):
-                    _add(diff, l, c * e)
+        g = _scaled(g)
+        _extend(integ, (b, m), _derived(g, i))
+        for r in range(i):  # d^i g int_b m = g^(i) int_b m + sum_{r<i} d^(i-1-r) g^(r) m
+            for k, pairs in _leibniz(i - 1 - r, _shift(_derived(g, r), m)):
+                _extend(diff, k, pairs)
     for key, g in v._local.items():
-        _add(local, key, g.derive(i))  # d <q> = 0: only the k = 0 summand survives
-    return _summed(parts)
+        _extend(local, key, _derived(_scaled(g), i))  # d <q> = 0
+    return parts
 
 
 def _evaluation_after(p: Freq, parts: list[dict]) -> list[dict]:
@@ -431,39 +428,39 @@ def _evaluation_after(p: Freq, parts: list[dict]) -> list[dict]:
     evaluation at p per key of w."""
     diff_w, integ_w, local_w = parts
     integ, local = {}, {}
-    for key, f in [*[((p, i), f) for i, f in diff_w.items()], *local_w.items()]:
-        _add(local, key, ExpPoly.const(f.eval_at(p)))
-    for (a, m), f in integ_w.items():
+    for key, pairs in [*[((p, i), pairs) for i, pairs in diff_w.items()], *local_w.items()]:
+        _extend(local, key, _values(pairs, p))
+    for (a, m), pairs in integ_w.items():
         if a != p:  # <p>*int_a = int_a - int_p, and <p>*int_p = 0
-            c = ExpPoly.const(f.eval_at(p))
-            _add(integ, (a, m), c)
-            _add(integ, (p, m), -c)
-    return _summed([{}, integ, local])
+            values = _values(pairs, p)
+            _extend(integ, (a, m), values)
+            _extend(integ, (p, m), _derived(values, 0, -1))
+    return [{}, integ, local]
 
 
 def _integral_after(a: Freq, m: Monomial, v: Operator) -> list[dict]:
     """The parts of int_a m * v."""
     diff, integ, local = parts = ({}, {}, {})
-    right = _mono(m)
 
-    def integral(g: ExpPoly):  # int_a g, one term per monomial of g
-        for key, c in g._terms.items():
-            _add(integ, (a, key), ExpPoly.const(c))
+    def integral(pairs):  # int_a g, one term per part of g
+        for key, part in pairs:
+            _extend(integ, (a, key), [((0, 0), part)])
 
     for j, g in v._diff.items():
         # the closed form of int_a q d^j (see the module docstring)
-        qs = [q if l % 2 == 0 else -q for l, q in enumerate((right * g).derivatives(j))]
+        q = _shift(_scaled(g), m)
         for l in range(j):
-            _add(diff, j - 1 - l, qs[l])
-            _add(local, (a, j - 1 - l), ExpPoly.const(-qs[l].eval_at(a)))
-        integral(qs[j])
+            ql = _derived(q, l, (-1) ** l)
+            _extend(diff, j - 1 - l, ql)
+            _extend(local, (a, j - 1 - l), _derived(_values(ql, a), 0, -1))
+        integral(_derived(q, j, (-1) ** j))
     for (b, m2), g in v._integ.items():
-        F = (right * g).integrate_from(a)  # int_a q int_b m2 = F int_b m2 - int_a F m2
-        _add(integ, (b, m2), F)
-        integral(-F * _mono(m2))
+        F = _integral(_shift(_scaled(g), m), a)  # int_a q int_b m2 = F int_b m2 - int_a F m2
+        _extend(integ, (b, m2), F)
+        integral(_derived(_shift(F, m2), 0, -1))
     for key, g in v._local.items():
-        _add(local, key, (right * g).integrate_from(a))
-    return _summed(parts)
+        _extend(local, key, _integral(_shift(_scaled(g), m), a))
+    return parts
 
 
 def _compose(u: Operator, v: Operator) -> Operator:
@@ -474,9 +471,9 @@ def _compose(u: Operator, v: Operator) -> Operator:
                           ((f, _integral_after(a, m, v)) for (a, m), f in u._integ.items()),
                           ((f, _evaluation_after(p, after[i])) for (p, i), f in u._local.items())):
         for target, part in zip(total, parts):
-            for key, g in part.items():
-                _add(target, key, (f, g))
-    return Operator(*[{key: _product_sum(pairs) for key, pairs in part.items()} for part in total])
+            for key, pairs in part.items():
+                _extend(target, key, _products(f, pairs))
+    return Operator(*[{key: _accumulate(pairs) for key, pairs in part.items()} for part in total])
 
 
 # -- function-style aliases ----------------------------------------------------

@@ -276,3 +276,12 @@ def _fields(doc, what: str, names: tuple[str, ...]) -> dict:
     if unknown := [key for key in doc if key not in names]:
         raise ParseError(f"unknown field {unknown[0]!r} in {what} (fields: {', '.join(names)})")
     return doc
+
+
+def _entries(data: dict, owner: str, part: str, names: tuple[str, ...]) -> list[dict]:
+    """The objects of the list field ``part`` of ``data``, each with no
+    field outside ``names``."""
+    entries = data.get(part, [])
+    if not isinstance(entries, list):
+        raise ParseError(f"{owner} field {part!r} must be a list")
+    return [_fields(entry, f"{part} term", names) for entry in entries]

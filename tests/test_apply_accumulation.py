@@ -24,7 +24,7 @@ import pytest
 
 from conftest import forcing_functions, random_operator, random_regular_problem
 
-from stieltjes import Constant, ExpPoly, Operator, greens_operator, operators
+from stieltjes import Constant, ExpPoly, Operator, exppoly, greens_operator
 
 E = Constant.e_power(1)
 
@@ -57,17 +57,23 @@ def functions_to_apply() -> list[ExpPoly]:
 
 @pytest.fixture
 def branches(monkeypatch):
-    """Record which product branch each unit multiple takes: the left
-    coefficient a unit, h's coefficient (or F_m's) a unit, or neither."""
+    """Record which product branch each unit multiple of ``Operator.apply``
+    takes: the left coefficient a unit, h's coefficient (or F_m's) a unit,
+    or neither."""
     seen = set()
-    original = operators._times_units
+    original, apply = exppoly._times_units, Operator.apply
 
     def recorded(c, d, *unit):
         is_unit = [len(x._num) == len(x._den) == 1 for x in (c, d)]
         seen.add("left unit" if is_unit[0] else "right unit" if is_unit[1] else "neither")
         return original(c, d, *unit)
 
-    monkeypatch.setattr(operators, "_times_units", recorded)
+    def recording(op, h):  # apply's products run through exppoly._products
+        with monkeypatch.context() as patch:
+            patch.setattr(exppoly, "_times_units", recorded)
+            return apply(op, h)
+
+    monkeypatch.setattr(Operator, "apply", recording)
     return seen
 
 

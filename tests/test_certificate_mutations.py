@@ -58,15 +58,15 @@ ROWS = [
     ("to_standard swaps the basepoint", Operator, "to_standard",
      "glob={(a, e, m): -f}", "glob={(e, a, m): -f}"),
     ("_evaluation_after keeps the sign of -int_p", operators, "_evaluation_after",
-     "_add(integ, (p, m), -c)", "_add(integ, (p, m), c)"),
+     "_extend(integ, (p, m), _derived(values, 0, -1))", "_extend(integ, (p, m), values)"),
     ("_evaluation_after drops <p>*int_a", operators, "_evaluation_after",
      "if a != p:", "if False:"),
     ("_integral_after negates int_a q int_b", operators, "_integral_after",
-     "integral(-F * _mono(m2))", "integral(F * _mono(m2))"),
+     "integral(_derived(_shift(F, m2), 0, -1))", "integral(_shift(F, m2))"),
     ("_integral_after negates int_a q d^j", operators, "_integral_after",
-     "integral(qs[j])", "integral(-qs[j])"),
+     "integral(_derived(q, j, (-1) ** j))", "integral(_derived(q, j, -(-1) ** j))"),
     ("_diff_after negates d*int", operators, "_diff_after",
-     "_leibniz(k - 1, _mono(m))", "_leibniz(k - 1, -_mono(m))"),
+     "_shift(_derived(g, r), m)", "_shift(_derived(g, r, -1), m)"),
     ("one cofactor negated", boundary, "_last_row_cofactors",
      "n - 1 + j)", "n - 1 + j + (j == 0))"),
     ("every cofactor negated", boundary, "_last_row_cofactors", "n - 1 + j)", "n + j)"),

@@ -7,6 +7,11 @@
 - The verification report reads breakpoints, branch count and
   distributional terms off the kernel it reports on.
 - ``kernel_relations`` reads ``u_j^(i)(p)`` off the stored Wronskian rows.
+- ``is_regular`` reads the kept ``(M, M^-1)`` of the problem.
+- A Green's function document accepts only its listed fields, at the top
+  level and in each branch, Dirac and diagonal entry.
+- ``--test-functions`` names each forcing function once: the texts are the
+  report's keys.
 """
 
 import copy
@@ -20,12 +25,14 @@ import pytest
 
 from stieltjes import GreensFunction, Operator, ParseError, boundary
 from stieltjes.boundary import (
+    BoundaryProblem,
     FundamentalSystem,
     StieltjesCondition,
     evaluation_matrix,
+    is_regular,
     kernel_relations,
 )
-from stieltjes.cli import main, parse_problem
+from stieltjes.cli import main, parse_problem, solve_problem
 from stieltjes.linalg import left_kernel
 from stieltjes.parsing import parse_exppoly
 
@@ -170,3 +177,73 @@ def test_kernel_relations_read_the_wronskian_rows(monkeypatch, a, b):
         matrix, basis = kernel_relations(fs, a, b)
         assert matrix == reference
         assert basis == left_kernel(reference)
+
+
+def test_is_regular_reads_the_kept_evaluation_pair(monkeypatch):
+    calls = []
+    original = boundary.evaluation_matrix
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(boundary, "evaluation_matrix", counted)
+    problem = parse_problem(NONLOCAL_DOC)
+    solve_problem(problem)
+    assert len(calls) == 1
+    assert is_regular(problem)
+    assert len(calls) == 1  # no second evaluation matrix after the solve
+    # u'' with u'(0) = u'(1) = 0 is singular
+    singular = BoundaryProblem(Operator.derivative(2), [StieltjesCondition([(0, 1, 1)]),
+                                                        StieltjesCondition([(1, 1, 1)])])
+    assert not is_regular(singular)
+    assert not is_regular(singular)
+
+
+def _kernel_doc() -> dict:
+    """The nonlocal example's kernel, with one diagonal entry added."""
+    doc = solve_problem(parse_problem(NONLOCAL_DOC))[2].to_json_dict()
+    doc["diagonal"].append({"order": 0, "coeff": "1"})
+    return doc
+
+
+# (id, edit of the kernel document, the field the error must name)
+MISSPELLED_KERNEL_FIELDS = [
+    ("top-level", lambda d: _rename(d, "dirac", "diracs"), "'diracs'"),
+    ("top-level-extra", lambda d: d.update(regions=[]), "'regions'"),
+    ("branch", lambda d: _rename(d["branches"][0], "term", "terms"), "'terms'"),
+    ("dirac", lambda d: d["dirac"][0].update(sign="-"), "'sign'"),
+    ("dirac-point", lambda d: _rename(d["dirac"][1], "point", "pont"), "'pont'"),
+    ("diagonal", lambda d: _rename(d["diagonal"][0], "coeff", "coef"), "'coef'"),
+]
+
+
+def test_the_unedited_kernel_document_loads():
+    doc = _kernel_doc()
+    assert GreensFunction.from_json_dict(doc).to_json_dict() == doc
+
+
+@pytest.mark.parametrize("edit, name", [row[1:] for row in MISSPELLED_KERNEL_FIELDS],
+                         ids=[row[0] for row in MISSPELLED_KERNEL_FIELDS])
+def test_a_misspelled_kernel_field_is_refused(edit, name):
+    # "diracs" used to load a kernel with no Dirac terms, and an extra
+    # "sign" in a Dirac entry was ignored
+    doc = _kernel_doc()
+    edit(doc)
+    with pytest.raises(ParseError, match=f"unknown field {name}"):
+        GreensFunction.from_json_dict(doc)
+    with pytest.raises(ParseError, match=f"unknown field {name}"):
+        GreensFunction.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("texts, name", [("x, x", "'x'"), ("exp(x),x , exp(x)", "'exp(x)'")])
+def test_a_repeated_test_function_exits_2_naming_it(capsys, monkeypatch, command, fmt, texts,
+                                                    name):
+    # "x, x" used to print the f = x rows twice, under one JSON key
+    monkeypatch.setattr("sys.stdin", _stdin(NONLOCAL_DOC))
+    assert main([command, "-", "--format", fmt, "--test-functions", texts]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --test-functions names {name} twice\n"

@@ -3,7 +3,8 @@
 Every sum, product, derivative and definite integral of ``ExpPoly``, and
 every product of scalars, runs through a few shared routines: the finisher
 ``exppoly._accumulate``, the product generator ``exppoly._products``, the
-antiderivative, ``constants._times_units`` with ``_cross_product``, and
+derivative rule ``_derived``, the antiderivative and the definite integral
+``_integral``, ``constants._times_units`` with ``_cross_product``, and
 ``constants._sum`` with ``_part_value``.  Their summand is the unit
 multiple ``(c, p, q, k, m)``, which ``_sum`` scales and shifts where it
 adds it, and ``_part_value`` where it finishes a lone one.  A fault in one
@@ -27,16 +28,15 @@ from test_constant_oracle import check_random_operations
 from test_exppoly_oracle import check_algebra_and_calculus
 
 from stieltjes import constants, exppoly, operators
-from stieltjes.exppoly import ExpPoly
 
 # (label, owner, function name, snippet, replacement)
 ROWS = [
     ("_accumulate keeps only each monomial's first part", exppoly, "_accumulate",
      "_sum(parts)", "_sum(parts[:1])"),
-    ("derive drops its factor n", ExpPoly, "derive",
-     "(c, n, 1, 0, 1)", "(c, 1, 1, 0, 1)"),
-    ("integrate_from drops the -F(a) multiples", ExpPoly, "integrate_from",
-     "_values(F.items(), _freq(a))", "()"),
+    ("derive drops its factor n", exppoly, "_derived",
+     "perm(n, j)", "1"),
+    ("integrate_from drops the -F(a) multiples", exppoly, "_integral",
+     "_derived(_values(F, a), 0, -1)", "[]"),
     ("_times_units inverts the folded unit", constants, "_times_units",
      "(c, a, d._den[0][1], j, d._n)",
      "(c, d._den[0][1] if a > 0 else -d._den[0][1], abs(a), -j, d._n)"),
