@@ -14,8 +14,9 @@ matrix ``(beta_i(u_j))``, so ``G = T_inv - sum_i v_i psi_i`` with
 with no operator product: ``<p> d^l T_inv`` is ``fri_derivative`` evaluated
 at p, and an integral ``<b> int_a w`` is integrated by parts against
 ``T_inv``.  A problem computes its fundamental system and the pair
-``(M, M^-1)`` once.  ``certify`` derives G a second way, by the products
-``beta_i * T_inv`` in the operator ring, and compares.
+``(M, M^-1)`` once; ``linalg._last_row_cofactors`` gives both the Wronskian
+cofactors and ``M^-1 = adj M / det M``.  ``certify`` derives
+G a second way, by the operator products ``beta_i * T_inv``, and compares.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import combinations
 from math import gcd, lcm
 
+from . import linalg
 from .constants import Constant
 from .errors import (
     FundamentalSystemError,
@@ -140,8 +141,8 @@ class FundamentalSystem:
             raise FundamentalSystemError("fundamental system must be supplied")
         self._rows = tuple(zip(*(uj.derivatives(len(u) - 1) for uj in u)))
         self.u = u
-        self.cofactors = tuple(_last_row_cofactors(self._rows))
-        self.d = ExpPoly.sum(e * cof for e, cof in zip(self._rows[-1], self.cofactors))
+        self.cofactors = tuple(linalg._last_row_cofactors(self._rows))
+        self.d = linalg._last_row_expansion(self._rows, self.cofactors)
         if (inv := _monomial_inverse(self.d)) is None:
             raise WronskianError("Wronskian not invertible in coefficient algebra")
         self._ratios = tuple(cof * inv for cof in self.cofactors)
@@ -158,26 +159,6 @@ class FundamentalSystem:
         """``(u_1^(k), ..., u_n^(k))``: stored for k < n, else derived and not kept."""
         last = len(self._rows) - 1
         return self._rows[k] if k <= last else tuple(f.derive(k - last) for f in self._rows[-1])
-
-
-def _last_row_cofactors(w: tuple[tuple[ExpPoly, ...], ...]) -> list[ExpPoly]:
-    """The cofactors of the last row of the square matrix ``w``.
-
-    Cofactor j is the signed minor of the first n-1 rows without column j.
-    The minors of the top k rows on every k-set of columns are expanded along
-    row k from those for k-1: about n 2^(n-1) products instead of n * n!."""
-    n = len(w)
-    minors = {(): ExpPoly.one()}
-    for k, row in enumerate(w[:-1]):
-        minors = {cols: ExpPoly.sum(_signed(row[c] * minors[cols[:t] + cols[t + 1:]], k + t)
-                                    for t, c in enumerate(cols) if not row[c].is_zero())
-                  for cols in combinations(range(n), k + 1)}
-    return [_signed(minors[tuple(c for c in range(n) if c != j)], n - 1 + j) for j in range(n)]
-
-
-def _signed(f: ExpPoly, k: int) -> ExpPoly:
-    """(-1)^k f."""
-    return -f if k % 2 else f
 
 
 def _monomial_inverse(f: ExpPoly) -> ExpPoly | None:
@@ -300,13 +281,14 @@ def _polynomial_text(coeffs: list[Fraction]) -> str:
 # examples and the seeded test problems stay below 60 steps.
 MAX_EXPONENT_SPREAD = 500
 
-# The operator order sets the size of the fundamental system, and its table of
-# Wronskian minors doubles with each order.  With n - 1 derivative conditions
-# at 0 and ``u(1) = 0``, ``solve --no-verify`` (Python 3.11 on a 2-core x86
-# host) takes 0.04 s at n = 8, 0.13 s at n = 10 and 0.52 s at n = 12 for
-# ``u^(n) = f``, and 0.08 s, 0.21 s and 0.59 s for n distinct integer roots
-# around 0; a cofactor expansion per determinant took 45 s for ten roots.  The
-# worked examples and the seeded test problems use orders up to 3.
+# The operator order sets the size of the fundamental system, and its tables of
+# minors, of the Wronskian and of M, double with each order.  With n - 1
+# derivative conditions at 0 and ``u(1) = 0``, ``solve --no-verify`` in-process
+# (Python 3.11 on a 2-core x86 host) takes 0.015 s at n = 8, 0.07 s at n = 10
+# and 0.34 s at n = 12 for ``u^(n) = f``, and 0.04 s, 0.19 s and 1.0 s for n
+# distinct integer roots around 0; ``verify`` of ten roots takes 0.44 s with
+# start-up, where a cofactor expansion per determinant took 45 s.  The worked
+# examples and the seeded test problems use orders up to 3.
 MAX_OPERATOR_ORDER = 10
 
 # Isolating the roots of the characteristic polynomial costs about the cube of

@@ -15,7 +15,7 @@ from stieltjes import (
     fundamental_right_inverse,
     parse_exppoly,
 )
-from stieltjes.linalg import mat_det, mat_inv, mat_vec
+from stieltjes.linalg import mat_det
 
 X = ExpPoly.x()
 ONE = ExpPoly.one()
@@ -90,19 +90,43 @@ def forcing_functions() -> list[ExpPoly]:
     return [parse_exppoly(t) for t in TEST_FUNCTIONS]
 
 
+def gauss_jordan(m, rhs):
+    """Reference Gauss-Jordan elimination on ``[m | rhs]``, which shares no
+    code with ``stieltjes.linalg``: ``(det m, x)`` with ``m x = rhs`` for the
+    rows ``rhs`` of right-hand sides, and ``(0, None)`` when m is singular."""
+    n = len(m)
+    rows = [list(r) + list(b) for r, b in zip(m, rhs)]
+    det = Constant.one()
+    for col in range(n):
+        pivot = next((k for k in range(col, n) if not rows[k][col].is_zero()), None)
+        if pivot is None:
+            return Constant.zero(), None
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det = det * rows[col][col]
+        inv = rows[col][col].inverse()
+        rows[col] = [a * inv for a in rows[col]]
+        for k in range(n):
+            if k != col and not rows[k][col].is_zero():
+                factor = rows[k][col]
+                rows[k] = [a - factor * b for a, b in zip(rows[k], rows[col])]
+    return det, [tuple(r[n:]) for r in rows]
+
+
 def solve_directly(problem: BoundaryProblem, f: ExpPoly, basepoint) -> ExpPoly:
     """Independent oracle: variation of constants plus a linear solve.
 
-    u = T_inv f - sum_j c_j u_j with c = M^{-1} (beta_i(T_inv f)); uses only
-    function arithmetic and matrix inversion, no operator-ring rewriting.
+    u = T_inv f - sum_j c_j u_j with M c = (beta_i(T_inv f)), solved by the
+    reference ``gauss_jordan``; uses only function arithmetic and that
+    elimination, no operator-ring rewriting and no package linear algebra.
     """
     fs = problem.system()
-    minv = mat_inv(evaluation_matrix(problem.conditions, fs))
     particular = fundamental_right_inverse(fs, basepoint).apply(f)
-    rhs = [cond.apply(particular) for cond in problem.conditions]
-    cs = mat_vec(minv, rhs)
+    rhs = [[cond.apply(particular)] for cond in problem.conditions]
+    _det, cs = gauss_jordan(evaluation_matrix(problem.conditions, fs), rhs)
     u = particular
-    for c, uj in zip(cs, fs.u):
+    for (c,), uj in zip(cs, fs.u):
         u = u - uj * c
     return u
 

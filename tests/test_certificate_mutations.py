@@ -26,7 +26,13 @@ Rows that change no problem's ``Geq``, and why:
   of these rows makes ``certify`` refute the correct ``Geq`` of 11 or 15
   problems, except ``int_a q d^j`` negated, a rule that never fires because
   ``T_inv`` has no differential part;
-- every cofactor negated: ``r_j = cof_j / d`` is unchanged.
+- every cofactor negated: ``r_j = cof_j / d`` is unchanged, and so is
+  ``M^-1 = adj M / det M``.
+
+The cofactor rows patch ``linalg._last_row_cofactors``, which the Wronskian
+and ``mat_inv`` both look up there.  The two ``mat_inv`` rows patch the name
+``boundary.mat_inv`` that the solve calls; ``certify`` checks ``M M^-1 = I``
+through ``mat_vec``, not through the inverse.
 
 With the last comparison of ``certify`` replaced by ``return True``, the
 rows of the closed form fail this module: ``_row``, ``fri_derivative``, the
@@ -45,7 +51,7 @@ import pytest
 
 from test_certificate import document_problems  # the 15 `documents` problems
 
-from stieltjes import boundary, operators
+from stieltjes import boundary, linalg, operators
 from stieltjes.boundary import BoundaryProblem, FundamentalSystem
 from stieltjes.errors import SolverError
 from stieltjes.operators import Operator
@@ -67,9 +73,11 @@ ROWS = [
      "integral(_derived(q, j, (-1) ** j))", "integral(_derived(q, j, -(-1) ** j))"),
     ("_diff_after negates d*int", operators, "_diff_after",
      "_shift(_derived(g, r), m)", "_shift(_derived(g, r, -1), m)"),
-    ("one cofactor negated", boundary, "_last_row_cofactors",
+    ("one cofactor negated", linalg, "_last_row_cofactors",
      "n - 1 + j)", "n - 1 + j + (j == 0))"),
-    ("every cofactor negated", boundary, "_last_row_cofactors", "n - 1 + j)", "n + j)"),
+    ("every cofactor negated", linalg, "_last_row_cofactors", "n - 1 + j)", "n + j)"),
+    ("adjugate not transposed", boundary, "mat_inv", "cofactors[i][j]", "cofactors[j][i]"),
+    ("row rotation sign dropped", boundary, "mat_inv", "_signed(c, n - 1 - i)", "c"),
     ("_row derives once too often", FundamentalSystem, "_row",
      "f.derive(k - last)", "f.derive(k - last + 1)"),
     ("fri_residues shifted by one row", boundary, "fri_residues", "fs._row(j)", "fs._row(j + 1)"),
