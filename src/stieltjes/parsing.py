@@ -11,16 +11,25 @@ Rationals are written with '/' (``3/2``), powers must be nonnegative
 integers, and the argument of ``exp`` must be linear in the variables with
 rational coefficients, e.g. ``3/2*x^2*exp(-x) - 1`` or ``exp(x+2+xi)``.
 The variable ``xi`` is only allowed when parsing bivariate expressions.
+
+``parse_exppoly`` and ``parse_bivariate`` share one parser, which reads
+the tokens once.  Each value it builds is one dict from the key
+``(l, n, nu, m)`` of ``x^n xi^m exp(l*x + nu*xi)`` to a nonzero
+``Constant``, frequencies keyed as in ``exppoly``.  A sum or product gathers
+``constants._sum`` summands per key and reduces each coefficient once; the
+argument of ``exp`` and the degree cap read the keys.  The ``ExpPoly`` or
+``BivariateExpPoly`` is built once, from the final dict.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import reduce
 
-from .constants import Constant
+from .constants import _ONE, Constant, _stored, _sum, _times_units
 from .errors import ParseError
-from .exppoly import BivariateExpPoly, ExpPoly
+from .exppoly import BivariateExpPoly, ExpPoly, _freq
 
 # Powers are expanded by repeated multiplication, and everything downstream
 # (products, antiderivatives, condition integrals) grows with the degree: an
@@ -40,44 +49,42 @@ MAX_DERIVATIVE_ORDER = 40
 # Fraction("1e9999") builds one; so a rational literal is capped there.
 MAX_LITERAL_DIGITS = 4300
 _LITERAL_BOUND = 10 ** MAX_LITERAL_DIGITS
-_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)$")
+# A rational literal: a sign, then p/q (spaces allowed around the '/') or a
+# decimal with an exponent.  No underscores, as in expressions: Fraction's
+# own grammar took them from Python 3.11 and the spaces from 3.12.
+_RATIONAL = re.compile(r"[-+]?(?:\d+\s*/\s*\d+|(?=\.?\d)\d*(?:\.\d*)?(?:[eE]([-+]?\d+))?)")
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|(x(?:i)?|exp)|([()+\-*/^])|(\S))")
+_TOKEN = re.compile(r"\s*(?:(\d+|xi?|exp|[()+\-*/^])|(\S))")
+_ONE_KEY = (0, 0, 0, 0)  # the key of the monomial 1
 
 
-def _tokenize(text: str) -> list[str]:
+def _tokenize(text: str) -> list[str | None]:
+    """The tokens of text, closed by ``None``."""
     if not isinstance(text, str):
         raise ParseError(f"expression must be a string, got {text!r}")
     tokens = []
     text = text.strip()
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.group(4):
+    for m in _TOKEN.finditer(text):
+        if m[2]:
+            pos = m.start()
             raise ParseError(f"unexpected character at position {pos}: {text[pos:pos + 10]!r}")
-        if m.group(1):
-            tokens.append(m.group(1))
-        elif m.group(2):
-            tokens.append(m.group(2))
-        else:
-            tokens.append(m.group(3))
-        pos = m.end()
-    return tokens
+        tokens.append(m[1])
+    return tokens + [None]
 
 
 class _Parser:
-    """Recursive-descent parser producing BivariateExpPoly values."""
+    """Recursive-descent parser producing keyed values (see the module)."""
 
-    def __init__(self, tokens: list[str], allow_xi: bool):
-        self.tokens = tokens
+    def __init__(self, text: str, allow_xi: bool):
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.allow_xi = allow_xi
 
     def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos]
 
     def next(self) -> str:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok is None:
             raise ParseError("unexpected end of expression")
         self.pos += 1
@@ -88,43 +95,46 @@ class _Parser:
         if got != tok:
             raise ParseError(f"expected {tok!r}, got {got!r}")
 
-    def parse(self) -> BivariateExpPoly:
+    def parse(self) -> dict:
         value = self.expr()
         if self.peek() is not None:
             raise ParseError(f"trailing input at token {self.peek()!r}")
         return value
 
-    def expr(self) -> BivariateExpPoly:
+    def expr(self) -> dict:
         value = self.term()
+        if self.peek() not in ("+", "-"):
+            return value
+        parts = {key: [(c, 1, 1, 0, 1)] for key, c in value.items()}
         while self.peek() in ("+", "-"):
-            op = self.next()
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+            sign = 1 if self.next() == "+" else -1
+            for key, c in self.term().items():
+                parts.setdefault(key, []).append((c, sign, 1, 0, 1))
+        return _reduced(parts)
 
-    def term(self) -> BivariateExpPoly:
+    def term(self) -> dict:
         value = self.factor()
         while self.peek() in ("*", "/"):
             op = self.next()
             rhs = self.factor()
             if op == "*":
-                value = _biv_mul(value, rhs)
+                value = _product(value, rhs)
                 _check_degree(value)
+            elif rhs.keys() - {_ONE_KEY}:
+                raise ParseError("division is only defined by constants")
+            elif not rhs:
+                raise ParseError("division by zero")
             else:
-                c = _as_constant(rhs)
-                if c is None:
-                    raise ParseError("division is only defined by constants")
-                if c.is_zero():
-                    raise ParseError("division by zero")
-                value = value * c.inverse()
+                scale = rhs[_ONE_KEY].inverse()
+                value = {key: c * scale for key, c in value.items()}
         return value
 
-    def factor(self) -> BivariateExpPoly:
+    def factor(self) -> dict:
         tok = self.peek()
         if tok in ("+", "-"):
             self.next()
             value = self.factor()
-            return value if tok == "+" else -value
+            return value if tok == "+" else {key: -c for key, c in value.items()}
         value = self.atom()
         if self.peek() == "^":
             self.next()
@@ -137,31 +147,28 @@ class _Parser:
                 raise ParseError(f"exponent exceeds the cap MAX_POWER = {MAX_POWER}")
             power = int(digits)
             _check_degree(value, power)
-            result = _biv_const(1)
-            for _ in range(power):
-                result = _biv_mul(result, value)
-            return result
+            return reduce(_product, [value] * power, {_ONE_KEY: _ONE})
         return value
 
-    def atom(self) -> BivariateExpPoly:
+    def atom(self) -> dict:
         tok = self.next()
         if tok.isdigit():
             try:
                 value = int(tok)
             except ValueError as exc:  # over 4300 digits, Python's conversion limit
                 raise ParseError(f"integer literal too long ({len(tok)} digits)") from exc
-            return _biv_const(value)
+            return {_ONE_KEY: Constant.from_rational(value)} if value else {}
         if tok == "x":
-            return BivariateExpPoly.tensor(ExpPoly.x(), ExpPoly.one())
+            return {(0, 1, 0, 0): _ONE}
         if tok == "xi":
             if not self.allow_xi:
                 raise ParseError("variable 'xi' is not allowed here")
-            return BivariateExpPoly.tensor(ExpPoly.one(), ExpPoly.x())
+            return {(0, 0, 0, 1): _ONE}
         if tok == "exp":
             self.expect("(")
             arg = self.expr()
             self.expect(")")
-            return _exp_of(arg)
+            return _exp(arg)
         if tok == "(":
             value = self.expr()
             self.expect(")")
@@ -169,83 +176,75 @@ class _Parser:
         raise ParseError(f"unexpected token {tok!r}")
 
 
-def _check_degree(value: BivariateExpPoly, power: int = 1) -> None:
+def _reduced(parts: dict) -> dict:
+    """The value of the ``_sum`` summands gathered per key, zeros dropped."""
+    return {key: c for key, ps in parts.items() if (c := _sum(ps))._num}
+
+
+def _product(a: dict, b: dict) -> dict:
+    parts: dict[tuple, list] = {}
+    for (l1, n1, nu1, m1), c1 in a.items():
+        for (l2, n2, nu2, m2), c2 in b.items():
+            parts.setdefault((_freq(l1 + l2), n1 + n2, _freq(nu1 + nu2), m1 + m2), []).append(
+                _times_units(c1, c2, 1, 1, 0, 1))
+    return _reduced(parts)
+
+
+def _check_degree(value: dict, power: int = 1) -> None:
     """Reject ``value^power`` when its total degree in x and xi exceeds MAX_POWER."""
-    degree = power * max((n + m for _f, n, _c, _yf, m in value._markup_terms()), default=0)
+    degree = power * max([n + m for _l, n, _nu, m in value], default=0)
     if degree > MAX_POWER:
         raise ParseError(f"degree {degree} in x and xi exceeds the cap MAX_POWER = {MAX_POWER}")
 
 
-def _biv_const(c) -> BivariateExpPoly:
-    return BivariateExpPoly.tensor(ExpPoly.const(c), ExpPoly.one())
-
-
-def _as_constant(value: BivariateExpPoly) -> Constant | None:
-    pairs = value.pairs()
-    if not pairs:
-        return Constant.zero()
-    if len(pairs) == 1:
-        f, g = pairs[0]
-        if g == ExpPoly.one():
-            return f.as_constant()
-    return None
-
-
-def _biv_mul(a: BivariateExpPoly, b: BivariateExpPoly) -> BivariateExpPoly:
-    return BivariateExpPoly.sum(BivariateExpPoly.tensor(fa * fb, ga * gb)
-                                for fa, ga in a.pairs() for fb, gb in b.pairs())
-
-
-def _exp_of(arg: BivariateExpPoly) -> BivariateExpPoly:
-    """exp of a linear form a*x + b*xi + q with rational coefficients."""
-    xfreq = Fraction(0)
-    yfreq = Fraction(0)
-    offset = Fraction(0)
-    for f, g in arg.pairs():
-        for gfreq, gpow, gc in g.terms():
-            if gfreq != 0:
-                raise ParseError("exp argument must be linear in x and xi")
-            for ffreq, fpow, fc in f.terms():
-                if ffreq != 0:
-                    raise ParseError("exp argument must be linear in x and xi")
-                c = (fc * gc).as_rational()
-                if c is None:
-                    raise ParseError("exp argument must have rational coefficients")
-                if fpow == 0 and gpow == 0:
-                    offset += c
-                elif fpow == 1 and gpow == 0:
-                    xfreq += c
-                elif fpow == 0 and gpow == 1:
-                    yfreq += c
-                else:
-                    raise ParseError("exp argument must be linear in x and xi")
-    xpart = ExpPoly.monomial(xfreq, 0, Constant.e_power(offset))
-    ypart = ExpPoly.monomial(yfreq, 0)
-    return BivariateExpPoly.tensor(xpart, ypart)
+def _exp(arg: dict) -> dict:
+    """exp of a linear form a*x + b*xi + q with rational coefficients; the
+    first fault in (xi, x) monomial order is reported."""
+    freqs, e = [0, 0], _ONE
+    for (l, n, nu, m), c in sorted(arg.items(), key=lambda kc: (kc[0][2:], kc[0][:2])):
+        if nu or l:
+            raise ParseError("exp argument must be linear in x and xi")
+        if len(c._num) != 1 or len(c._den) != 1 or c._num[0][0]:
+            raise ParseError("exp argument must have rational coefficients")
+        if n + m > 1:
+            raise ParseError("exp argument must be linear in x and xi")
+        a, b = c._num[0][1], c._den[0][1]
+        if n or m:
+            freqs[m] = a if b == 1 else Fraction(a, b)
+        else:
+            e = _stored(b, ((a, 1),), ((0, 1),))  # e^(a/b), in lowest terms
+    return {(freqs[0], 0, freqs[1], 0): e}
 
 
 def parse_bivariate(text: str) -> BivariateExpPoly:
     """Parse an expression in x and xi into a BivariateExpPoly."""
-    return _Parser(_tokenize(text), allow_xi=True).parse()
+    terms: dict[tuple, dict] = {}
+    for (l, n, nu, m), c in _Parser(text, allow_xi=True).parse().items():
+        terms.setdefault((nu, m), {})[l, n] = c
+    return BivariateExpPoly({key: ExpPoly(f) for key, f in terms.items()})
 
 
 def parse_exppoly(text: str) -> ExpPoly:
     """Parse an expression in x alone into an ExpPoly."""
-    value = _Parser(_tokenize(text), allow_xi=False).parse()
-    # xi was rejected during parsing, so every xi-factor is the monomial 1
-    return ExpPoly.sum(f for f, _one in value.pairs())
+    # xi was rejected during parsing, so every key has nu = m = 0
+    return ExpPoly({key[:2]: c for key, c in _Parser(text, allow_xi=False).parse().items()})
 
 
 def parse_rational(text: str) -> Fraction:
+    """The value of a rational literal (see ``_RATIONAL``), between spaces."""
     if type(text) is float:  # its binary value is rarely the number meant
         raise ParseError(f"bad rational literal {text!r}: write it as a string")
     text = str(text).strip()
     quoted = repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
+    m = _RATIONAL.fullmatch(text)
     try:
+        # a run of over 4300 digits is refused here, not by a setting of int()
+        if m is None or max(map(len, re.findall(r"\d+", text))) > MAX_LITERAL_DIGITS:
+            raise ValueError(text)
         # Fraction builds 10^e first; past twice the cap the literal is too long anyway
-        exponent = _EXPONENT.search(text)
-        if exponent is None or abs(int(exponent.group(1))) <= 2 * MAX_LITERAL_DIGITS:
-            q = Fraction(text)
+        if abs(int(m[1] or 0)) <= 2 * MAX_LITERAL_DIGITS:
+            # with no spaces, every Python since 3.10 reads the literal alike
+            q = Fraction("".join(text.split()))
             if max(abs(q.numerator), q.denominator) < _LITERAL_BOUND:
                 return q
     except (ValueError, ZeroDivisionError) as exc:

@@ -518,6 +518,23 @@ def test_rational_literal_over_the_digit_limit_exit_2(capsys, monkeypatch, argv,
     assert err.startswith("error: rational literal '1e") and err.endswith(" has over 4300 digits\n")
 
 
+def test_document_literals_read_alike_on_every_python(capsys, monkeypatch):
+    # with coefficient "1_0" and point "1 / 2" this document exited 2 on '1_0'
+    # under Python 3.10, exited 2 on '1 / 2' under 3.11 and verified under 3.13
+    import io
+
+    doc = json.loads(json.dumps(INTRO_SPEC))
+    doc["conditions"][0]["local"][0]["coeff"] = "1_0"
+    doc["conditions"][1]["local"][0]["point"] = "1 / 2"
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main(["verify", "-"]) == 2
+    assert capsys.readouterr().err == "error: bad rational literal '1_0'\n"
+    doc["conditions"][0]["local"][0]["coeff"] = "10"
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main(["verify", "-"]) == 0
+    assert capsys.readouterr().out.endswith("verified: True\n")
+
+
 @pytest.mark.parametrize("literal", ["9" * 5000, "a" * 3000], ids=["5000-nines", "3000-letters"])
 def test_a_long_rational_literal_is_quoted_by_a_bounded_prefix(capsys, monkeypatch, literal):
     # both errors of parse_rational quote a bounded prefix and the length, not the literal

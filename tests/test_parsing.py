@@ -86,6 +86,26 @@ def test_rational_literals_over_the_digit_limit_are_refused_at_once(text):
     assert time.perf_counter() - start < 0.5
 
 
+@pytest.mark.parametrize("text, value", [
+    ("1/3", F(1, 3)), ("-1/2", F(-1, 2)), ("+4/6", F(2, 3)), (" 1 / 2 ", F(1, 2)),
+    ("7\t/ 14", F(1, 2)), ("3", F(3)), (3, F(3)), (".5", F(1, 2)), ("5.", F(5)),
+    ("-1.5E-1", F(-3, 20)), ("0.25e+2", F(25)),
+])
+def test_rational_literals_read_alike_on_every_python(text, value):
+    # Fraction(str) takes underscores from Python 3.11 and spaces around '/'
+    # from 3.12; parse_rational has a grammar of its own
+    assert parse_rational(text) == value
+
+
+@pytest.mark.parametrize("text", [
+    "1_0", "1_000/3", "1/1_0", "0.2_5", "1e1_0", "1 0", "1. 5", "- 1", "1 e5", "1/-2", "1/0",
+    "1/2/3", "1/2e3", "1.5/2", "", ".", "e5", "0x10", "inf",
+])
+def test_rational_literals_outside_the_grammar_are_refused_on_every_python(text):
+    with pytest.raises(ParseError, match="^bad rational literal "):
+        parse_rational(text)
+
+
 def test_text_roundtrip_randomized():
     rng = random.Random(23)
     for _ in range(30):
