@@ -38,7 +38,7 @@ from .exppoly import ExpPoly, Freq, _accumulate, _scaled
 from .linalg import mat_from_rows, mat_inv, mat_vec, left_kernel
 from .operators import Operator, _leibniz
 from .parsing import MAX_DERIVATIVE_ORDER  # noqa: F401  (the cap stays importable from here)
-from .parsing import _derivative_order, _entries, _fields, parse_exppoly, parse_rational
+from .parsing import _derivative_order, _fields, _list, parse_exppoly, parse_rational
 
 
 class StieltjesCondition:
@@ -106,20 +106,17 @@ class StieltjesCondition:
 
     @classmethod
     def from_json(cls, data: dict) -> "StieltjesCondition":
-        _fields(data, "condition", ("local", "global"))
-        try:
-            local = [
-                (parse_rational(entry["point"]), _derivative_order(entry["order"]),
-                 Constant.from_rational(parse_rational(entry["coeff"])))
-                for entry in _entries(data, "condition", "local", ("point", "order", "coeff"))
-            ]
-            glob = [
-                (parse_rational(entry["lower"]), parse_rational(entry["upper"]),
-                 parse_exppoly(entry["integrand"]))
-                for entry in _entries(data, "condition", "global", ("lower", "upper", "integrand"))
-            ]
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"bad condition document: {exc}") from exc
+        _fields(data, "condition", (), ("local", "global"))
+        local = [
+            (parse_rational(entry["point"]), _derivative_order(entry["order"]),
+             Constant.from_rational(parse_rational(entry["coeff"])))
+            for entry in _list(data, "condition", "local", ("point", "order", "coeff"))
+        ]
+        glob = [
+            (parse_rational(entry["lower"]), parse_rational(entry["upper"]),
+             parse_exppoly(entry["integrand"]))
+            for entry in _list(data, "condition", "global", ("lower", "upper", "integrand"))
+        ]
         return cls(local, glob)
 
 

@@ -43,7 +43,7 @@ from .errors import (
 from .exppoly import ExpPoly
 from .greens import GreensFunction, extract
 from .operators import Operator
-from .parsing import _fields, parse_exppoly, parse_rational
+from .parsing import _fields, _list, parse_exppoly, parse_rational
 
 DEFAULT_TEST_FUNCTIONS = ("1", "x", "x^2", "exp(x)", "x*exp(-x)")
 
@@ -96,28 +96,22 @@ class VerificationReport:
 
 
 def parse_problem(data: dict) -> BoundaryProblem:
-    _fields(data, "problem document", ("operator", "conditions", "fundamental_system"))
-    try:
-        coeff_strings = _fields(data["operator"], "operator", ("coeffs",))["coeffs"]
-        condition_docs = data["conditions"]
-    except KeyError as exc:
-        raise ParseError(f"missing field: {exc}") from exc
-    if not isinstance(coeff_strings, list) or not coeff_strings:
-        raise ParseError("operator.coeffs must be a nonempty list")
+    doc = "problem document"
+    _fields(data, doc, ("operator", "conditions"), ("fundamental_system",))
+    coeff_strings = _list(_fields(data["operator"], "operator", ("coeffs",)), "operator", "coeffs")
+    if not coeff_strings:
+        raise ParseError("operator field 'coeffs' must be a nonempty list")
     if len(coeff_strings) - 1 > MAX_OPERATOR_ORDER:
         raise ParseError(f"operator order {len(coeff_strings) - 1} exceeds the cap "
                          f"MAX_OPERATOR_ORDER = {MAX_OPERATOR_ORDER}")
-    if not isinstance(condition_docs, list):
-        raise ParseError("conditions must be a list")
-    basis_strings = data.get("fundamental_system")
-    if basis_strings is not None and not isinstance(basis_strings, list):
-        raise ParseError("fundamental_system must be a list")
     coeffs = [parse_exppoly(s) for s in coeff_strings]
     if coeffs[-1] != ExpPoly.one():
         raise ParseError("leading coefficient must be 1")
     T = Operator.sum(Operator.derivative(i, c) for i, c in enumerate(coeffs))
-    conditions = [StieltjesCondition.from_json(doc) for doc in condition_docs]
-    basis = None if basis_strings is None else [parse_exppoly(s) for s in basis_strings]
+    conditions = [StieltjesCondition.from_json(c) for c in _list(data, doc, "conditions")]
+    basis = None
+    if "fundamental_system" in data:
+        basis = [parse_exppoly(s) for s in _list(data, doc, "fundamental_system")]
     try:
         return BoundaryProblem(T, conditions, basis=basis)
     except ValueError as exc:

@@ -21,8 +21,11 @@ the gcd comes with both quotients.  Every operation cancels its polynomial
 gcds first and then hands the terms to one routine, ``_canonical``, which
 divides out the joint integer content and the grid step (the gcd of ``N``
 and every exponent); only a rational sum or product skips it.
-``Fraction`` appears only at the boundary: the constructors, the
-``num``/``den``/``as_rational``/``as_monomial`` views and JSON.
+``Fraction`` appears only at the boundary: the constructors and the
+``num``/``den``/``as_rational``/``as_monomial`` views.  ``Constant(num,
+den)`` is built by the field itself: the ``Constant.sum`` of the
+``e_power`` terms of ``num`` times the inverse of that of ``den``.  A JSON
+document's literals are read by ``parsing.parse_rational``.
 
 Sums.  Every sum, ``+`` and ``-`` included, is one ``_sum`` of unit
 multiples ``c * p/q * e^(k/m)`` (the unit 1 for ``Constant.sum``).  On the
@@ -59,7 +62,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import chain
 from math import gcd, lcm
 
 from .errors import ParseError
@@ -395,21 +397,10 @@ class Constant:
     __slots__ = ("_n", "_num", "_den")
 
     def __init__(self, num: dict, den: dict | None = None):
-        num = {Fraction(q): Fraction(c) for q, c in num.items() if c}
-        if den is None:
-            den = {Fraction(0): Fraction(1)}
-        else:
-            den = {Fraction(q): Fraction(c) for q, c in den.items() if c}
-        if not den:
-            raise ZeroDivisionError("zero divisor")
-        n = lcm(*(q.denominator for q in chain(num, den)))
-        m = lcm(*(c.denominator for c in chain(num.values(), den.values())))
-        inum, iden = ({q.numerator * (n // q.denominator): c.numerator * (m // c.denominator)
-                       for q, c in terms.items()} for terms in (num, den))
-        r = _poly_gcd(inum, iden) if inum else None
-        if r is not None:
-            _, inum, iden = r
-        c = _make(n, inum, iden)
+        num, den = (Constant.sum([Constant.e_power(Fraction(q), Fraction(c))
+                                  for q, c in terms.items()])
+                    for terms in (num, {0: 1} if den is None else den))
+        c = num * den.inverse()
         self._n, self._num, self._den = c._n, c._num, c._den
 
     # -- constructors -----------------------------------------------------
@@ -604,12 +595,13 @@ class Constant:
 
     @classmethod
     def from_json(cls, data: dict) -> "Constant":
+        from .parsing import _fields, _rational_terms  # parsing imports this module
+        doc = "constant document"
+        _fields(data, doc, ("num", "den"))
         try:
-            num = {Fraction(q): Fraction(c) for q, c in data["num"].items()}
-            den = {Fraction(q): Fraction(c) for q, c in data["den"].items()}
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad constant document: {exc}") from exc
-        return cls(num, den)
+            return cls(_rational_terms(data, doc, "num"), _rational_terms(data, doc, "den"))
+        except ZeroDivisionError as exc:
+            raise ParseError(f"{doc} field 'den' is zero") from exc
 
 
 def _ga_markup(terms: Terms, n: int, lead: int, fmt: dict) -> str:

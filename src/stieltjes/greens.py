@@ -25,8 +25,8 @@ from .constants import Constant
 from .errors import DegenerateDomainError, NotEquitableError, ParseError
 from .exppoly import BivariateExpPoly, ExpPoly
 from .operators import Operator
-from .parsing import (_derivative_order, _entries, _fields, _nonnegative_int, parse_bivariate,
-                      parse_exppoly, parse_rational)
+from .parsing import (_derivative_order, _fields, _list, _nonnegative_int,
+                      parse_bivariate, parse_exppoly, parse_rational)
 
 REGION_LOWER = "xi<=x"
 REGION_UPPER = "x<=xi"
@@ -250,33 +250,35 @@ class GreensFunction:
     @classmethod
     def from_json_dict(cls, data: dict) -> "GreensFunction":
         doc = "Green's function document"
-        _fields(data, doc, ("breakpoints", "branches", "dirac", "diagonal"))
+        _fields(data, doc, ("breakpoints",), ("branches", "dirac", "diagonal"))
+        breakpoints = [parse_rational(p) for p in _list(data, doc, "breakpoints")]
+        branches = {}
+        for entry in _list(data, doc, "branches", ("interval", "region", "term")):
+            key = (_nonnegative_int(entry["interval"], "interval"), str(entry["region"]))
+            if key in branches:
+                raise ParseError(f"{doc} lists the branch {key} twice")
+            branches[key] = parse_bivariate(entry["term"])
+        dirac = [
+            (parse_rational(entry["point"]), _derivative_order(entry["order"]),
+             parse_exppoly(entry["coeff"]))
+            for entry in _list(data, doc, "dirac", ("point", "order", "coeff"))
+        ]
+        diagonal = [
+            (_derivative_order(entry["order"]), parse_exppoly(entry["coeff"]))
+            for entry in _list(data, doc, "diagonal", ("order", "coeff"))
+        ]
         try:
-            breakpoints = [parse_rational(p) for p in data["breakpoints"]]
-            branches = {
-                (_nonnegative_int(entry["interval"], "interval"), str(entry["region"])):
-                    parse_bivariate(entry["term"])
-                for entry in _entries(data, doc, "branches", ("interval", "region", "term"))
-            }
-            dirac = [
-                (parse_rational(entry["point"]), _derivative_order(entry["order"]),
-                 parse_exppoly(entry["coeff"]))
-                for entry in _entries(data, doc, "dirac", ("point", "order", "coeff"))
-            ]
-            diagonal = [
-                (_derivative_order(entry["order"]), parse_exppoly(entry["coeff"]))
-                for entry in _entries(data, doc, "diagonal", ("order", "coeff"))
-            ]
             return cls(breakpoints, branches, dirac, diagonal)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad Green's function document: {exc}") from exc
+        except ValueError as exc:
+            raise ParseError(f"bad {doc}: {exc}") from exc
 
     @classmethod
     def from_json(cls, text: str) -> "GreensFunction":
         try:
-            return cls.from_json_dict(json.loads(text))
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ParseError(f"bad Green's function document: {exc}") from exc
+            data = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # also over 4300 digits, too deep nesting
+            raise ParseError(f"cannot read Green's function document: {exc}") from exc
+        return cls.from_json_dict(data)
 
 
 def extract(op: Operator, interval=None) -> GreensFunction:

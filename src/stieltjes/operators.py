@@ -59,10 +59,10 @@ from itertools import chain
 from math import comb
 
 from .constants import _ONE, Constant, _join_signed
-from .errors import ParseError
 from .exppoly import (ExpPoly, Freq, Monomial, _accumulate, _antiderivative, _derived, _freq,
                       _integral, _products, _scaled, _shift, _values)
-from .parsing import _derivative_order, _fields, _nonnegative_int, parse_exppoly, parse_rational
+from .parsing import (_derivative_order, _fields, _list, _nonnegative_int, parse_exppoly,
+                      parse_rational)
 
 # Part dictionaries: keys identify a term, values are left ExpPoly factors.
 DiffKey = int                                   # derivative order
@@ -363,23 +363,21 @@ class Operator:
 
     @classmethod
     def from_json(cls, data: dict) -> "Operator":
-        _fields(data, "operator document", ("diff", "integral", "local", "global"))
-        try:
-            return cls.sum(
-                [cls.derivative(_derivative_order(entry["order"]), parse_exppoly(entry["coeff"]))
-                 for entry in data.get("diff", ())]
-                + [cls.integral(parse_rational(entry["basepoint"]), parse_exppoly(entry["left"]),
-                                parse_exppoly(entry["right"]))
-                   for entry in data.get("integral", ())]
-                + [cls.evaluation(parse_rational(entry["point"]), _derivative_order(entry["order"]),
-                                  parse_exppoly(entry["left"]))
-                   for entry in data.get("local", ())]
-                + [cls.global_term(parse_rational(entry["point"]),
-                                   parse_rational(entry["basepoint"]), parse_exppoly(entry["left"]),
-                                   parse_exppoly(entry["integrand"]))
-                   for entry in data.get("global", ())])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad operator document: {exc}") from exc
+        doc = "operator document"
+        _fields(data, doc, (), ("diff", "integral", "local", "global"))
+        return cls.sum(
+            [cls.derivative(_derivative_order(entry["order"]), parse_exppoly(entry["coeff"]))
+             for entry in _list(data, doc, "diff", ("order", "coeff"))]
+            + [cls.integral(parse_rational(entry["basepoint"]), parse_exppoly(entry["left"]),
+                            parse_exppoly(entry["right"]))
+               for entry in _list(data, doc, "integral", ("basepoint", "left", "right"))]
+            + [cls.evaluation(parse_rational(entry["point"]), _derivative_order(entry["order"]),
+                              parse_exppoly(entry["left"]))
+               for entry in _list(data, doc, "local", ("point", "order", "left"))]
+            + [cls.global_term(parse_rational(entry["point"]), parse_rational(entry["basepoint"]),
+                               parse_exppoly(entry["left"]), parse_exppoly(entry["integrand"]))
+               for entry in _list(data, doc, "global",
+                                  ("point", "basepoint", "left", "integrand"))])
 
 
 def _as_exppoly(value) -> ExpPoly | None:

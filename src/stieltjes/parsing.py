@@ -19,6 +19,10 @@ the tokens once.  Each value it builds is one dict from the key
 ``constants._sum`` summands per key and reduces each coefficient once; the
 argument of ``exp`` and the degree cap read the keys.  The ``ExpPoly`` or
 ``BivariateExpPoly`` is built once, from the final dict.
+
+Documents.  Every JSON reader declares its fields to ``_fields`` (required,
+optional, no other) and its list fields to ``_list``, and reads each rational
+literal by ``parse_rational`` (a constant's terms by ``_rational_terms``).
 """
 
 from __future__ import annotations
@@ -268,19 +272,31 @@ def _derivative_order(order) -> int:
     return order
 
 
-def _fields(doc, what: str, names: tuple[str, ...]) -> dict:
-    """``doc`` when it is a JSON object with no field outside ``names``."""
+def _fields(doc, what: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
+    """``doc`` when a JSON object with the fields ``required``, any of ``optional``, no other."""
     if not isinstance(doc, dict):
         raise ParseError(f"{what} must be a JSON object")
+    names = required + optional
     if unknown := [key for key in doc if key not in names]:
         raise ParseError(f"unknown field {unknown[0]!r} in {what} (fields: {', '.join(names)})")
+    if missing := [key for key in required if key not in doc]:
+        raise ParseError(f"missing field {missing[0]!r} in {what}")
     return doc
 
 
-def _entries(data: dict, owner: str, part: str, names: tuple[str, ...]) -> list[dict]:
-    """The objects of the list field ``part`` of ``data``, each with no
-    field outside ``names``."""
-    entries = data.get(part, [])
-    if not isinstance(entries, list):
+def _list(data: dict, owner: str, part: str, names: tuple[str, ...] | None = None) -> list:
+    """The list field ``part`` of ``data``, [] if absent; its items have the fields ``names``."""
+    items = data.get(part, [])
+    if not isinstance(items, list):
         raise ParseError(f"{owner} field {part!r} must be a list")
-    return [_fields(entry, f"{part} term", names) for entry in entries]
+    return items if names is None else [_fields(item, f"{part} term", names) for item in items]
+
+
+def _rational_terms(data: dict, owner: str, part: str) -> dict:
+    """The object field ``part`` of ``data``, a map of rational literals, each key read once."""
+    if not isinstance(data[part], dict):
+        raise ParseError(f"{owner} field {part!r} must be a JSON object")
+    terms = {parse_rational(q): parse_rational(c) for q, c in data[part].items()}
+    if len(terms) < len(data[part]):
+        raise ParseError(f"{owner} field {part!r} names an exponent twice")
+    return terms
