@@ -43,7 +43,7 @@ from .errors import (
 from .exppoly import ExpPoly
 from .greens import GreensFunction, extract
 from .operators import Operator
-from .parsing import _fields, _list, parse_exppoly, parse_rational
+from .parsing import _decode, _fields, _list, parse_exppoly, parse_rational
 
 DEFAULT_TEST_FUNCTIONS = ("1", "x", "x^2", "exp(x)", "x*exp(-x)")
 
@@ -173,12 +173,13 @@ def _matrix_text(matrix) -> str:
 def _read_spec(path: str) -> dict:
     try:
         if path == "-":
-            return json.load(sys.stdin)
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except (OSError, ValueError, RecursionError) as exc:
-        # also bad UTF-8, integer literals over 4300 digits and too deep nesting
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+    except (OSError, ValueError) as exc:  # also bad UTF-8 and a NUL byte in the path
         raise ParseError(f"cannot read problem document: {exc}") from exc
+    return _decode(text, "problem document")
 
 
 def _spec_from_args(args):

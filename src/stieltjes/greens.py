@@ -25,7 +25,7 @@ from .constants import Constant
 from .errors import DegenerateDomainError, NotEquitableError, ParseError
 from .exppoly import BivariateExpPoly, ExpPoly
 from .operators import Operator
-from .parsing import (_derivative_order, _fields, _list, _nonnegative_int,
+from .parsing import (_decode, _derivative_order, _fields, _list, _nonnegative_int,
                       parse_bivariate, parse_exppoly, parse_rational)
 
 REGION_LOWER = "xi<=x"
@@ -252,6 +252,8 @@ class GreensFunction:
         doc = "Green's function document"
         _fields(data, doc, ("breakpoints",), ("branches", "dirac", "diagonal"))
         breakpoints = [parse_rational(p) for p in _list(data, doc, "breakpoints")]
+        if any(a >= b for a, b in zip(breakpoints, breakpoints[1:])):
+            raise ParseError(f"{doc} field 'breakpoints' must be strictly increasing")
         branches = {}
         for entry in _list(data, doc, "branches", ("interval", "region", "term")):
             key = (_nonnegative_int(entry["interval"], "interval"), str(entry["region"]))
@@ -268,17 +270,15 @@ class GreensFunction:
             for entry in _list(data, doc, "diagonal", ("order", "coeff"))
         ]
         try:
-            return cls(breakpoints, branches, dirac, diagonal)
+            g = cls(breakpoints, branches, dirac, diagonal)
+            g.to_operator()  # a kernel that no operator has could not be applied
+            return g
         except ValueError as exc:
             raise ParseError(f"bad {doc}: {exc}") from exc
 
     @classmethod
     def from_json(cls, text: str) -> "GreensFunction":
-        try:
-            data = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # also over 4300 digits, too deep nesting
-            raise ParseError(f"cannot read Green's function document: {exc}") from exc
-        return cls.from_json_dict(data)
+        return cls.from_json_dict(_decode(text, "Green's function document"))
 
 
 def extract(op: Operator, interval=None) -> GreensFunction:

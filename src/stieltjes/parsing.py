@@ -20,14 +20,16 @@ the tokens once.  Each value it builds is one dict from the key
 argument of ``exp`` and the degree cap read the keys.  The ``ExpPoly`` or
 ``BivariateExpPoly`` is built once, from the final dict.
 
-Documents.  Every JSON reader declares its fields to ``_fields`` (required,
-optional, no other) and its list fields to ``_list``, and reads each rational
-literal by ``parse_rational`` (a constant's terms by ``_rational_terms``).
+Documents.  ``_decode`` reads every JSON text and refuses a repeated key.
+Every reader declares its fields to ``_fields`` and its list fields to
+``_list``, and reads each rational literal by ``parse_rational``.
 """
 
 from __future__ import annotations
 
+import json
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 
@@ -270,6 +272,22 @@ def _derivative_order(order) -> int:
         raise ParseError(f"derivative order {order} exceeds the cap "
                          f"MAX_DERIVATIVE_ORDER = {MAX_DERIVATIVE_ORDER}")
     return order
+
+
+def _object(pairs: list) -> dict:
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        key = next(key for key, n in Counter(key for key, _value in pairs).items() if n > 1)
+        raise ParseError(f"key {key!r} repeats in an object with keys {', '.join(map(repr, data))}")
+    return data
+
+
+def _decode(text: str, doc: str):
+    """The JSON value of ``text``, a ``doc``; refuses a repeated key, which RFC 8259 leaves open."""
+    try:
+        return json.loads(text, object_pairs_hook=_object)
+    except (ValueError, RecursionError) as exc:  # also over 4300 digits, too deep nesting
+        raise ParseError(f"cannot read {doc}: {exc}") from exc
 
 
 def _fields(doc, what: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:

@@ -1,6 +1,8 @@
 """``cli.main`` ends every document with an exit code in 0..4 and a bounded
 run time: arbitrary JSON values, and the worked examples with leaves replaced
-by huge literals, wrong types, divisions by zero and deep nesting.  The search
+by huge literals, wrong types, divisions by zero and deep nesting.  A worked
+example that gives one of its keys a second time, at any depth, exits 2, and
+the decoder reads every other JSON value as ``json.loads`` does.  The search
 is derandomized and keeps no example database, so every run tries the same
 documents."""
 
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from test_cli import FOUR_POINT_SPEC, INTRO_SPEC, NONLOCAL_SPEC
 
 from stieltjes.cli import main
+from stieltjes.parsing import _decode
 
 SECONDS_PER_CALL = 5
 
@@ -94,6 +97,37 @@ def mutated_documents(draw):
     return text
 
 
+def key_paths(doc, path=()):
+    """(path, key) for every key of every object of ``doc``, the path leading to the object."""
+    if isinstance(doc, dict):
+        return [(path, key) for key in doc] + [
+            p for key, value in doc.items() for p in key_paths(value, path + (key,))]
+    if isinstance(doc, list):
+        return [p for i, value in enumerate(doc) for p in key_paths(value, path + (i,))]
+    return []
+
+
+def value_at(doc, path):
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+def with_key_twice(doc, path, key, value) -> str:
+    """The JSON text of ``doc`` whose object at ``path`` ends by giving
+    ``key`` a second time, with ``value``; json.dumps cannot write it."""
+    doc = json.loads(json.dumps(doc))
+    value_at(doc, path)[SENTINEL] = value
+    return json.dumps(doc).replace(json.dumps(SENTINEL), json.dumps(key), 1)
+
+
+@st.composite
+def documents_with_a_key_twice(draw):
+    example = draw(st.sampled_from([INTRO_SPEC, FOUR_POINT_SPEC, NONLOCAL_SPEC]))
+    path, key = draw(st.sampled_from(key_paths(example)))
+    return with_key_twice(example, path, key, value_at(example, path + (key,)))
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=20),
     lambda children: (st.lists(children, max_size=4)
@@ -129,3 +163,19 @@ def test_command_line_rationals_end_in_an_exit_code(form, a, b):
 @given(argv=st.sampled_from(COMMANDS), text=mutated_documents())
 def test_mutated_worked_examples_end_in_an_exit_code(argv, text):
     assert run_main(argv, text) in range(5)
+
+
+@settings(FUZZ, max_examples=60)
+@given(text=documents_with_a_key_twice())
+def test_a_key_given_twice_exits_2_on_every_command(text):
+    # json.loads would keep the second copy, and the document would solve
+    for argv in COMMANDS:
+        assert run_main(argv, text) == 2
+
+
+@settings(FUZZ, max_examples=300)
+@given(value=json_values)
+def test_the_decoder_reads_what_json_reads(value):
+    text = json.dumps(value)
+    # compared as JSON text, since NaN != NaN
+    assert json.dumps(_decode(text, "document")) == json.dumps(json.loads(text))

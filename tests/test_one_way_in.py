@@ -5,6 +5,10 @@
   unknown, missing or repeated field, a part that is not a list, and a
   literal outside the one rational grammar.  Each row of ``MALFORMED`` used
   to be accepted or to fail with another exception or an unnamed cause.
+- A key given twice in one object, at any level of any document, is refused
+  by the one decoder, ``parsing._decode``, before a reader sees the object;
+  ``json.loads`` keeps the last value.  A kernel document is refused when its
+  breakpoints are not strictly increasing or when no operator has its kernel.
 - ``Constant(num, den)``, the field's ``sum`` of ``e_power`` terms times the
   inverse of its denominator's sum, equals the former constructor, kept
   here as ``reference_constant``, on seeded term dicts.
@@ -14,8 +18,10 @@
   rational literals and constant documents alike.
 """
 
+import io
 import json
 import random
+import re
 import sys
 from fractions import Fraction as F
 from itertools import chain
@@ -23,12 +29,13 @@ from math import lcm
 from pathlib import Path
 
 import pytest
+from test_cli_fuzz import value_at, with_key_twice
 
 from stieltjes import Constant, GreensFunction, Operator, ParseError
-from stieltjes.cli import parse_problem, solve_problem
+from stieltjes.cli import main, parse_problem, solve_problem
 from stieltjes.constants import _make, _poly_gcd
 from stieltjes.greens import REGION_LOWER
-from stieltjes.parsing import parse_exppoly, parse_rational
+from stieltjes.parsing import _decode, parse_exppoly, parse_rational
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -45,6 +52,7 @@ def _constant(**fields) -> dict:
 
 _BRANCH = {"interval": 1, "region": REGION_LOWER, "term": "x"}
 _INTRO = workloads.WORKED_EXAMPLES["intro"][0]
+_NONLOCAL = workloads.WORKED_EXAMPLES["nonlocal"][0]
 
 
 # (id, read of a malformed document, text the ParseError must match)
@@ -93,6 +101,18 @@ MALFORMED = [
     ("kernel-diagonal-without-order",
      lambda: GreensFunction.from_json_dict(_kernel(diagonal=[{"coeff": "1"}])),
      r"missing field 'order' in diagonal term"),
+    ("kernel-breakpoints-unsorted",
+     lambda: GreensFunction.from_json_dict({"breakpoints": ["0", "2", "1"]}),
+     r"Green's function document field 'breakpoints' must be strictly increasing"),
+    ("kernel-breakpoints-repeated",
+     lambda: GreensFunction.from_json_dict({"breakpoints": ["0", "1", "1"]}),
+     r"Green's function document field 'breakpoints' must be strictly increasing"),
+    # lower - upper is x on [0, 1] and x*xi - 1 on [1, 2]: eval_functional
+    # answered, and every apply_to failed
+    ("kernel-not-smooth",
+     lambda: GreensFunction.from_json_dict({"breakpoints": ["0", "1", "2"], "branches": [
+         _BRANCH, {"interval": 2, "region": REGION_LOWER, "term": "x*xi - 1"}]}),
+     r"bad Green's function document: kernel is not smooth across breakpoints"),
     ("kernel-repeated-branch",
      lambda: GreensFunction.from_json_dict(_kernel(branches=[_BRANCH, {**_BRANCH, "term": "2*x"}])),
      r"lists the branch \(1, 'xi<=x'\) twice"),
@@ -134,6 +154,96 @@ def test_the_well_formed_neighbours_of_the_table_load():
     assert g.branch(1, REGION_LOWER).to_text() == "x"
     assert Constant.from_json(_constant(num={"1": "1/2", "0": "3"})) == (
         Constant.e_power(F(1), F(1, 2)) + 3)
+
+
+# -- a key given twice -------------------------------------------------------------
+
+_KERNEL = _kernel(branches=[_BRANCH], dirac=[{"point": "0", "order": 0, "coeff": "1"}],
+                  diagonal=[{"order": 0, "coeff": "1"}])
+_OPERATOR = {"diff": [{"order": 1, "coeff": "1"}],
+             "local": [{"point": "0", "order": 0, "left": "x"}]}
+
+# (id, document, path to an object, a key of that object, another value for it)
+PROBLEM_KEYS = [
+    # the second "conditions" moves the point 1 to 2
+    ("top-level", _INTRO, (), "conditions",
+     [_INTRO["conditions"][0], {"local": [{"point": "2", "order": 0, "coeff": "1"}]}]),
+    ("operator", _INTRO, ("operator",), "coeffs", ["-1", "0", "1"]),
+    ("condition", _NONLOCAL, ("conditions", 0), "global", []),
+    ("local-term", _INTRO, ("conditions", 1, "local", 0), "point", "2"),
+    ("global-term", _NONLOCAL, ("conditions", 0, "global", 0), "integrand", "x"),
+]
+KERNEL_KEYS = [
+    ("top-level", _KERNEL, (), "breakpoints", ["0", "2"]),
+    ("branch", _KERNEL, ("branches", 0), "term", "2*x"),
+    ("dirac", _KERNEL, ("dirac", 0), "order", 1),
+    ("diagonal", _KERNEL, ("diagonal", 0), "coeff", "x"),
+]
+# (id, document, path, key, other value, reader of the decoded document, document kind)
+VALUE_KEYS = [
+    ("operator-top-level", _OPERATOR, (), "diff", [], Operator.from_json, "operator document"),
+    ("operator-diff-entry", _OPERATOR, ("diff", 0), "coeff", "2", Operator.from_json,
+     "operator document"),
+    ("operator-local-entry", _OPERATOR, ("local", 0), "point", "1", Operator.from_json,
+     "operator document"),
+    ("constant-top-level", _constant(), (), "den", {"0": "2"}, Constant.from_json,
+     "constant document"),
+    # "num": {"0": "1", "0": "2"} read as 2
+    ("constant-num-term", _constant(), ("num",), "0", "2", Constant.from_json,
+     "constant document"),
+]
+
+
+def _texts(rows):
+    """Each row's text with the key's other value, then with its own value again."""
+    return [pytest.param(with_key_twice(doc, path, key, value), key, *rest, id=f"{name}-{how}")
+            for name, doc, path, key, other, *rest in rows
+            for how, value in (("other", other), ("equal", value_at(doc, path + (key,))))]
+
+
+def _names_the_key(key: str, doc: str) -> str:
+    return re.escape(f"cannot read {doc}: key {key!r} repeats in an object with keys ")
+
+
+@pytest.mark.parametrize("argv", [["solve", "-"], ["verify", "-"], ["kernel", "-", "0", "1"]],
+                         ids=["solve", "verify", "kernel"])
+@pytest.mark.parametrize("text, key", _texts(PROBLEM_KEYS))
+def test_a_key_given_twice_in_a_problem_exits_2(monkeypatch, capsys, argv, text, key):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert re.match("error: " + _names_the_key(key, "problem document"), err)
+
+
+@pytest.mark.parametrize("text, key", _texts(KERNEL_KEYS))
+def test_a_key_given_twice_in_a_kernel_is_refused(text, key):
+    with pytest.raises(ParseError, match=_names_the_key(key, "Green's function document")):
+        GreensFunction.from_json(text)
+
+
+@pytest.mark.parametrize("text, key, read, doc", _texts(VALUE_KEYS))
+def test_a_key_given_twice_in_an_operator_or_constant_is_refused(text, key, read, doc):
+    with pytest.raises(ParseError, match=_names_the_key(key, doc)):
+        read(_decode(text, doc))
+
+
+def test_a_path_that_cannot_be_opened_exits_2(capsys):
+    # reading stays apart from decoding: open() refuses a NUL byte with a ValueError
+    assert main(["solve", "a\x00b"]) == 2
+    assert capsys.readouterr().err == "error: cannot read problem document: embedded null byte\n"
+
+
+def test_json_loads_reads_every_text_of_the_tables_as_a_valid_document():
+    # so without the decoder each repeat was read silently, the last value kept
+    for param in _texts(PROBLEM_KEYS):
+        parse_problem(json.loads(param.values[0]))
+    for param in _texts(KERNEL_KEYS):
+        GreensFunction.from_json_dict(json.loads(param.values[0]))
+    for param in _texts(VALUE_KEYS):
+        text, _key, read, _doc = param.values
+        read(json.loads(text))
 
 
 # -- Constant(num, den) against the former constructor ---------------------------
