@@ -13,10 +13,14 @@ matrix ``(beta_i(u_j))``, so ``G = T_inv - sum_i v_i psi_i`` with
 ``psi_i = beta_i T_inv``.  The solve builds each ``psi_i`` in closed form,
 with no operator product: ``<p> d^l T_inv`` is ``fri_derivative`` evaluated
 at p, and an integral ``<b> int_a w`` is integrated by parts against
-``T_inv``.  A problem computes its fundamental system and the pair
-``(M, M^-1)`` once; ``linalg._last_row_cofactors`` gives both the Wronskian
-cofactors and ``M^-1 = adj M / det M``.  ``certify`` derives
-G a second way, by the operator products ``beta_i * T_inv``, and compares.
+``T_inv``.  Only what is reused is reduced: the closed forms, each ``v_i``
+and G.  Each ``psi_i`` stays (monomial, part) pairs per term key, times
+``v_i``, which ``operators._standard`` moves to standard form before it
+reduces each coefficient of G once.  A problem computes its fundamental
+system and the pair ``(M, M^-1)`` once; ``linalg._last_row_cofactors``
+gives both the Wronskian cofactors and ``M^-1 = adj M / det M``.
+``certify`` derives G a second way, by the operator products
+``beta_i * T_inv``, and compares.
 """
 
 from __future__ import annotations
@@ -27,16 +31,16 @@ from functools import cache, reduce
 from math import gcd, lcm
 
 from . import linalg
-from .constants import Constant
+from .constants import Constant, _times_units
 from .errors import (
     FundamentalSystemError,
     NotRegularError,
     ParseError,
     WronskianError,
 )
-from .exppoly import ExpPoly, Freq, _accumulate, _scaled
+from .exppoly import ExpPoly, Freq, _accumulate, _integral, _products, _scaled, _values
 from .linalg import mat_from_rows, mat_inv, mat_vec, left_kernel
-from .operators import Operator, _leibniz
+from .operators import Operator, _extend, _leibniz, _standard
 from .parsing import MAX_DERIVATIVE_ORDER  # noqa: F401  (the cap stays importable from here)
 from .parsing import _derivative_order, _fields, _list, parse_exppoly, parse_rational
 
@@ -432,31 +436,32 @@ def projector(conditions, fs: FundamentalSystem) -> Operator:
     return out.to_equitable()
 
 
-def _psi(fs: FundamentalSystem, cond: StieltjesCondition, e, closed) -> Operator:
-    """``beta T_inv`` in closed form, with T_inv at the basepoint e and
-    ``closed[l]`` the closed form of ``d^l T_inv`` for each local order l.
+def _psi(fs: FundamentalSystem, cond: StieltjesCondition, e, closed) -> tuple[dict, dict]:
+    """``beta T_inv`` in closed form as local and global (monomial, part) pairs
+    per key, T_inv at e and ``closed[l]`` the closed form of ``d^l T_inv``.
     ``<p> d^l T_inv`` is ``closed[l]`` evaluated at p, and by parts
     ``<b> int_a w T_inv = sum_j W_j(b) <b> int_e r_j - <b> int_a W_j r_j``
     with ``W_j = int_a w u_j`` and ``r_j = cof_j / d``."""
-    terms = []
-    for p, l, c in cond.local_terms:
-        terms += [Operator.global_term(p, a, ExpPoly.const(c * g.eval_at(p)), right)
-                  for a, g, right in closed[l].integral_part]
-        terms += [Operator.evaluation(p, k, ExpPoly.const(c * g.eval_at(p)))
-                  for k, g in closed[l].diff_part.items()]
+    local, glob = {}, {}
+    for (p, l), c in cond.as_operator()._local.items():
+        for (a, m), g in closed[l]._integ.items():
+            _extend(glob, (p, a, m), _products(c, _values(_scaled(g), p)))
+        for k, g in closed[l]._diff.items():
+            _extend(local, (p, k), _products(c, _values(_scaled(g), p)))
     for a, b, w in cond.global_terms:
         for uj, r in zip(fs.u, fs.ratios()):
-            W = (w * uj).integrate_from(a)
-            terms += [Operator.global_term(b, e, ExpPoly.const(W.eval_at(b)), r),
-                      Operator.global_term(b, a, -ExpPoly.one(), W * r)]
-    return Operator.sum(terms)
+            W = _integral(_products(w, _scaled(uj)), a)
+            for key, pairs in (((b, e), _products(r, _values(W, b))), ((b, a), _products(-r, W))):
+                for m, part in pairs:  # the right monomial m, its coefficient the left factor
+                    _extend(glob, (*key, m), [((0, 0), part)])
+    return local, glob
 
 
 def greens_operator(problem: BoundaryProblem, basepoint=None) -> Operator:
     """The Green's operator G = (1 - P) T_inv of a regular problem, built as
     ``T_inv - sum_i v_i psi_i`` from the closed forms ``psi_i = beta_i T_inv``
     (see the module docstring) with no operator product, and presented in
-    standard form at ``basepoint``.
+    standard form at ``basepoint``, each coefficient reduced once.
 
     T_inv is taken at the smallest evaluation point e, because G does not
     depend on it.  The basepoint defaults to e, which keeps the extracted
@@ -467,11 +472,15 @@ def greens_operator(problem: BoundaryProblem, basepoint=None) -> Operator:
     _m, minv = problem.evaluation_inverse()
     closed = {l: fri_derivative(fs, l, e)[0]
               for l in {l for cond in problem.conditions for _p, l, _c in cond.local_terms}}
-    projected = [_psi(fs, cond, e, closed).left_mul(
-                     -ExpPoly.sum(uj * minv[j][i] for j, uj in enumerate(fs.u)))
-                 for i, cond in enumerate(problem.conditions)]
-    G = Operator.sum([fundamental_right_inverse(fs, e)] + projected)
-    return G.to_standard(e if basepoint is None else basepoint)
+    fri = fundamental_right_inverse(fs, e)
+    parts = ({}, {key: _scaled(f) for key, f in fri._integ.items()}, {}, {})
+    for i, cond in enumerate(problem.conditions):
+        v = _accumulate([(key, _times_units(c, d, -1, 1, 0, 1)) for j, uj in enumerate(fs.u)
+                         if (d := minv[j][i])._num for key, c in uj._terms.items()])  # -v_i
+        for target, part in zip(parts[2:], _psi(fs, cond, e, closed)):
+            for key, pairs in part.items():
+                _extend(target, key, _products(v, pairs))
+    return _standard(parts, e if basepoint is None else basepoint)
 
 
 def certify(problem: BoundaryProblem, Geq: Operator) -> bool:

@@ -172,8 +172,9 @@ def _matrix_text(matrix) -> str:
 
 def _read_spec(path: str) -> dict:
     try:
-        if path == "-":
-            text = sys.stdin.read()
+        if path == "-":  # UTF-8 as from a file, whatever the locale; a StringIO has no buffer
+            buffer = getattr(sys.stdin, "buffer", None)
+            text = sys.stdin.read() if buffer is None else buffer.read().decode("utf-8")
         else:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()

@@ -19,7 +19,7 @@ unreduced.  One routine per rule maps pairs to pairs: ``_derived`` for
 derivatives, ``_antiderivative`` and ``_integral`` for integrals,
 ``_values`` for values at a point, ``_shift`` and ``_products`` for
 products.  ``_accumulate`` reduces each output coefficient once, by one
-``_sum``, and drops a zero one.
+``_sum`` unless a lone part under the unit 1 gives it, and drops a zero one.
 
 A frequency is stored as an ``int`` when it is integral and as a ``Fraction``
 otherwise.  The two compare and hash alike, so dict lookups, ``==``, ``hash``
@@ -130,12 +130,14 @@ def _integral(pairs, a: Freq) -> list:
 
 def _accumulate(pairs) -> "ExpPoly":
     """The finisher of all ExpPoly arithmetic: the ExpPoly of (monomial,
-    ``_sum`` part) pairs, the parts of each monomial added by one ``_sum``."""
+    ``_sum`` part) pairs, one ``_sum`` per monomial but c for a lone ``(c, 1, 1, 0, 1)``."""
     out: dict[Monomial, list] = {}
     for key, part in pairs:
         out.setdefault(key, []).append(part)
     f = ExpPoly.__new__(ExpPoly)
-    f._terms = {key: c for key, parts in out.items() if (c := _sum(parts))._num}
+    f._terms = {key: c for key, parts in out.items()
+                if (c := parts[0][0] if len(parts) == 1 and parts[0][1:] == (1, 1, 0, 1)
+                    else _sum(parts))._num}
     return f
 
 

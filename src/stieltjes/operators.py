@@ -12,8 +12,8 @@ Right factors ``g`` are kept as monic monomials ``x^n exp(nu*x)``; their
 scalar coefficients are folded into the left factor, so equality is
 structural equality of the four part dictionaries.  Global terms are
 presentation sugar (``f <p> int_a g = f int_a g - f int_p g``): the equitable
-form without them is unique, and ``to_standard`` rebuilds the
-single-basepoint presentation with globals.
+form without them is unique; ``to_standard`` and the solve rebuild the
+single-basepoint presentation with globals by one routine, ``_standard``.
 
 Multiplication is composition (``(u*v)(h) = u(v(h))``).  Both factors are
 taken to equitable form first, and the product is computed by terminating
@@ -49,8 +49,8 @@ The action on a function h ends in the same finisher, from an action plan
 built on the first application: the integral terms' left factors summed
 per right monomial m, and one signed left factor per boundary value
 ``F_m(q)``, which several terms may share.  The antiderivative ``F_m`` of
-``m h`` and every boundary value are unit multiples of h's coefficients,
-never reduced on their own.
+``m h``, each derivative ``h^(i)`` and every boundary value are unit
+multiples of h's coefficients, never reduced on their own.
 """
 
 from __future__ import annotations
@@ -275,14 +275,13 @@ class Operator:
         the integral terms ``f int_a m`` per m, and collects one signed left
         factor per boundary value ``F_m(q)``: ``-f`` of each ``f int_q m``,
         ``f`` of each ``f <q> int_a m`` and ``-f`` of each ``f <p> int_q m``;
-        zero sums are dropped.  Only the differential part takes derivatives
-        of h, each order once.  Each right monomial m is integrated once, by
+        zero sums are dropped.  Each right monomial m is integrated once, by
         ``exppoly._antiderivative``, to ``F_m`` as unit multiples of h's
-        coefficients.  A boundary value, ``F_m(q)`` or ``h^(i)(p)`` of
-        ``f <p> d^i``, is a list of unit multiples (``exppoly._values``, of
-        ``exppoly._derived`` for ``h^(i)``).  A left factor times ``h^(i)``,
-        ``F_m`` or a value gives one part per pair of terms
-        (``exppoly._products``)."""
+        coefficients, and ``h^(i)`` of ``f d^i`` or ``f <p> d^i`` is the
+        unit multiples of ``exppoly._derived``, never reduced.  A boundary
+        value, ``F_m(q)`` or ``h^(i)(p)``, is a list of unit multiples
+        (``exppoly._values``).  A left factor times ``h^(i)``, ``F_m`` or a
+        value gives one part per pair of terms (``exppoly._products``)."""
         if self._plan is None:
             lefts, bounds = {}, {}
             for (a, m), f in self._integ.items():
@@ -293,15 +292,13 @@ class Operator:
                 _extend(bounds, (m, a), (-f,))
             self._plan = _summed([lefts, bounds])
         lefts, bounds = self._plan
-        derivs = h.derivatives(self.order())
-        anti = {m: _antiderivative(_shift(_scaled(h), m))
-                for m in lefts.keys() | {m for m, _q in bounds}}
+        h = _scaled(h)
+        anti = {m: _antiderivative(_shift(h, m)) for m in lefts.keys() | {m for m, _q in bounds}}
         return _accumulate(chain(
-            *[_products(f, _scaled(derivs[i])) for i, f in self._diff.items()],
+            *[_products(f, _derived(h, i)) for i, f in self._diff.items()],
             *[_products(f, anti[m]) for m, f in lefts.items()],
             *[_products(f, _values(anti[m], q)) for (m, q), f in bounds.items()],
-            *[_products(f, _values(_derived(_scaled(h), i), p))
-              for (p, i), f in self._local.items()]))
+            *[_products(f, _values(_derived(h, i), p)) for (p, i), f in self._local.items()]))
 
     # -- translation between standard and equitable form ------------------------
 
@@ -314,15 +311,9 @@ class Operator:
                                for (p, a, m), f in self._global.items()])
 
     def to_standard(self, basepoint) -> "Operator":
-        """Move every integral to the distinguished basepoint:
-        f*int_a*g = f*int_e*g - f*<a>*int_e*g."""
-        e = _freq(basepoint)
-        # <e>*int_e vanishes, and the constructor drops it
-        return Operator.sum([Operator(self._diff, local=self._local)]
-                            + [Operator(integ={(e, m): f}, glob={(a, e, m): -f})
-                               for (a, m), f in self._integ.items()]
-                            + [Operator(glob={(p, e, m): f, (a, e, m): -f})
-                               for (p, a, m), f in self._global.items()])
+        """Move every integral to the distinguished basepoint, by ``_standard``."""
+        return _standard([{key: _scaled(f) for key, f in part.items()} for part in self._parts()],
+                         basepoint)
 
     # -- rendering ----------------------------------------------------------------
 
@@ -472,6 +463,23 @@ def _compose(u: Operator, v: Operator) -> Operator:
             for key, pairs in part.items():
                 _extend(target, key, _products(f, pairs))
     return Operator(*[{key: _accumulate(pairs) for key, pairs in part.items()} for part in total])
+
+
+def _standard(parts, basepoint) -> Operator:
+    """The operator of four parts of (monomial, part) pairs per key, in
+    standard form at the basepoint e, each coefficient reduced once:
+    ``f int_a m = f int_e m - f <a> int_e m``, and likewise under ``<p>``."""
+    e = _freq(basepoint)
+    diff, integ, local, glob = parts
+    integ_e, glob_e = {}, {}
+    moved = [(integ_e, (e, m), a, m, pairs) for (a, m), pairs in integ.items()]
+    moved += [(glob_e, (p, e, m), a, m, pairs) for (p, a, m), pairs in glob.items() if p != a]
+    for target, key, a, m, pairs in moved:
+        _extend(target, key, pairs)
+        if a != e:
+            _extend(glob_e, (a, e, m), _derived(pairs, 0, -1))
+    return Operator(*[{key: _accumulate(pairs) for key, pairs in part.items()}
+                      for part in (diff, integ_e, local, glob_e)])
 
 
 # -- function-style aliases ----------------------------------------------------

@@ -111,6 +111,28 @@ def test_suite_greens_operators_act_as_the_reference(branches):
     assert branches >= {"left unit", "right unit", "neither"}
 
 
+def test_apply_takes_no_reduced_derivative(monkeypatch):
+    """The differential part multiplies its left factors into the unreduced
+    derivatives of h (``exppoly._derived``), as the local part does: no
+    ``ExpPoly.derive`` or ``derivatives`` for the suite's G and T and the
+    ring operators."""
+    rng = random.Random(2024)
+    problems = [random_regular_problem(rng) for _ in range(20)]
+    operators = ring_operators() + [op for problem in problems
+                                    for G in [greens_operator(problem)]
+                                    for op in (G, G.to_equitable(), problem.T)]
+    functions = functions_to_apply()
+
+    def refuse(*_args):
+        raise AssertionError("Operator.apply reduced a derivative of its argument")
+
+    monkeypatch.setattr(ExpPoly, "derive", refuse)
+    monkeypatch.setattr(ExpPoly, "derivatives", refuse)
+    for op in operators:
+        for h in functions:
+            op.apply(h)
+
+
 DERIVATIVE_CASES = [
     # (frequency, power, order): power < order, power > order, frequency 0
     (0, 0, 1), (0, 1, 3), (0, 3, 1), (0, 2, 2), (1, 0, 2), (-2, 1, 3),

@@ -17,9 +17,6 @@ Rows that change no problem's ``Geq``, and why:
 - the two ``projector`` rows: the solve builds G in closed form and the
   certificate composes each ``beta_i`` with ``T_inv``, so neither calls
   ``projector``, which stays public API;
-- ``to_standard`` with the basepoint swapped: the closed form has every
-  integral at the default basepoint e, where the swapped term ``<e> int_e``
-  is zero either way;
 - the rows of ``_evaluation_after``, ``_integral_after`` and ``_diff_after``:
   these rewrites run only in operator products, and the solve takes none.
   The certificate's products ``beta_i * T_inv`` run through them, so each
@@ -34,9 +31,15 @@ and ``mat_inv`` both look up there.  The two ``mat_inv`` rows patch the name
 ``boundary.mat_inv`` that the solve calls; ``certify`` checks ``M M^-1 = I``
 through ``mat_vec``, not through the inverse.
 
+The two ``_standard`` rows patch the name ``boundary._standard`` that
+``greens_operator`` calls to move G to standard form; ``certify`` compares
+equitable forms and never calls it.  Each changes the ``Geq`` of the 8
+problems with an integral condition whose lower limit is not the basepoint.
+
 With the last comparison of ``certify`` replaced by ``return True``, the
-rows of the closed form fail this module: ``_row``, ``fri_derivative``, the
-by-parts term and the two ``greens_operator`` rows.
+rows of the closed form fail this module: the two ``_standard`` rows,
+``_row``, ``fri_derivative``, the by-parts term and the two
+``greens_operator`` rows.
 """
 
 from __future__ import annotations
@@ -61,8 +64,10 @@ ROWS = [
     ("projector skips its last condition", boundary, "projector",
      "for i, cond in enumerate(conditions))", "for i, cond in enumerate(conditions[:-1]))"),
     ("projector reads minv[i][j]", boundary, "projector", "minv[j][i]", "minv[i][j]"),
-    ("to_standard swaps the basepoint", Operator, "to_standard",
-     "glob={(a, e, m): -f}", "glob={(e, a, m): -f}"),
+    ("to_standard swaps the basepoint", boundary, "_standard",
+     "glob_e, (a, e, m)", "glob_e, (e, a, m)"),
+    ("standard form drops -f <a> int_e m", boundary, "_standard",
+     "_extend(glob_e, (a, e, m), _derived(pairs, 0, -1))", "pass"),
     ("_evaluation_after keeps the sign of -int_p", operators, "_evaluation_after",
      "_extend(integ, (p, m), _derived(values, 0, -1))", "_extend(integ, (p, m), values)"),
     ("_evaluation_after drops <p>*int_a", operators, "_evaluation_after",
@@ -85,12 +90,9 @@ ROWS = [
      "cof * inv for", "cof * inv * 2 for"),
     ("fri_derivative without its rho terms", boundary, "fri_derivative",
      "enumerate(residues, start=1)", "enumerate(residues[:0], start=1)"),
-    ("by-parts term negated", boundary, "_psi",
-     "Operator.global_term(b, a, -ExpPoly.one(), W * r)",
-     "Operator.global_term(b, a, ExpPoly.one(), W * r)"),
+    ("by-parts term negated", boundary, "_psi", "_products(-r, W)", "_products(r, W)"),
     ("greens_operator skips its last condition", boundary, "greens_operator",
-     "for i, cond in enumerate(problem.conditions)]",
-     "for i, cond in enumerate(problem.conditions[:-1])]"),
+     "enumerate(problem.conditions)", "enumerate(problem.conditions[:-1])"),
     ("greens_operator reads minv[i][j]", boundary, "greens_operator", "minv[j][i]", "minv[i][j]"),
 ]
 

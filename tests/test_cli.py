@@ -603,6 +603,45 @@ def test_unreadable_documents_exit_2(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error: cannot read problem document: ")
 
 
+ARABIC_ONE_SPEC = {
+    "operator": {"coeffs": ["0", "0", "1"]},
+    "conditions": [{"local": [{"point": "0", "order": 0, "coeff": "1"}]},
+                   {"local": [{"point": "\u0661", "order": 0, "coeff": "1"}]}],
+}
+
+
+def _run_in_c_locale(args, stdin: bytes):
+    """``python -m stieltjes *args`` in a fresh process under the C locale,
+    without UTF-8 mode, the package found where this run found it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import stieltjes
+
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+               PYTHONPATH=os.pathsep.join([str(Path(stieltjes.__file__).parents[1]),
+                                           os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "stieltjes", *args], input=stdin,
+                          capture_output=True, env=env, timeout=60)
+
+
+def test_stdin_reads_as_utf8_like_a_file(tmp_path):
+    # the point "١" (Arabic-Indic one) verified from the file, but stdin was read in
+    # the locale's encoding and failed with bad rational literal '\udcd9\udca1'
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(ARABIC_ONE_SPEC, ensure_ascii=False), encoding="utf-8")
+    from_file = _run_in_c_locale(["verify", str(path)], b"")
+    from_stdin = _run_in_c_locale(["verify", "-"], path.read_bytes())
+    assert (from_stdin.returncode, from_stdin.stdout) == (from_file.returncode, from_file.stdout)
+    assert from_file.returncode == 0
+    assert from_file.stdout.endswith(b"verified: True\n")
+    bad = _run_in_c_locale(["verify", "-"], b"\xff\xfe{}")
+    assert bad.returncode == 2
+    assert bad.stderr.startswith(b"error: cannot read problem document: ")
+
+
 def test_huge_operator_coefficient_exit_4(tmp_path, capsys):
     # the divisor scan of a 40-digit coefficient never finished
     import time

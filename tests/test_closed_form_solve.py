@@ -1,7 +1,7 @@
 """The solve path builds G in closed form: ``greens_operator`` equals the
 projector construction ``(T_inv - P * T_inv).to_standard(b)``, takes no
-operator product, and computes the evaluation matrix and its inverse once
-per problem."""
+operator product, reduces no intermediate operator, and computes the
+evaluation matrix and its inverse once per problem."""
 
 from fractions import Fraction as F
 
@@ -41,6 +41,21 @@ def test_closed_form_equals_the_projector_construction(problems, basepoint):
     assert len(problems) == 65
     for problem in problems:
         assert greens_operator(problem, basepoint) == by_projector(problem, basepoint)
+
+
+@pytest.mark.parametrize("basepoint", [None, F(7, 3)])
+def test_greens_operator_reduces_no_intermediate_operator(problems, monkeypatch, basepoint):
+    """``v_i psi_i`` is multiplied out on unreduced pairs and moved to
+    standard form by ``operators._standard``: no ``left_mul``, no
+    ``to_standard``, and still the projector construction."""
+    def refuse(*_args):
+        raise AssertionError("an intermediate operator reduced on the solve path")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Operator, "left_mul", refuse)
+        patch.setattr(Operator, "to_standard", refuse)
+        solved = [greens_operator(problem, basepoint) for problem in problems]
+    assert solved == [by_projector(problem, basepoint) for problem in problems]
 
 
 def test_greens_operator_takes_no_operator_product(problems, monkeypatch):

@@ -168,8 +168,10 @@ def _reached(f: ExpPoly) -> list:
 def test_integrate_from_reduces_each_output_coefficient_once(monkeypatch):
     """``integrate_from`` reads ``-F(a)`` off the unreduced multiples of the
     antiderivative, with no ``eval_at`` and no subtraction, and reduces each
-    output coefficient by one ``_sum``; the multiples that meet in one
-    monomial of F are added once before, by ``_antiderivative``."""
+    output coefficient by one ``_sum`` where two or more parts reach it or
+    its lone part carries a unit other than 1 (a lone ``(c, 1, 1, 0, 1)`` is
+    c itself); the multiples that meet in one monomial of F are added once
+    before, by ``_antiderivative``."""
     from stieltjes import exppoly
 
     e = Constant.e_power(1)
@@ -186,6 +188,7 @@ def test_integrate_from_reduces_each_output_coefficient_once(monkeypatch):
     def refused(*args):
         raise AssertionError("integrate_from evaluated or subtracted an ExpPoly")
 
+    lone_units_one = 0
     for f in (sparse, dense):
         reached = _reached(f)
         met = len({key for key in reached if reached.count(key) > 1})
@@ -193,6 +196,11 @@ def test_integrate_from_reduces_each_output_coefficient_once(monkeypatch):
         for a in (F(1, 2), -1, 0):
             anti = f.antiderivative()
             expected = anti - ExpPoly.const(anti.eval_at(a))
+            reaching: dict = {}
+            for key, part in exppoly._integral(exppoly._scaled(f), a):
+                reaching.setdefault(key, []).append(part)
+            reduced = sum(len(parts) > 1 or parts[0][1:] != (1, 1, 0, 1)
+                          for parts in reaching.values())
             with monkeypatch.context() as patch:
                 patch.setattr(exppoly, "_sum", counted)
                 patch.setattr(ExpPoly, "eval_at", refused)
@@ -201,18 +209,27 @@ def test_integrate_from_reduces_each_output_coefficient_once(monkeypatch):
                 got = f.integrate_from(a)
             assert got == expected
             assert (0, 0) in got._terms  # F(a) != 0 at these points
-            assert len(sums) == len(got._terms) + met
+            assert len(sums) == reduced + met
+            lone_units_one += len(reaching) - reduced
+    assert lone_units_one  # some output coefficient needed no _sum
 
 
-def test_sum_of_disjoint_summands_keeps_their_coefficients():
+def test_sum_of_disjoint_summands_keeps_their_coefficients(monkeypatch):
     """A monomial that one summand alone reaches keeps that summand's own
-    coefficient object: ``ExpPoly.sum`` finishes no lone coefficient again."""
+    coefficient object: ``ExpPoly.sum`` finishes no lone coefficient again,
+    and calls no ``_sum``."""
+    from stieltjes import exppoly
+
     e = Constant.e_power(1)
     f = ExpPoly.sum([ExpPoly.monomial(0, 0, F(3, 4)),
                      ExpPoly.monomial(1, 2, Constant.e_power(F(1, 2), 3))])
     g = ExpPoly.sum([ExpPoly.monomial(-1, 0, (e + 2) / (e * e - 3)),
                      ExpPoly.monomial(F(1, 2), 1, 5)])
+    sums = []
+    original = exppoly._sum
+    monkeypatch.setattr(exppoly, "_sum", lambda parts: sums.append(parts) or original(parts))
     for total in (ExpPoly.sum([f, g]), f + g, g + f):
+        assert sums == []
         assert len(total._terms) == 4
         for h in (f, g):
             for key, c in h._terms.items():
