@@ -12,15 +12,15 @@ ker T along the space of admissible functions.
 matrix ``(beta_i(u_j))``, so ``G = T_inv - sum_i v_i psi_i`` with
 ``psi_i = beta_i T_inv``.  The solve builds each ``psi_i`` in closed form,
 with no operator product: ``<p> d^l T_inv`` is ``fri_derivative`` evaluated
-at p, and an integral ``<b> int_a w`` is integrated by parts against
-``T_inv``.  Only what is reused is reduced: the closed forms, each ``v_i``
-and G.  Each ``psi_i`` stays (monomial, part) pairs per term key, times
-``v_i``, which ``operators._standard`` moves to standard form before it
-reduces each coefficient of G once.  A problem computes its fundamental
-system and the pair ``(M, M^-1)`` once; ``linalg._last_row_cofactors``
-gives both the Wronskian cofactors and ``M^-1 = adj M / det M``.
-``certify`` derives G a second way, by the operator products
-``beta_i * T_inv``, and compares.
+at p, built once per order l from one list of residues, and an integral
+``<b> int_a w`` is integrated by parts against ``T_inv``.  Only what is
+reused is reduced: the closed forms, each ``v_i`` and G.  Each ``psi_i``
+stays (monomial, part) pairs per term key, times ``v_i``, which
+``operators._standard`` moves to standard form before it reduces each
+coefficient of G once.  A problem computes its fundamental system and the
+pair ``(M, M^-1)`` once; ``linalg._last_row_cofactors`` gives both the
+Wronskian cofactors and ``M^-1 = adj M / det M``.  ``certify`` derives G a
+second way, by the operator products ``beta_i * T_inv``, and compares.
 """
 
 from __future__ import annotations
@@ -400,8 +400,7 @@ def is_regular(problem: BoundaryProblem) -> bool:
 
 def fundamental_right_inverse(fs: FundamentalSystem, basepoint) -> Operator:
     """Variation of constants: sum_j u_j int_b (cofactor_j / d)."""
-    return Operator.sum(Operator.integral(basepoint, uj, ratio)
-                        for uj, ratio in zip(fs.u, fs.ratios()))
+    return _fri_closed(fs, 0, basepoint, [])
 
 
 def fri_residues(fs: FundamentalSystem, k: int) -> list[ExpPoly]:
@@ -416,13 +415,18 @@ def fri_derivative(fs: FundamentalSystem, k: int, basepoint):
     Returns (operator, [rho_1, ..., rho_k]).
     """
     residues = fri_residues(fs, k)
+    return _fri_closed(fs, k, basepoint, residues), residues
+
+
+def _fri_closed(fs: FundamentalSystem, k: int, basepoint, residues) -> Operator:
+    """The operator of ``fri_derivative(fs, k, basepoint)``, from a list of
+    at least k residues rho_1, rho_2, ..."""
     # d^{k-j} * rho_j expanded by Leibniz into normal form
-    op = Operator.sum([Operator.integral(basepoint, f, ratio)
-                       for f, ratio in zip(fs._row(k), fs.ratios())]
-                      + [Operator(diff={l: _accumulate(pairs)
-                                        for l, pairs in _leibniz(k - j, _scaled(rho))})
-                         for j, rho in enumerate(residues, start=1)])
-    return op, residues
+    return Operator.sum([Operator.integral(basepoint, f, ratio)
+                         for f, ratio in zip(fs._row(k), fs.ratios())]
+                        + [Operator(diff={l: _accumulate(pairs)
+                                          for l, pairs in _leibniz(k - j, _scaled(rho))})
+                           for j, rho in enumerate(residues[:k], start=1)])
 
 
 def projector(conditions, fs: FundamentalSystem) -> Operator:
@@ -470,10 +474,10 @@ def greens_operator(problem: BoundaryProblem, basepoint=None) -> Operator:
     fs = problem.system()
     e = min(problem.evaluation_points(), default=0)
     _m, minv = problem.evaluation_inverse()
-    closed = {l: fri_derivative(fs, l, e)[0]
-              for l in {l for cond in problem.conditions for _p, l, _c in cond.local_terms}}
-    fri = fundamental_right_inverse(fs, e)
-    parts = ({}, {key: _scaled(f) for key, f in fri._integ.items()}, {}, {})
+    orders = {0} | {l for cond in problem.conditions for _p, l, _c in cond.local_terms}
+    residues = fri_residues(fs, max(orders))
+    closed = {l: _fri_closed(fs, l, e, residues) for l in orders}  # closed[0] is T_inv
+    parts = ({}, {key: _scaled(f) for key, f in closed[0]._integ.items()}, {}, {})
     for i, cond in enumerate(problem.conditions):
         v = _accumulate([(key, _times_units(c, d, -1, 1, 0, 1)) for j, uj in enumerate(fs.u)
                          if (d := minv[j][i])._num for key, c in uj._terms.items()])  # -v_i

@@ -15,10 +15,11 @@ two integer-coefficient Laurent polynomials in ``t``, held as tuples of
 ``(exponent, coefficient)`` integer pairs, largest exponent first.  All
 arithmetic stays in Z[t, 1/t]: gcds are heuristic gcds, read from the
 digits of one integer gcd of the values of their two operands at a power of
-two, on the smallest grid of the operands (one evaluation proves most pairs
-coprime); division by a primitive gcd is exact over Z by Gauss's lemma, and
-the gcd comes with both quotients.  Every operation cancels its polynomial
-gcds first and then hands the terms to one routine, ``_canonical``, which
+two, on the smallest grid of the operands (one evaluation and one comparison
+prove most pairs coprime); division by a primitive gcd is exact over Z by
+Gauss's lemma, and the gcd comes with both quotients.  Every operation
+cancels its polynomial gcds first and then hands the terms to one routine,
+``_canonical``, which
 divides out the joint integer content and the grid step (the gcd of ``N``
 and every exponent); only a rational sum or product skips it.
 ``Fraction`` appears only at the boundary: the constructors and the
@@ -32,12 +33,14 @@ multiples ``c * p/q * e^(k/m)`` (the unit 1 for ``Constant.sum``).  On the
 common grid each stored denominator, normalised once per call, is an
 integer content ``h`` times a primitive polynomial ``D``; the summands are
 grouped by ``D``: all rationals and all ``c*e^q`` share ``D = 1``, and the
-entries of one matrix row share the determinant.  A group is put over
-``lcm(q*h)*D``, each numerator is scaled and shifted where it is added, and
-the group is reduced once, by ``gcd(num, D)``, skipped for one member or
-``D = 1``.  Only the partial sums of different ``D`` are added by Henrici's
-method (Knuth, TAOCP vol. 2, 4.5.1): with ``g = gcd(d1, d2)``, only
-``gcd(num, g)`` can cancel.
+entries of one matrix row share the determinant.  A group's numerators are
+scaled and shifted over ``lcm(q*h)*D`` where they are added, and the groups
+are folded over the running lcm ``L`` of their denominators: one gcd
+``g = gcd(L, D)`` per further group, whose cofactors scale the numerators.
+The total is reduced once, by ``gcd(num, L)``, skipped when it vanishes, or
+when no ``g`` is a polynomial and each group is one summand or ``D = 1``: a
+sum of reduced fractions over coprime denominators is reduced (Henrici;
+Knuth, TAOCP vol. 2, 4.5.1).
 
 Products.  Every product is one routine, ``_times_units``: ``c * d * u``
 for two scalars and a unit ``u = p/q * t^k``, as a summand of ``_sum``;
@@ -46,12 +49,15 @@ numerator term over one denominator term, has no divisors but units, so no
 polynomial gcd can cancel against it: u is merged with whichever of c and
 d is itself a unit, and the summand is the other factor, a reduced
 ``N/D``, times the merged unit: ``p*t^k*N / (q*D)``, reduced up to an
-integer and a power of ``t``.  A summand is reduced only when no other
-shares its denominator, by ``_part_value``: c itself for ``u = 1``, one gcd
-for a rational times a rational, else its terms scaled and shifted in their
-order, with no dict and no sort, before ``_canonical`` (``e^(1/2) *
-e^(1/2)`` is on grid 1).  Only two non-units cancel crosswise, by
-``gcd(N1, D2)`` and ``gcd(N2, D1)``, so their product needs no further gcd.
+integer and a power of ``t``.  A lone summand is reduced by
+``_part_value``: c itself for ``u = 1``, one gcd for a rational times a
+rational, else its terms scaled and shifted in their order, with no dict and
+no sort, before ``_canonical`` (``e^(1/2) * e^(1/2)`` is on grid 1).  Only
+two non-units cancel crosswise, by ``gcd(N1, D2)`` and ``gcd(N2, D1)``, so
+their product needs no further gcd.  Two dense polynomials, of 24 terms or
+more each and degree under 4 times the product of their lengths, multiply
+as one integer product of their values at ``t = 2^k``, read back by its
+digits (Kronecker substitution; Harvey, JSC 2009).
 
 Rendering reads the stored integers: each exponent ``k/N`` and each
 coefficient over the leading denominator coefficient is put in lowest terms
@@ -61,7 +67,6 @@ by one integer gcd.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from math import gcd, lcm
 
 from .errors import ParseError
@@ -87,6 +92,14 @@ def _pmul(a: Poly, b: Poly) -> Poly:
     if len(a) == 1:
         (ka, ca), = a.items()
         return {ka + kb: ca * cb for kb, cb in b.items()}
+    if len(a) >= 24 and max(a) - min(a) + max(b) - min(b) < 4 * len(a) * len(b):
+        # dense: one product of the values at t = 2^k, 2^(k-1) above every
+        # coefficient of a*b, read back by its signed digits (Kronecker)
+        bound = max(map(abs, a.values())) * max(map(abs, b.values())) * len(a)
+        k = -(-(bound.bit_length() + 1) // 8) * 8
+        x = _at(_anchored(a), k) * _at(_anchored(b), k)
+        f, s = -1 if x < 0 else 1, min(a) + min(b)
+        return {e + s: c * f for e, c in _digits(x * f, k).items()}
     out: Poly = {}
     for ka, ca in a.items():
         for kb, cb in b.items():
@@ -126,7 +139,10 @@ def _at(p: Poly, k: int) -> int:
 
     The terms are split in halves by exponent, each half is evaluated on its
     own and the upper one is shifted over the lower, so the cost stays near
-    linear in the bit length of the value (Horner's rule is quadratic)."""
+    linear in the bit length of the value (Horner's rule is quadratic).  Up
+    to 8 terms are one sum, unsorted."""
+    if len(p) <= 8:
+        return sum([c << k * e for e, c in p.items()])
     terms = sorted(p.items())
 
     def value(i: int, j: int) -> int:  # terms[i:j] over t^(their lowest exponent)
@@ -184,10 +200,12 @@ def _poly_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly] | None:
             # G(2^k) divides h, and h / G(2^k) = gcd((u/G)(2^k), (v/G)(2^k))
             # divides the resultant of u/G and v/G, a nonzero integer that
             # does not depend on k: once 2^(k-1) exceeds it times |G|, the
-            # digits of h are that factor times G, so the candidate is G
-            _, g = _primitive(_digits(gcd(_at(u, k), _at(v, k)), k))
-            if not max(g):
+            # digits of h are that factor times G, so the candidate is G;
+            # digits of h <= 2^(k-1) are a constant, which proves coprimality
+            h = gcd(_at(u, k), _at(v, k))
+            if h <= 1 << (k - 1):
                 return None
+            _, g = _primitive(_digits(h, k))
             try:
                 qu, qv = _exact_div(u, g), _exact_div(v, g)
                 break
@@ -310,8 +328,7 @@ def _part_value(part: Part) -> "Constant":
 
 
 def _sum(parts: list[Part]) -> "Constant":
-    """The sum of nonzero summands, with one reduction per primitive
-    denominator (see ``Constant.sum``)."""
+    """The sum of nonzero summands, reduced once (see ``Constant.sum``)."""
     if len(parts) < 2:
         return _part_value(parts[0]) if parts else _ZERO
     # gcd, lcm and tuple are fed lists, not generators: a tuple built from
@@ -348,11 +365,9 @@ def _sum(parts: list[Part]) -> "Constant":
                 d = dens[c._n, den] = cont, tuple([(e * f, a // cont) for e, a in den])
             cont, key = d
         groups.setdefault(key, []).append((cont * part[2], part))
-    partial = []
+    total: Poly = {}
+    reduced = True  # each group is reduced and no two denominators overlap
     for key, members in groups.items():
-        if len(members) == 1:
-            partial.append(_part_value(members[0][1]))
-            continue
         m = lcm(*[cont for cont, _part in members])
         num: Poly = {}
         for cont, (c, p, _q, k, grid) in members:
@@ -369,13 +384,29 @@ def _sum(parts: list[Part]) -> "Constant":
                     num[e] = a
         if not num:
             continue
-        den = dict(key)
-        if len(key) > 1:
-            r = _poly_gcd(num, den)
-            if r is not None:
-                _, num, den = r
-        partial.append(_make(n, num, {e: a * m for e, a in den.items()}))
-    return reduce(_henrici, partial, _ZERO)
+        d = dict(key)
+        reduced = reduced and (len(members) == 1 or len(d) == 1)
+        if not total:
+            total, den, scale = num, d, m
+            continue
+        # num/(m*D) joins total/(scale*L) over lcm(scale, m) * lcm(L, D): the
+        # cofactors L/g and D/g of g = gcd(L, D) scale the two numerators
+        r = _poly_gcd(den, d)
+        if r is None:
+            a, b = den, d
+        else:
+            reduced, (_, a, b) = False, r
+        lm = lcm(scale, m)
+        total = _padd(_pmul(total, {e: c * (lm // scale) for e, c in b.items()}),
+                      _pmul(num, {e: c * (lm // m) for e, c in a.items()}))
+        den, scale = _pmul(den, b), lm
+    if not total:
+        return _ZERO
+    if not reduced:
+        r = _poly_gcd(total, den)
+        if r is not None:
+            _, total, den = r
+    return _make(n, total, {e: a * scale for e, a in den.items()})
 
 
 class Constant:
@@ -485,12 +516,13 @@ class Constant:
 
     @classmethod
     def sum(cls, items) -> "Constant":
-        """The sum of scalars, with one reduction per primitive denominator.
+        """The sum of scalars, reduced once.
 
         On the common grid each denominator is an integer content ``k`` times
         a primitive polynomial ``D``.  Summands sharing ``D`` are put over
-        ``lcm(k) * D`` and reduced by one gcd with ``D``; Henrici's method
-        adds only the partial sums of different ``D``."""
+        ``lcm(k) * D``, the groups are added over the lcm of their
+        denominators by one gcd per further group, and the total is reduced
+        by at most one gcd (see the module docstring)."""
         parts = []
         for item in items:
             c = item if type(item) is Constant else cls._coerce(item)
@@ -650,30 +682,6 @@ def _join_signed(pieces, plus: str, minus: str, empty: str = "0") -> str:
 # Per-format markup of the sums of ``c*e^q`` that make up a Constant.
 _TEXT = {"ratio": _ratio_text, "exp": "exp({})", "scaled": "{}*{}", "join": (" + ", " - ")}
 _LATEX = {"ratio": _ratio_latex, "exp": "e^{{{}}}", "scaled": "{} {}", "join": ("+", "-")}
-
-
-def _henrici(a: Constant, b: Constant) -> Constant:
-    """``a + b`` by Henrici's method (Knuth, TAOCP vol. 2, 4.5.1): with
-    ``g = gcd(d1, d2)``, only ``gcd(num, g)`` can cancel."""
-    if not a._num:
-        return b
-    if not b._num:
-        return a
-    n = lcm(a._n, b._n)
-    n1, d1 = a._polys(n)
-    n2, d2 = b._polys(n)
-    r = _poly_gcd(d1, d2)
-    if r is None:
-        return _make(n, _padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
-    g, e1, e2 = r
-    num, den = _padd(_pmul(n1, e2), _pmul(n2, e1)), _pmul(d1, e2)
-    if num:
-        # den = g * e1 * e2, and only g can cancel against num
-        r = _poly_gcd(num, g)
-        if r is not None:
-            _, num, g = r
-            den = _pmul(_pmul(g, e1), e2)
-    return _make(n, num, den)
 
 
 def const_arith(a: Constant, b: Constant, kind: str) -> Constant:

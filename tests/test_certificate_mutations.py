@@ -88,8 +88,8 @@ ROWS = [
     ("fri_residues shifted by one row", boundary, "fri_residues", "fs._row(j)", "fs._row(j + 1)"),
     ("stored quotients doubled", FundamentalSystem, "__init__",
      "cof * inv for", "cof * inv * 2 for"),
-    ("fri_derivative without its rho terms", boundary, "fri_derivative",
-     "enumerate(residues, start=1)", "enumerate(residues[:0], start=1)"),
+    ("fri_derivative without its rho terms", boundary, "_fri_closed",
+     "enumerate(residues[:k], start=1)", "enumerate(residues[:0], start=1)"),
     ("by-parts term negated", boundary, "_psi", "_products(-r, W)", "_products(r, W)"),
     ("greens_operator skips its last condition", boundary, "greens_operator",
      "enumerate(problem.conditions)", "enumerate(problem.conditions[:-1])"),

@@ -4,8 +4,9 @@
 the gcd back from the digits of one integer gcd; the reference below knows
 nothing of evaluation: it runs Euclid on ``Fraction`` coefficients and makes
 the last nonzero remainder primitive with a positive leading coefficient.
-Polynomials are ``{exponent: int}`` dicts in ``t = e^(1/N)``, Laurent like
-the field's own.
+Products of dense polynomials, packed into one integer product, are checked
+against the schoolbook product ``mul``.  Polynomials are ``{exponent: int}``
+dicts in ``t = e^(1/N)``, Laurent like the field's own.
 """
 
 import random
@@ -14,6 +15,8 @@ from fractions import Fraction as F
 from math import gcd, lcm
 
 import pytest
+
+from test_certificate_mutations import install
 
 from stieltjes import constants
 from stieltjes.constants import _at, _digits, _exact_div, _poly_gcd
@@ -71,7 +74,7 @@ def shifted(p, s):
 
 def checked_gcd(u, v):
     """``_poly_gcd(u, v)`` without its cofactors, which must multiply back."""
-    result = _poly_gcd(u, v)
+    result = constants._poly_gcd(u, v)
     if result is None:
         return None
     g, qu, qv = result
@@ -219,3 +222,131 @@ def test_values_at_powers_of_two_read_back_as_digits():
     start = time.perf_counter()
     assert _digits(_at(dense, 8), 8) == dense
     assert time.perf_counter() - start < 3
+
+
+# -- small pairs and packed products, with the faults they must catch -------------
+
+
+def small_pairs():
+    """2000 Laurent pairs of 2-8 terms with coefficients up to 2^20, a third
+    of them with a planted common linear factor and a third with a quadratic
+    one, of either sign.  A factor ``t - c`` with ``0 < c < 2^(k-1)`` has the
+    value ``2^k - c`` at ``t = 2^k``, above ``2^(k-1)`` and below ``2^k``."""
+    rng = random.Random(2000)
+    for i in range(2000):
+        if i % 3 == 0:
+            u = random_poly(rng, rng.randint(1, 7), 2**20, terms=rng.randint(1, 7))
+            v = random_poly(rng, rng.randint(1, 7), 2**20, terms=rng.randint(1, 7))
+        else:  # t - c or a t + c, or a quadratic
+            g = ({1: rng.choice((1, -1, rng.randint(-2**4, 2**4) or 1)),
+                  0: rng.randint(-2**10, 2**10) or 1} if i % 3 == 1
+                 else random_poly(rng, 2, rng.choice((3, 2**4, 2**10))))
+            u = mul(g, random_poly(rng, rng.randint(0, 4), 2**16, terms=rng.randint(0, 3)))
+            v = mul(g, random_poly(rng, rng.randint(0, 4), 2**16, terms=rng.randint(0, 3)))
+        yield shifted(u, rng.randint(-5, 5)), shifted(v, rng.randint(-5, 5))
+
+
+def gcd_mismatches() -> list:
+    """The small pairs whose ``_poly_gcd`` differs from Euclid's."""
+    out = []
+    for u, v in small_pairs():
+        if len(u) > 1 and len(v) > 1:
+            try:
+                if checked_gcd(u, v) != reference_gcd(u, v):
+                    out.append((u, v))
+            except (ArithmeticError, AssertionError):
+                out.append((u, v))
+    return out
+
+
+def test_small_pairs_give_the_reference_gcd():
+    assert gcd_mismatches() == []
+
+
+def test_the_gcd_check_fails_when_the_early_return_is_widened(monkeypatch):
+    # h < 2^k also takes the digits 1 and h - 2^k, a linear gcd, for a constant
+    install(monkeypatch, constants, "_poly_gcd", "if h <= 1 << (k - 1):", "if h < 1 << k:")
+    assert gcd_mismatches()
+
+
+def dense(rng, size, bits, sign=None):
+    """A polynomial with ``size`` consecutive exponents and coefficients of
+    up to ``bits`` bits, all of one sign when ``sign`` is given."""
+    return {e: rng.randint(1, 2**bits) * (sign or rng.choice((1, -1))) for e in range(size)}
+
+
+def product_cases():
+    """Operand pairs on both sides of the 24-term packing boundary: dense,
+    with coefficients of 1 to 100 bits, signed or of one sign, shifted to
+    Laurent exponents; coefficients all at their bound; sparse of high
+    degree; and products that cancel to zero coefficients inside."""
+    rng = random.Random(24)
+    cases = []
+    for n in (2, 23, 24, 25, 40):
+        for m in (23, 24, 31):
+            for bits in (1, 8, 33, 100):
+                for sign in (None, 1, -1):
+                    a, b = dense(rng, n, bits, sign), dense(rng, m, bits, sign and -sign)
+                    cases.append((a, b))
+                    cases.append((shifted(a, -rng.randint(1, 50)), shifted(b, rng.randint(-9, 9))))
+    for n in (24, 30):
+        top = 2**rng.randint(1, 70)
+        cases.append(({e: top for e in range(n)}, {e: top for e in range(n)}))
+        cases.append(({e: -top for e in range(n)}, {e: top for e in range(n + 3)}))
+    for n in (24, 40):
+        cases.append((random_poly(rng, 10**4, 50, terms=n), random_poly(rng, 10**4, 50, terms=n)))
+        cases.append((random_poly(rng, 4 * n, 50, terms=n), dense(rng, n, 20)))
+    ones, c = {e: 1 for e in range(30)}, dense(rng, 30, 12)
+    cases.append((ones, mul({1: -1, 0: 1}, c)))  # (1 - t^30) * c
+    cases.append((dense(rng, 26, 8), {}))  # a zero operand
+    return cases
+
+
+@pytest.fixture
+def packed(monkeypatch):
+    """The number of ``_pmul`` calls that read their product as digits."""
+    calls = []
+    digits = constants._digits
+
+    def counted(h, k):
+        calls.append(k)
+        return digits(h, k)
+
+    monkeypatch.setattr(constants, "_digits", counted)
+    return calls
+
+
+def product_mismatches() -> list:
+    """The product cases, both ways round, whose ``_pmul`` differs from the
+    schoolbook ``mul``."""
+    out = []
+    for a, b in product_cases():
+        for x, y in ((a, b), (b, a)):
+            try:
+                if constants._pmul(x, y) != mul(x, y):
+                    out.append((x, y))
+            except (ValueError, ArithmeticError):
+                out.append((x, y))
+    return out
+
+
+def test_packed_products_equal_schoolbook_products(packed):
+    assert product_mismatches() == []
+    assert len(packed) > 300  # the dense pairs were packed
+
+
+def test_sparse_and_short_operands_are_not_packed(packed):
+    rng = random.Random(23)
+    for a, b in ((dense(rng, 23, 8), dense(rng, 40, 8)),
+                 (random_poly(rng, 10**4, 50, terms=30), random_poly(rng, 10**4, 50, terms=30))):
+        assert constants._pmul(a, b) == mul(a, b)
+    assert packed == []
+
+
+@pytest.mark.parametrize("name, snippet, replacement", [
+    ("_pmul", "bit_length() + 1) // 8) * 8", "bit_length() + 1) // 8) * 8 - 8"),
+    ("_digits", "carry = d > half", "carry = False"),
+], ids=["k one byte short", "digits without their carry"])
+def test_the_product_check_fails_on_a_broken_packing(monkeypatch, name, snippet, replacement):
+    install(monkeypatch, constants, name, snippet, replacement)
+    assert product_mismatches()

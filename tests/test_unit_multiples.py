@@ -6,7 +6,8 @@ A summand of ``_sum`` is the unit multiple ``(c, p, q, k, m)``, the value
 denominator group, and normalises each stored denominator once per call.
 Each test here builds every product the generic way instead, by ``_make``
 of term dicts (as ``test_scalar_fast_paths.generic_unit_product`` does),
-adds the products by a left fold of ``constants._henrici`` and requires the
+adds the products by a left fold of the pairwise Henrici step (the
+reference ``_henrici`` of ``test_constant_sum.py``) and requires the
 same stored form: grid, numerator and denominator terms.
 
 The draws cover the grids 1-12, one primitive denominator with different
@@ -23,6 +24,7 @@ from math import gcd, lcm
 
 import pytest
 
+from test_constant_sum import _henrici
 from test_scalar_fast_paths import COEFFS, GRIDS, random_constant, stored
 
 from stieltjes import Constant
@@ -39,7 +41,7 @@ def generic_product(part) -> Constant:
 
 
 def generic_sum(parts) -> Constant:
-    return reduce(constants._henrici, map(generic_product, parts), Constant.zero())
+    return reduce(_henrici, map(generic_product, parts), Constant.zero())
 
 
 def random_unit(rng: random.Random, grids=GRIDS) -> tuple[int, int, int, int]:

@@ -1,8 +1,9 @@
 """The Wronskian data of a fundamental system are computed once: the rows
 ``u_j^(i)``, i < n, and the quotients ``r_j = cof_j / d`` are kept by
-``FundamentalSystem``, and ``greens_operator`` derives the closed form of
-``<p> d^l T_inv`` once per distinct order l, counted like the counters of
-``test_one_antiderivative.py``."""
+``FundamentalSystem``, and ``greens_operator`` takes the residues
+``rho_1..rho_l`` once, for the largest order l, and derives the closed form
+of ``<p> d^l T_inv`` once per distinct order l and for T_inv itself, counted
+like the counters of ``test_one_antiderivative.py``."""
 
 from test_certificate import document_problems  # the 15 `documents` problems
 
@@ -32,12 +33,16 @@ def test_greens_operator_derives_each_order_once_and_never_inverts_d(monkeypatch
     assert sum(map(len, orders)) > sum(len(set(o)) for o in orders)
     for problem in problems:
         problem.system()  # built once, with the one inverse of d
-    closed = counter(monkeypatch, boundary, "fri_derivative")
+    closed = counter(monkeypatch, boundary, "_fri_closed")
+    residues = counter(monkeypatch, boundary, "fri_residues")
     inverses = counter(monkeypatch, boundary, "_monomial_inverse")
     for problem, local_orders in zip(problems, orders):
         closed.clear()
+        residues.clear()
         greens_operator(problem)
-        assert sorted(k for _fs, k, _e in closed) == sorted(set(local_orders))
+        # T_inv is the closed form of order 0
+        assert sorted(k for _fs, k, _e, _rho in closed) == sorted(set(local_orders) | {0})
+        assert [k for _fs, k in residues] == [max(local_orders)]
     assert inverses == []
 
 
