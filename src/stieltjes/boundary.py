@@ -274,12 +274,12 @@ def _polynomial_text(coeffs: list[Fraction]) -> str:
 
 
 # The scalar field stores e^(lambda*p) on the minimal grid of its exponents,
-# so its gcds and divisions run on dense polynomials with up to one coefficient
+# so its gcds and products run on dense polynomials with up to one coefficient
 # per grid step.  With the cap lifted, ``python -m stieltjes verify`` (Python
-# 3.11 on a shared 2-core x86 host, start-up included) takes 1.9-3.5 s for
-# order 2 at 2*10^5 steps, 1.5 s for order 3 at 1200 steps and 10-14 s at 4800,
-# and 3.6-4.5 s for order 4 at 800 steps and over a minute at 3200.  The worked
-# examples and the seeded test problems stay below 60 steps.
+# 3.11 on a shared 2-core x86 host, start-up included) takes 0.15-0.35 s for
+# order 2 at 2*10^5 steps, 0.35-0.5 s for order 3 at 1200 steps and 1.3 s at
+# 4800, and 0.6-0.75 s for order 4 at 800 steps and 3.7-4.2 s at 3200.  The
+# worked examples and the seeded test problems stay below 60 steps.
 MAX_EXPONENT_SPREAD = 500
 
 # The operator order sets the size of the fundamental system, and its tables of

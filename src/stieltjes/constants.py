@@ -16,12 +16,13 @@ two integer-coefficient Laurent polynomials in ``t``, held as tuples of
 arithmetic stays in Z[t, 1/t]: gcds are heuristic gcds, read from the
 digits of one integer gcd of the values of their two operands at a power of
 two, on the smallest grid of the operands (one evaluation and one comparison
-prove most pairs coprime); division by a primitive gcd is exact over Z by
-Gauss's lemma, and the gcd comes with both quotients.  Every operation
-cancels its polynomial gcds first and then hands the terms to one routine,
-``_canonical``, which
-divides out the joint integer content and the grid step (the gcd of ``N``
-and every exponent); only a rational sum or product skips it.
+prove most pairs coprime), and the gcd comes with both quotients, read
+from the digits of the two values over the gcd's value: under a bound on
+their coefficients these digits prove the quotients, with no polynomial
+division.  Every operation cancels its polynomial gcds first and then hands
+the terms to one routine, ``_canonical``, which divides out the joint
+integer content and the grid step (the gcd of ``N`` and every exponent);
+only a rational sum or product skips it.
 ``Fraction`` appears only at the boundary: the constructors and the
 ``num``/``den``/``as_rational``/``as_monomial`` views.  ``Constant(num,
 den)`` is built by the field itself: the ``Constant.sum`` of the
@@ -66,6 +67,7 @@ by one integer gcd.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -124,16 +126,6 @@ def _primitive(p: Poly) -> tuple[int, Poly]:
     return g, p if g == 1 else {k: c // g for k, c in p.items()}
 
 
-def _subtract_shifted(r: Poly, f: int, s: int, tail: list) -> None:
-    """``r -= f * t^s * tail`` in place, for ``tail`` a list of terms."""
-    for k, c in tail:
-        x = r.get(k + s, 0) - f * c
-        if x:
-            r[k + s] = x
-        else:
-            del r[k + s]
-
-
 def _at(p: Poly, k: int) -> int:
     """The value at ``t = 2^k`` of a polynomial with lowest exponent 0.
 
@@ -155,20 +147,34 @@ def _at(p: Poly, k: int) -> int:
     return value(0, len(terms))
 
 
+# the next byte that ends a run of digits 0: not 00 without a carry, not ff
+# with one (2^k - 1 plus the carry is the digit 0 with a carry)
+_NOT_ZERO_DIGIT = re.compile(rb"[^\x00]"), re.compile(rb"[^\xff]")
+
+
 def _digits(h: int, k: int) -> Poly:
     """The polynomial with coefficients in ``(-2^(k-1), 2^(k-1)]`` whose value
     at ``t = 2^k`` is ``h > 0``, for k a multiple of 8: its base-``2^k``
-    digits, read from the bytes of h, with one more digit for a carry."""
+    digits, read from the bytes of h, with one more digit for a carry.  After
+    a digit 0 the next digits stay 0 up to the next byte that is not ``00``
+    (``ff`` after a carry), found by one search, so the loop runs about once
+    per nonzero digit."""
     w, half = k // 8, 1 << (k - 1)
     data = h.to_bytes((h.bit_length() // k + 1) * w, "little")
-    out, carry = {}, 0
-    for e, i in enumerate(range(0, len(data), w)):
+    out, carry, i, end = {}, 0, 0, len(data)
+    while i < end:
         d = int.from_bytes(data[i:i + w], "little") + carry
         carry = d > half
         if carry:
             d -= 1 << k
         if d:
-            out[e] = d
+            out[i // w] = d
+            i += w
+            continue
+        m = _NOT_ZERO_DIGIT[carry].search(data, i + w)
+        if m is None:
+            break
+        i = m.start() - m.start() % w
     return out
 
 
@@ -180,11 +186,15 @@ def _poly_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly] | None:
     The heuristic gcd GCDHEU (Char, Geddes and Gonnet, JSC 1989) on the
     smallest grid of the two primitive operands u and v (the exponents are
     shifted to start at 0 and divided by their gcd first): ``h`` is the
-    integer gcd of ``u(2^k)`` and ``v(2^k)``, and the candidate is the
-    primitive part of the polynomial of the symmetric base-``2^k`` digits of
-    ``h``.  With ``2^k >= 2 * min(|u|, |v|) + 2`` in the max norm, a candidate
-    of degree 0 proves u and v coprime, and one that divides both is their
-    gcd (Liao and Fateman, ISSAC 1995); otherwise k is doubled.
+    integer gcd of ``x = u(2^k)`` and ``y = v(2^k)``, and the candidate g is
+    the primitive part of the polynomial of the symmetric base-``2^k`` digits
+    of ``h``; the cofactors are the digits of ``x / g(2^k)`` and ``y /
+    g(2^k)``.  With ``2^k >= 2 * min(|u|, |v|) + 2`` in the max norm, a
+    candidate of degree 0 proves u and v coprime, and one that divides both
+    is their gcd (Liao and Fateman, ISSAC 1995).  It divides both when
+    ``|u|, |v| < 2^(k-1)`` and ``|g| * |q| * min(len g, len q) < 2^(k-1)``
+    for each cofactor q: then ``g*q`` and its operand are both the symmetric
+    digits of one integer, so they are equal.  Otherwise k is doubled.
     """
     if len(a) == 1 or len(b) == 1:
         return None
@@ -194,48 +204,30 @@ def _poly_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly] | None:
     if u == v:
         g, qu, qv = u, {0: 1}, {0: 1}
     else:
-        norm = min(max(map(abs, u.values())), max(map(abs, v.values())))
-        k = -(-(2 * norm + 1).bit_length() // 8) * 8
+        nu, nv = max(map(abs, u.values())), max(map(abs, v.values()))
+        k = -(-(2 * min(nu, nv) + 1).bit_length() // 8) * 8
         while True:
             # G(2^k) divides h, and h / G(2^k) = gcd((u/G)(2^k), (v/G)(2^k))
             # divides the resultant of u/G and v/G, a nonzero integer that
             # does not depend on k: once 2^(k-1) exceeds it times |G|, the
             # digits of h are that factor times G, so the candidate is G;
             # digits of h <= 2^(k-1) are a constant, which proves coprimality
-            h = gcd(_at(u, k), _at(v, k))
+            x, y = _at(u, k), _at(v, k)
+            h = gcd(x, y)
             if h <= 1 << (k - 1):
                 return None
-            _, g = _primitive(_digits(h, k))
-            try:
-                qu, qv = _exact_div(u, g), _exact_div(v, g)
-                break
-            except ArithmeticError:
-                k *= 2
+            half = 1 << (k - 1)
+            if nu < half and nv < half:
+                c, g = _primitive(_digits(h, k))
+                ng, gk = max(map(abs, g.values())), h // c  # gk = g(2^k)
+                qu, qv = _digits(x // gk, k), _digits(y // gk, k)
+                if all(ng * max(map(abs, q.values())) * min(len(g), len(q)) < half
+                       for q in (qu, qv)):
+                    break
+            k *= 2
     return ({e * step: c for e, c in g.items()},
             {e * step + sa: c * ca for e, c in qu.items()},
             {e * step + sb: c * cb for e, c in qv.items()})
-
-
-def _exact_div(a: Poly, g: Poly) -> Poly:
-    """a / g for a primitive g, or ArithmeticError unless g divides a.
-
-    By Gauss's lemma the quotient then has integer coefficients, so a
-    coefficient division that leaves a remainder proves that g does not."""
-    dg = max(g)
-    lg = g[dg]
-    tail = [(k, c) for k, c in g.items() if k != dg]
-    low = min(a)
-    r = dict(a)
-    out: Poly = {}
-    while r:
-        dr = max(r)
-        s = dr - dg
-        q, x = divmod(r.pop(dr), lg)
-        if s < low or x:
-            raise ArithmeticError("inexact polynomial division")
-        out[s] = q
-        _subtract_shifted(r, q, s, tail)
-    return out
 
 
 def _make(n: int, num: Poly, den: Poly) -> "Constant":

@@ -1,12 +1,14 @@
 """The polynomial gcd of the scalar field against Euclid's algorithm over Q.
 
 ``constants._poly_gcd`` evaluates its operands at a power of two and reads
-the gcd back from the digits of one integer gcd; the reference below knows
-nothing of evaluation: it runs Euclid on ``Fraction`` coefficients and makes
-the last nonzero remainder primitive with a positive leading coefficient.
-Products of dense polynomials, packed into one integer product, are checked
-against the schoolbook product ``mul``.  Polynomials are ``{exponent: int}``
-dicts in ``t = e^(1/N)``, Laurent like the field's own.
+the gcd and both cofactors back from digits of integers; the reference below
+knows nothing of evaluation: it runs Euclid on ``Fraction`` coefficients and
+makes the last nonzero remainder primitive with a positive leading
+coefficient.  Products of dense polynomials, packed into one integer
+product, are checked against the schoolbook product ``mul``, and the digit
+reading, which skips runs of zero digits, against the per-digit loop
+``reference_digits``.  Polynomials are ``{exponent: int}`` dicts in
+``t = e^(1/N)``, Laurent like the field's own.
 """
 
 import random
@@ -19,7 +21,7 @@ import pytest
 from test_certificate_mutations import install
 
 from stieltjes import constants
-from stieltjes.constants import _at, _digits, _exact_div, _poly_gcd
+from stieltjes.constants import _at, _digits, _poly_gcd
 
 
 def mul(a, b):
@@ -135,10 +137,25 @@ def test_grid_steps_above_one(step):
         assert checked_gcd(shifted(u, 5 * step), shifted(v, -step)) == expected
 
 
+# at t = 2^8 = -1 mod 257 both values of each pair are multiples of
+# 257 = 2^8 + 1, whose digits give the candidate t + 1, which divides neither
+# t^9 + 258 nor 100 t^2 - 100 t + 57; at 2^16 the values are coprime
+UNLUCKY = {1: 1, 0: 1}, {9: 1, 0: 258}
+OVERFLOWING = {1: 1, 0: 1}, {2: 100, 1: -100, 0: 57}
+
+
 def test_unlucky_first_point_is_retried(images):
-    # at t = 2^8 = -1 mod 257 both values are multiples of 257 = 2^8 + 1,
-    # whose digits give the candidate t + 1, which does not divide t^9 + 258
-    assert _poly_gcd({1: 1, 0: 1}, {9: 1, 0: 258}) is None
+    # 258 is not a digit at 2^8, so t^9 + 258 is not the digits of its value
+    assert constants._poly_gcd(*UNLUCKY) is None
+    assert images == [8, 8, 16, 16]
+
+
+def test_a_cofactor_beyond_the_digit_bound_is_refused(images):
+    # the value of 100 t^2 - 100 t + 57 at 2^8 is 257 * 25401, and 25401 has
+    # the digits 99 t + 57, but 1 * 99 * min(2, 2) is not below 2^7: the
+    # product (t + 1)(99 t + 57) need not be the digits of 257 * 25401, and
+    # it is not, so the candidate t + 1 is refused
+    assert constants._poly_gcd(*OVERFLOWING) is None
     assert images == [8, 8, 16, 16]
 
 
@@ -159,15 +176,6 @@ def test_sparse_pair_of_degree_a_million_is_fast():
     start = time.perf_counter()
     assert _poly_gcd({n: 1, 1: 1, 0: 1}, {n: 1, 0: 2}) is None
     assert time.perf_counter() - start < 2
-
-
-def test_exact_div_divides_or_raises():
-    g = {1: 2, 0: 1}
-    assert _exact_div(mul(g, {3: 5, 1: -1}), g) == {3: 5, 1: -1}
-    with pytest.raises(ArithmeticError):
-        _exact_div({1: 3, 0: 1}, g)  # flooring 3 / 2 would leave no remainder
-    with pytest.raises(ArithmeticError):
-        _exact_div({2: 2, 0: 1}, {1: 1, 0: 1})  # a polynomial remainder: 3
 
 
 def test_dense_pair_of_degree_2048_with_a_cubic_factor_is_fast():
@@ -224,6 +232,73 @@ def test_values_at_powers_of_two_read_back_as_digits():
     assert time.perf_counter() - start < 3
 
 
+def reference_digits(h: int, k: int) -> dict:
+    """The polynomial with coefficients in ``(-2^(k-1), 2^(k-1)]`` whose value
+    at ``t = 2^k`` is ``h > 0``, for k a multiple of 8: its base-``2^k``
+    digits, read from the bytes of h, with one more digit for a carry."""
+    w, half = k // 8, 1 << (k - 1)
+    data = h.to_bytes((h.bit_length() // k + 1) * w, "little")
+    out, carry = {}, 0
+    for e, i in enumerate(range(0, len(data), w)):
+        d = int.from_bytes(data[i:i + w], "little") + carry
+        carry = d > half
+        if carry:
+            d -= 1 << k
+        if d:
+            out[e] = d
+    return out
+
+
+def digit_cases():
+    """(h, k) for k = 8, 16 and 64: values whose bytes are runs of ``00``,
+    of ``ff`` and of random bytes, of lengths that end inside a digit as
+    well as on its bound, and values of sparse polynomials whose negative
+    and extreme coefficients (``2^(k-1)``, ``1 - 2^(k-1)``, -1) carry into
+    long runs of ``ff``."""
+    rng = random.Random(16)
+    cases = []
+    for k in (8, 16, 64):
+        half = 2 ** (k - 1)
+        for _ in range(200):
+            runs = [rng.choice((bytes(n), b"\xff" * n, rng.randbytes(n), b"\x80" + bytes(n)))
+                    for n in rng.choices((1, 2, 7, 8, 9, 40, 300), k=rng.randint(1, 10))]
+            cases.append((int.from_bytes(b"".join(runs), "little") or 1, k))
+        for _ in range(100):
+            p = {e: rng.choice((half, 1 - half, -1, 1, rng.randint(1 - half, half)))
+                 for e in rng.sample(range(2000), rng.randint(1, 6))}
+            p[max(p) + rng.choice((1, 500))] = rng.randint(1, half)
+            cases.append((_at(shifted(p, -min(p)), k), k))
+    return cases
+
+
+def digit_mismatches() -> list:
+    """The digit cases whose ``_digits`` differs from the per-digit reading."""
+    return [(h, k) for h, k in digit_cases() if constants._digits(h, k) != reference_digits(h, k)]
+
+
+def test_digits_skip_runs_of_zero_digits_as_the_per_digit_reading():
+    assert digit_mismatches() == []
+
+
+@pytest.mark.parametrize("snippet, replacement", [
+    ("_NOT_ZERO_DIGIT[carry]", "_NOT_ZERO_DIGIT[0]"),
+    ("i = m.start() - m.start() % w", "i = m.start()"),
+], ids=["a run after a carry read as 00", "a run resumed inside a digit"])
+def test_the_digit_check_fails_on_a_broken_skip(monkeypatch, snippet, replacement):
+    install(monkeypatch, constants, "_digits", snippet, replacement)
+    assert digit_mismatches()
+
+
+def test_a_sparse_value_of_degree_a_million_reads_fast():
+    # the -3 leaves 500000 digits 0 of bytes ff above it, carried; reading
+    # every digit of the 2 MB value took about 0.8 s
+    p = {10**6: 1, 500000: -3, 0: 5}
+    h = _at(p, 16)
+    start = time.perf_counter()
+    assert _digits(h, 16) == p
+    assert time.perf_counter() - start < 0.2
+
+
 # -- small pairs and packed products, with the faults they must catch -------------
 
 
@@ -267,6 +342,67 @@ def test_the_gcd_check_fails_when_the_early_return_is_widened(monkeypatch):
     # h < 2^k also takes the digits 1 and h - 2^k, a linear gcd, for a constant
     install(monkeypatch, constants, "_poly_gcd", "if h <= 1 << (k - 1):", "if h < 1 << k:")
     assert gcd_mismatches()
+
+
+def at_minus_one_257(rng, spread):
+    """A polynomial of degree below ``spread + 3`` whose value at ``t = -1`` is
+    257 or -257: 257 is spread over ``spread`` coefficients and the others
+    are at most 20, so no coefficient exceeds ``(257 + 60) / spread + 1``."""
+    exponents = rng.sample(range(spread + 3), spread)
+    p = {e: rng.randint(-20, 20) for e in rng.sample(range(spread + 3), 3)
+         if e not in exponents}
+    r = 257 * rng.choice((1, -1)) - sum(c * (-1) ** e for e, c in p.items())
+    for j, e in enumerate(exponents):
+        p[e] = (r // spread + (j < r % spread)) * (-1) ** e
+    return {e: c for e, c in p.items() if c}
+
+
+def pairs_sharing_257():
+    """600 pairs with coefficients below 2^7, so that they are the digits of
+    their values at ``t = 2^8``, both of whose values there are multiples of
+    257: ``v(-1)`` is 257 or -257 times ``g(-1)``, and u has the factor t + 1
+    or is built like v.  Half share a planted binomial g, nonzero at -1."""
+    rng = random.Random(257)
+    out = []
+    for i in range(600):
+        g = rng.choice(({1: 1, 0: -1}, {2: 1, 0: 1}, {3: -1, 0: 1}, {4: 1, 0: 1})) if i % 4 > 1 \
+            else {0: 1}
+        spread = 6 if len(g) > 1 else 3
+        a = (mul({1: 1, 0: 1}, random_poly(rng, rng.randint(0, 4), 30, terms=rng.randint(0, 3)))
+             if i % 2 else at_minus_one_257(rng, spread))
+        u, v = mul(g, a), mul(g, at_minus_one_257(rng, spread))
+        assert max(map(abs, [*u.values(), *v.values()])) < 128
+        out.append((shifted(u, rng.randint(-3, 3)), shifted(v, rng.randint(-3, 3))))
+    return out
+
+
+def mismatches_sharing_257() -> list:
+    """The pairs sharing 257 whose ``_poly_gcd`` differs from Euclid's."""
+    out = []
+    for u, v in pairs_sharing_257():
+        try:
+            if checked_gcd(u, v) != reference_gcd(u, v):
+                out.append((u, v))
+        except (ArithmeticError, AssertionError):
+            out.append((u, v))
+    return out
+
+
+def test_pairs_sharing_257_at_the_first_point_give_the_reference_gcd():
+    assert mismatches_sharing_257() == []
+
+
+@pytest.mark.parametrize("snippet, replacement, pair, mismatches", [
+    ("if nu < half and nv < half:", "if True:", UNLUCKY, gcd_mismatches),
+    ("if all(", "if True or all(", OVERFLOWING, mismatches_sharing_257),
+], ids=["no norm guard", "no cofactor bound"])
+def test_the_gcd_check_fails_without_a_digit_bound(monkeypatch, snippet, replacement, pair,
+                                                   mismatches):
+    # without either bound a candidate is taken whose cofactors do not
+    # multiply back: both pairs above and some seeded pairs go wrong
+    install(monkeypatch, constants, "_poly_gcd", snippet, replacement)
+    assert constants._poly_gcd(*pair) is not None
+    assert mismatches()
 
 
 def dense(rng, size, bits, sign=None):
