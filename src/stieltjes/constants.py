@@ -30,12 +30,15 @@ den)`` is built by the field itself: the ``Constant.sum`` of the
 document's literals are read by ``parsing.parse_rational``.
 
 Sums.  Every sum, ``+`` and ``-`` included, is one ``_sum`` of unit
-multiples ``c * p/q * e^(k/m)`` (the unit 1 for ``Constant.sum``).  On the
-common grid each stored denominator, normalised once per call, is an
-integer content ``h`` times a primitive polynomial ``D``; the summands are
-grouped by ``D``: all rationals and all ``c*e^q`` share ``D = 1``, and the
-entries of one matrix row share the determinant.  A group's numerators are
-scaled and shifted over ``lcm(q*h)*D`` where they are added, and the groups
+multiples ``c * p/q * e^(k/m)`` (the unit 1 for ``Constant.sum``; ``c = 1``
+for a unit in the slot).  Rationals, once ``k/m`` joins c's exponent, take
+one lcm and one gcd.  On the common grid each stored denominator is an
+integer content ``h`` times a primitive polynomial ``D``.  If every ``D`` is
+1 the sum is one group over ``lcm(q*h)``, finished by ``_canonical``.  Else
+each ``D`` is normalised once per call and the summands are grouped by it:
+all rationals and all ``c*e^q`` share ``D = 1``, and the entries of one
+matrix row share the determinant.  ``_numerator`` scales and shifts a
+group's numerators over ``lcm(q*h)*D`` where it adds them, and the groups
 are folded over the running lcm ``L`` of their denominators: one gcd
 ``g = gcd(L, D)`` per further group, whose cofactors scale the numerators.
 The total is reduced once, by ``gcd(num, L)``, skipped when it vanishes, or
@@ -45,20 +48,22 @@ Knuth, TAOCP vol. 2, 4.5.1).
 
 Products.  Every product is one routine, ``_times_units``: ``c * d * u``
 for two scalars and a unit ``u = p/q * t^k``, as a summand of ``_sum``;
-``*`` is the case ``u = 1``, finished by ``_part_value``.  A unit, one
-numerator term over one denominator term, has no divisors but units, so no
+``*`` is the case ``u = 1``, finished by ``_part_value``, and a unit
+already in the slot, under ``d = 1``, needs no call.  A unit, one numerator
+term over one denominator term, has no divisors but units, so no
 polynomial gcd can cancel against it: u is merged with whichever of c and
 d is itself a unit, and the summand is the other factor, a reduced
 ``N/D``, times the merged unit: ``p*t^k*N / (q*D)``, reduced up to an
 integer and a power of ``t``.  A lone summand is reduced by
-``_part_value``: c itself for ``u = 1``, one gcd for a rational times a
-rational, else its terms scaled and shifted in their order, with no dict and
-no sort, before ``_canonical`` (``e^(1/2) * e^(1/2)`` is on grid 1).  Only
-two non-units cancel crosswise, by ``gcd(N1, D2)`` and ``gcd(N2, D1)``, so
-their product needs no further gcd.  Two dense polynomials, of 24 terms or
-more each and degree under 4 times the product of their lengths, multiply
-as one integer product of their values at ``t = 2^k``, read back by its
-digits (Kronecker substitution; Harvey, JSC 2009).
+``_part_value``: the unit itself under ``c = 1``, c for ``u = 1``, one gcd
+for a rational times a rational, else its terms scaled and shifted in their
+order, with no dict and no sort, before ``_canonical`` (``e^(1/2) *
+e^(1/2)`` is on grid 1).  Only two non-units cancel crosswise, by
+``gcd(N1, D2)`` and ``gcd(N2, D1)``, so their product needs no further
+gcd.  Two dense polynomials, of 24 terms or more each and degree under 4
+times the product of their lengths, multiply as one integer product of
+their values at ``t = 2^k``, read back by its digits (Kronecker
+substitution; Harvey, JSC 2009).
 
 Rendering reads the stored integers: each exponent ``k/N`` and each
 coefficient over the leading denominator coefficient is put in lowest terms
@@ -263,7 +268,8 @@ def _canonical(n: int, num: Terms, den: Terms) -> "Constant":
 
 # A summand of ``_sum``: the unit multiple ``(c, p, q, k, m)``, meaning
 # ``c * p/q * e^(k/m)`` for a canonical nonzero c and a unit in lowest terms
-# with ``q, m > 0``, which is reduced up to an integer and a power of ``t``.
+# with ``q, m > 0`` (m minimal under ``c = _ONE``), which is reduced up to an
+# integer and a power of ``t``.
 Part = tuple
 
 
@@ -302,10 +308,12 @@ def _cross_product(c: "Constant", d: "Constant") -> "Constant":
 
 
 def _part_value(part: Part) -> "Constant":
-    """The canonical value of a summand: c itself for the unit 1, a rational
-    c times a rational by one gcd, else c's terms scaled and shifted in their
-    order, finished by ``_canonical``."""
+    """The canonical value of a summand: the unit under ``c = 1``, c for the
+    unit 1, a rational times a rational by one gcd, else c's terms scaled and
+    shifted in their order, finished by ``_canonical``."""
     c, p, q, k, m = part
+    if c is _ONE:
+        return _stored(m, ((k, p),), ((0, q),))
     if p == q == 1 and not k:
         return c
     num, den = c._num, c._den
@@ -319,6 +327,26 @@ def _part_value(part: Part) -> "Constant":
                       tuple([(e * f, a * q) for e, a in den]))
 
 
+def _numerator(members: list, n: int) -> tuple[Poly, int]:
+    """m = lcm(h*q) and, on the grid n, the numerator over ``m*D`` of summands
+    over one ``D`` with contents ``h*q``: c's terms times ``m/(h*q)*p``, shifted."""
+    num: Poly = {}
+    m = lcm(*[cont for cont, _part in members])
+    for cont, (c, p, _q, k, grid) in members:
+        s, f, k = m // cont * p, n // c._n, k * (n // grid)
+        for e, a in c._num:
+            e, a = e * f + k, a * s
+            if e in num:
+                x = num[e] + a
+                if x:
+                    num[e] = x
+                else:
+                    del num[e]
+            else:
+                num[e] = a
+    return num, m
+
+
 def _sum(parts: list[Part]) -> "Constant":
     """The sum of nonzero summands, reduced once (see ``Constant.sum``)."""
     if len(parts) < 2:
@@ -328,9 +356,9 @@ def _sum(parts: list[Part]) -> "Constant":
     # freed onto another length's free list, and over a solve those lists
     # fill up (1.4 MB of peak RSS on the benchmark's documents pass)
     rats = []
-    for c, p, q, k, _m in parts:
+    for c, p, q, k, m in parts:
         num, den = c._num, c._den
-        if k or len(num) != 1 or len(den) != 1 or num[0][0]:
+        if len(num) != 1 or len(den) != 1 or num[0][0] * m + k * c._n:
             break
         rats.append((num[0][1] * p, den[0][1] * q))
     else:
@@ -342,6 +370,9 @@ def _sum(parts: list[Part]) -> "Constant":
         g = gcd(s, m)
         return _stored(1, ((0, s // g),), ((0, m // g),))
     n = lcm(*[c._n for c, _p, _q, _k, _m in parts], *[m for _c, _p, _q, _k, m in parts])
+    if max([len(part[0]._den) for part in parts]) == 1:  # integers: one group
+        num, m = _numerator([(part[0]._den[0][1] * part[2], part) for part in parts], n)
+        return _canonical(n, tuple(sorted(num.items(), reverse=True)), ((0, m),)) if num else _ZERO
     # each stored denominator on the grid n, as its content and primitive
     # part, once per grid and terms
     dens: dict[tuple, tuple] = {}
@@ -360,20 +391,7 @@ def _sum(parts: list[Part]) -> "Constant":
     total: Poly = {}
     reduced = True  # each group is reduced and no two denominators overlap
     for key, members in groups.items():
-        m = lcm(*[cont for cont, _part in members])
-        num: Poly = {}
-        for cont, (c, p, _q, k, grid) in members:
-            s, f, k = m // cont * p, n // c._n, k * (n // grid)
-            for e, a in c._num:
-                e, a = e * f + k, a * s
-                if e in num:
-                    x = num[e] + a
-                    if x:
-                        num[e] = x
-                    else:
-                        del num[e]
-                else:
-                    num[e] = a
+        num, m = _numerator(members, n)
         if not num:
             continue
         d = dict(key)

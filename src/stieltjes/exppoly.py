@@ -15,11 +15,12 @@ integral, and ``Operator.apply`` and the operator product, ends in one
 finisher, ``_accumulate``.  Until then a function is the one unreduced form,
 a list of (monomial, part) pairs: the part is the ``_sum`` summand
 ``(c, p, q, k, m)``, a coefficient times a unit that the caller writes down
-unreduced.  One routine per rule maps pairs to pairs: ``_derived`` for
-derivatives, ``_antiderivative`` and ``_integral`` for integrals,
-``_values`` for values at a point, ``_shift`` and ``_products`` for
-products.  ``_accumulate`` reduces each output coefficient once, by one
-``_sum`` unless a lone part under the unit 1 gives it, and drops a zero one.
+unreduced; ``_scaled`` puts a unit coefficient in the unit slot (``c = 1``).
+One routine per rule maps pairs to pairs: ``_derived`` for derivatives
+(order 0 only signs p), ``_antiderivative`` and ``_integral`` for integrals,
+``_values`` for values at a point, ``_shift`` and ``_products`` for products.
+``_accumulate`` reduces each output coefficient once, by one ``_sum`` unless
+a lone part under the unit 1 gives it, and drops a zero one.
 
 A frequency is stored as an ``int`` when it is integral and as a ``Fraction``
 otherwise.  The two compare and hash alike, so dict lookups, ``==``, ``hash``
@@ -52,8 +53,11 @@ def _freq(q) -> Freq:
 
 
 def _scaled(f: "ExpPoly") -> list:
-    """The terms of f as (monomial, part) pairs, each under the unit 1."""
-    return [(key, (c, 1, 1, 0, 1)) for key, c in f._terms.items()]
+    """The terms of f as (monomial, part) pairs: a stored unit ``a/b * e^(j/n)``
+    (a rational too) as ``(1, a, b, j, n)``, any other c as ``(c, 1, 1, 0, 1)``."""
+    return [(key, (c, 1, 1, 0, 1) if len(c._num) != 1 or len(c._den) != 1
+             else (_ONE, c._num[0][1], c._den[0][1], c._num[0][0], c._n))
+            for key, c in f._terms.items()]
 
 
 def _shift(pairs, m: Monomial) -> list:
@@ -66,7 +70,9 @@ def _derived(pairs, i: int, scale: int = 1) -> list:
     """``scale * d^i`` of the sum of the (monomial, part) pairs, as pairs:
     one part per term and ``j <= min(i, n)``, by Leibniz's rule
     ``d^i (x^n e^(l x)) = sum_j C(i, j) n!/(n-j)! l^(i-j) x^(n-j) e^(l x)``,
-    with no part for a zero multiple.  Order 0 with scale -1 negates."""
+    with no part for a zero multiple.  Order 0 (scale 1 or -1) signs each p."""
+    if not i:
+        return [(key, (c, p * scale, q, k, m)) for key, (c, p, q, k, m) in pairs]
     out = []
     for (freq, n), (c, p, q, k, m) in pairs:
         fa, fb = freq.numerator, freq.denominator
@@ -142,9 +148,10 @@ def _accumulate(pairs) -> "ExpPoly":
 
 
 def _products(f: "ExpPoly", pairs) -> list:
-    """The (monomial, part) pairs of f times the sum of the pairs: one
-    ``_times_units`` part per pair of terms."""
-    return [((_freq(l1 + l2), n1 + n2), _times_units(c1, c2, p, q, k, m))
+    """The (monomial, part) pairs of f times the sum of the pairs: one part per
+    pair of terms, f's coefficient in place of a 1, else by ``_times_units``."""
+    return [((_freq(l1 + l2), n1 + n2),
+             (c1, p, q, k, m) if c2 is _ONE else _times_units(c1, c2, p, q, k, m))
             for (l1, n1), c1 in f._terms.items() for (l2, n2), (c2, p, q, k, m) in pairs]
 
 

@@ -24,7 +24,8 @@ import pytest
 
 from conftest import forcing_functions, random_operator, random_regular_problem
 
-from stieltjes import Constant, ExpPoly, Operator, exppoly, greens_operator
+from stieltjes import Constant, ExpPoly, Operator, exppoly, greens_operator, operators
+from stieltjes.constants import _ONE
 
 E = Constant.e_power(1)
 
@@ -59,18 +60,26 @@ def functions_to_apply() -> list[ExpPoly]:
 def branches(monkeypatch):
     """Record which product branch each unit multiple of ``Operator.apply``
     takes: the left coefficient a unit, h's coefficient (or F_m's) a unit,
-    or neither."""
+    or neither.  A unit of h that ``_scaled`` lifted into the unit slot
+    reaches ``_products`` under the coefficient 1, which needs no
+    ``_times_units``: that is the right unit's branch too."""
     seen = set()
-    original, apply = exppoly._times_units, Operator.apply
+    original, products, apply = exppoly._times_units, operators._products, Operator.apply
 
     def recorded(c, d, *unit):
         is_unit = [len(x._num) == len(x._den) == 1 for x in (c, d)]
         seen.add("left unit" if is_unit[0] else "right unit" if is_unit[1] else "neither")
         return original(c, d, *unit)
 
+    def recorded_products(f, pairs):
+        if f._terms and any(part[0] is _ONE for _key, part in pairs):
+            seen.add("right unit")
+        return products(f, pairs)
+
     def recording(op, h):  # apply's products run through exppoly._products
         with monkeypatch.context() as patch:
             patch.setattr(exppoly, "_times_units", recorded)
+            patch.setattr(operators, "_products", recorded_products)
             return apply(op, h)
 
     monkeypatch.setattr(Operator, "apply", recording)

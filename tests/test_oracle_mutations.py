@@ -5,13 +5,15 @@ every product of scalars, runs through a few shared routines: the finisher
 ``exppoly._accumulate``, the product generator ``exppoly._products``, the
 derivative rule ``_derived``, the antiderivative and the definite integral
 ``_integral``, ``constants._times_units`` with ``_cross_product``, and
-``constants._sum`` with ``_part_value``.  Their summand is the unit
-multiple ``(c, p, q, k, m)``, which ``_sum`` scales and shifts where it
-adds it, and ``_part_value`` where it finishes a lone one.  A fault in one
-of them is a fault of every caller, so each row below mutates one of them,
-by ``test_certificate_mutations.install``, and requires the mpmath oracle
-of ``test_exppoly_oracle`` or of ``test_constant_oracle``, whose operands
-are plain rational descriptions, to fail under it.
+``constants._sum`` with ``_numerator`` and ``_part_value``.  Their summand
+is the unit multiple ``(c, p, q, k, m)``, which ``_numerator`` scales and
+shifts where ``_sum`` adds it, and ``_part_value`` where it finishes a lone
+one; ``_scaled`` lifts a unit coefficient into its unit slot, under the
+coefficient 1.  A fault in one of them is a fault of every caller, so each
+row below mutates one of them, by ``test_certificate_mutations.install``,
+and requires the mpmath oracle of ``test_exppoly_oracle`` or of
+``test_constant_oracle``, whose operands are plain rational descriptions,
+to fail under it.
 
 A name that another module imported is rebound there too, so that
 ``ExpPoly`` arithmetic sees a mutated ``_times_units`` as ``Constant.__mul__``
@@ -50,10 +52,20 @@ ROWS = [
      "(-t) ** (power - n)", "t ** (power - n)"),
     ("_sum adds rationals without their common denominator", constants, "_sum",
      "a * (m // b)", "a"),
-    ("_sum drops a member's shift k", constants, "_sum",
+    ("_sum drops a member's shift k", constants, "_numerator",
      "e * f + k, a * s", "e * f, a * s"),
-    ("_sum drops a member's factor p", constants, "_sum",
+    ("_sum drops a member's factor p", constants, "_numerator",
      "m // cont * p", "m // cont"),
+    ("_sum divides an integer-denominator total by 1 in place of the lcm", constants, "_sum",
+     "((0, m),))", "((0, 1),))"),
+    ("_scaled drops a lifted unit's exponent j", exppoly, "_scaled",
+     "c._num[0][0], c._n)", "0, c._n)"),
+    ("_products drops p on the path of the coefficient 1", exppoly, "_products",
+     "(c1, p, q, k, m) if", "(c1, 1, q, k, m) if"),
+    ("_part_value swaps p and q of a lone part under the coefficient 1", constants,
+     "_part_value", "_stored(m, ((k, p),), ((0, q),))", "_stored(m, ((k, q),), ((0, p),))"),
+    ("_derived drops the sign of order 0", exppoly, "_derived",
+     "p * scale, q", "p, q"),
 ]
 
 
