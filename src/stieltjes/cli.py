@@ -31,7 +31,7 @@ from .boundary import (
     greens_operator,
     kernel_relations,
 )
-from .constants import Constant
+from .constants import Constant, _document
 from .errors import (
     DegenerateDomainError,
     FundamentalSystemError,
@@ -346,7 +346,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"solve": _cmd_solve, "verify": _cmd_verify, "kernel": _cmd_kernel}
     try:
-        code = handlers[args.command](args)
+        with _document():  # one output document: each polynomial rendered once
+            code = handlers[args.command](args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
     except VerificationError as exc:

@@ -67,12 +67,19 @@ substitution; Harvey, JSC 2009).
 
 Rendering reads the stored integers: each exponent ``k/N`` and each
 coefficient over the leading denominator coefficient is put in lowest terms
-by one integer gcd.
+by one integer gcd.  One output document (``_document``, entered once per
+``cli.main`` call) renders each stored polynomial of two or more terms once
+per format, keyed by its terms, grid and leading denominator coefficient:
+most coefficients of G, its equitable form and the kernel share a few
+denominators, and the two operators share most left factors.  Outside a
+document nothing is kept.
 """
 
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -308,14 +315,14 @@ def _cross_product(c: "Constant", d: "Constant") -> "Constant":
 
 
 def _part_value(part: Part) -> "Constant":
-    """The canonical value of a summand: the unit under ``c = 1``, c for the
-    unit 1, a rational times a rational by one gcd, else c's terms scaled and
-    shifted in their order, finished by ``_canonical``."""
+    """The canonical value of a summand: c itself for the unit 1, the unit
+    under ``c = 1``, a rational times a rational by one gcd, else c's terms
+    scaled and shifted in their order, finished by ``_canonical``."""
     c, p, q, k, m = part
-    if c is _ONE:
-        return _stored(m, ((k, p),), ((0, q),))
     if p == q == 1 and not k:
         return c
+    if c is _ONE:
+        return _stored(m, ((k, p),), ((0, q),))
     num, den = c._num, c._den
     if not k and len(num) == len(den) == 1 and not num[0][0]:
         a, b = num[0][1] * p, den[0][1] * q
@@ -647,6 +654,19 @@ class Constant:
 
 
 def _ga_markup(terms: Terms, n: int, lead: int, fmt: dict) -> str:
+    """The sum of ``c/lead * e^(k/n)`` over the stored ``(k, c)`` terms: by
+    ``_poly_markup``, but inside a ``_document`` a polynomial of two or more
+    terms only once per grid, leading denominator coefficient and format."""
+    if len(terms) < 2 or (memo := _MARKUP.get()) is None:
+        return _poly_markup(terms, n, lead, fmt)
+    key = (fmt["name"], n, lead, terms)
+    text = memo.get(key)
+    if text is None:
+        text = memo[key] = _poly_markup(terms, n, lead, fmt)
+    return text
+
+
+def _poly_markup(terms: Terms, n: int, lead: int, fmt: dict) -> str:
     """The sum of ``c/lead * e^(k/n)`` over the stored ``(k, c)`` terms, each
     ratio put in lowest terms by one integer gcd (``lead > 0``)."""
     ratio, exp, scaled = fmt["ratio"], fmt["exp"], fmt["scaled"]
@@ -690,8 +710,26 @@ def _join_signed(pieces, plus: str, minus: str, empty: str = "0") -> str:
 
 
 # Per-format markup of the sums of ``c*e^q`` that make up a Constant.
-_TEXT = {"ratio": _ratio_text, "exp": "exp({})", "scaled": "{}*{}", "join": (" + ", " - ")}
-_LATEX = {"ratio": _ratio_latex, "exp": "e^{{{}}}", "scaled": "{} {}", "join": ("+", "-")}
+_TEXT = {"name": "text", "ratio": _ratio_text, "exp": "exp({})", "scaled": "{}*{}",
+         "join": (" + ", " - ")}
+_LATEX = {"name": "latex", "ratio": _ratio_latex, "exp": "e^{{{}}}", "scaled": "{} {}",
+          "join": ("+", "-")}
+
+# The markup of each multi-term polynomial rendered so far in the current
+# output document, keyed (format, n, lead, terms); None outside a document.
+_MARKUP: ContextVar[dict | None] = ContextVar("markup", default=None)
+
+
+@contextmanager
+def _document():
+    """One output document: inside the block each stored polynomial of two
+    or more terms is rendered once per format, and the markup is dropped on
+    every exit.  Outside it rendering keeps no state."""
+    token = _MARKUP.set({})
+    try:
+        yield
+    finally:
+        _MARKUP.reset(token)
 
 
 def const_arith(a: Constant, b: Constant, kind: str) -> Constant:

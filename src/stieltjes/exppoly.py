@@ -19,8 +19,9 @@ unreduced; ``_scaled`` puts a unit coefficient in the unit slot (``c = 1``).
 One routine per rule maps pairs to pairs: ``_derived`` for derivatives
 (order 0 only signs p), ``_antiderivative`` and ``_integral`` for integrals,
 ``_values`` for values at a point, ``_shift`` and ``_products`` for products.
-``_accumulate`` reduces each output coefficient once, by one ``_sum`` unless
-a lone part under the unit 1 gives it, and drops a zero one.
+``_accumulate`` reduces each output coefficient once, by one ``_sum``, or by
+``_part_value`` where one part alone reaches it (under the unit 1 that is
+the part's own coefficient), and drops a zero one.
 
 A frequency is stored as an ``int`` when it is integral and as a ``Fraction``
 otherwise.  The two compare and hash alike, so dict lookups, ``==``, ``hash``
@@ -34,8 +35,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, gcd, perm
 
-from .constants import (_ONE, _ZERO, Constant, _join_signed, _ratio_latex, _ratio_text, _sum,
-                        _times_units)
+from .constants import (_ONE, _ZERO, Constant, _join_signed, _part_value, _ratio_latex,
+                        _ratio_text, _sum, _times_units)
 
 # A frequency key: an int when integral, else a Fraction (see above).
 Freq = int | Fraction
@@ -136,14 +137,14 @@ def _integral(pairs, a: Freq) -> list:
 
 def _accumulate(pairs) -> "ExpPoly":
     """The finisher of all ExpPoly arithmetic: the ExpPoly of (monomial,
-    ``_sum`` part) pairs, one ``_sum`` per monomial but c for a lone ``(c, 1, 1, 0, 1)``."""
+    ``_sum`` part) pairs, one ``_sum`` per monomial, or ``_part_value`` of a
+    lone part (c itself for ``(c, 1, 1, 0, 1)``)."""
     out: dict[Monomial, list] = {}
     for key, part in pairs:
         out.setdefault(key, []).append(part)
     f = ExpPoly.__new__(ExpPoly)
     f._terms = {key: c for key, parts in out.items()
-                if (c := parts[0][0] if len(parts) == 1 and parts[0][1:] == (1, 1, 0, 1)
-                    else _sum(parts))._num}
+                if (c := _part_value(parts[0]) if len(parts) == 1 else _sum(parts))._num}
     return f
 
 

@@ -168,10 +168,10 @@ def _reached(f: ExpPoly) -> list:
 def test_integrate_from_reduces_each_output_coefficient_once(monkeypatch):
     """``integrate_from`` reads ``-F(a)`` off the unreduced multiples of the
     antiderivative, with no ``eval_at`` and no subtraction, and reduces each
-    output coefficient by one ``_sum`` where two or more parts reach it or
-    its lone part carries a unit other than 1 (a lone ``(c, 1, 1, 0, 1)`` is
-    c itself); the multiples that meet in one monomial of F are added once
-    before, by ``_antiderivative``."""
+    output coefficient once: by one ``_sum`` where two or more parts reach
+    it, else by one ``_part_value`` of its lone part (a lone ``(c, 1, 1, 0,
+    1)`` is c itself); the multiples that meet in one monomial of F are added
+    once before, by ``_antiderivative``."""
     from stieltjes import exppoly
 
     e = Constant.e_power(1)
@@ -179,11 +179,17 @@ def test_integrate_from_reduces_each_output_coefficient_once(monkeypatch):
               + ExpPoly.monomial(F(1, 3), 1, 1 / (e - 1)) + X * ((e + 2) / (e * e - 3)))
     dense = ExpPoly.sum([ExpPoly.monomial(1, n, n + 1) for n in range(6)] + [sparse])
     sums = []
-    original = exppoly._sum
+    original, original_part = exppoly._sum, exppoly._part_value
 
     def counted(parts):
         sums.append(parts)
         return original(parts)
+
+    def counted_part(part):
+        sums.append([part])
+        value = original_part(part)
+        assert part[1:] != (1, 1, 0, 1) or value is part[0]
+        return value
 
     def refused(*args):
         raise AssertionError("integrate_from evaluated or subtracted an ExpPoly")
@@ -199,18 +205,18 @@ def test_integrate_from_reduces_each_output_coefficient_once(monkeypatch):
             reaching: dict = {}
             for key, part in exppoly._integral(exppoly._scaled(f), a):
                 reaching.setdefault(key, []).append(part)
-            reduced = sum(len(parts) > 1 or parts[0][1:] != (1, 1, 0, 1)
-                          for parts in reaching.values())
             with monkeypatch.context() as patch:
                 patch.setattr(exppoly, "_sum", counted)
+                patch.setattr(exppoly, "_part_value", counted_part)
                 patch.setattr(ExpPoly, "eval_at", refused)
                 patch.setattr(ExpPoly, "__sub__", refused)
                 sums.clear()
                 got = f.integrate_from(a)
             assert got == expected
             assert (0, 0) in got._terms  # F(a) != 0 at these points
-            assert len(sums) == reduced + met
-            lone_units_one += len(reaching) - reduced
+            assert len(sums) == len(reaching) + met
+            lone_units_one += sum(len(parts) == 1 and parts[0][1:] == (1, 1, 0, 1)
+                                  for parts in reaching.values())
     assert lone_units_one  # some output coefficient needed no _sum
 
 
