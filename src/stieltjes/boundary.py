@@ -39,7 +39,7 @@ from .errors import (
     WronskianError,
 )
 from .exppoly import ExpPoly, Freq, _accumulate, _integral, _products, _scaled, _values
-from .linalg import mat_from_rows, mat_inv, mat_vec, left_kernel
+from .linalg import mat_from_rows, mat_inv, mat_vec
 from .operators import Operator, _extend, _leibniz, _standard
 from .parsing import MAX_DERIVATIVE_ORDER  # noqa: F401  (the cap stays importable from here)
 from .parsing import _derivative_order, _fields, _list, parse_exppoly, parse_rational
@@ -303,7 +303,7 @@ def check_exponent_spread(fs: FundamentalSystem, points) -> None:
     """Reject exponents lambda*p (lambda a frequency of ``fs``, p one of
     ``points``) that span more than MAX_EXPONENT_SPREAD steps of their
     minimal grid, before any arithmetic on them."""
-    exponents = {lam * Fraction(p) for u in fs.u for lam, _n, _c in u.terms() for p in points}
+    exponents = {lam * p for u in fs.u for lam, _n, _c in u.terms() for p in points}
     if exponents:
         spread = (max(exponents) - min(exponents)) * lcm(*(q.denominator for q in exponents))
         if spread > MAX_EXPONENT_SPREAD:
@@ -514,8 +514,15 @@ def certify(problem: BoundaryProblem, Geq: Operator) -> bool:
 
 
 def kernel_relations(fs: FundamentalSystem, a, b):
-    """The matrix of u -> u^(i)(p) at a and b, i < n, read off the Wronskian
-    rows, and a basis of its left kernel (the relations forced on ker T)."""
-    matrix = mat_from_rows([f.eval_at(p) for f in fs._row(i)]
-                           for p in (a, b) for i in range(fs.size))
-    return matrix, left_kernel(matrix)
+    """The matrix ``[W(a); W(b)]`` of u -> u^(i)(p) at a and b, i < n, read off
+    the Wronskian rows, and a basis of its left kernel (the relations forced
+    on ker T): the rows of ``[-W(b) W(a)^-1 | I]``, since every u in ker T has
+    ``u^(k)(b) = sum_i (W(b) W(a)^-1)_ki u^(i)(a)``.  W(a) is invertible: its
+    determinant is d(a), and ``FundamentalSystem`` accepts only a Wronskian d
+    that is a nonzero exponential monomial."""
+    n = fs.size
+    matrix = mat_from_rows([f.eval_at(p) for f in fs._row(i)] for p in (a, b) for i in range(n))
+    columns = tuple(zip(*mat_inv(matrix[:n])))
+    return matrix, [tuple(-c for c in mat_vec(columns, row))
+                    + tuple(Constant.one() if j == k else Constant.zero() for j in range(n))
+                    for k, row in enumerate(matrix[n:])]

@@ -37,6 +37,7 @@ from math import comb, gcd, perm
 
 from .constants import (_ONE, _ZERO, Constant, _join_signed, _part_value, _ratio_latex,
                         _ratio_text, _sum, _times_units)
+from .errors import ParseError
 
 # A frequency key: an int when integral, else a Fraction (see above).
 Freq = int | Fraction
@@ -45,10 +46,13 @@ Monomial = tuple[Freq, int]
 
 
 def _freq(q) -> Freq:
-    """The frequency key of a rational: an int when its denominator is 1."""
+    """The frequency key of a rational: an int when its denominator is 1.  A
+    ``float`` is refused, as by ``parsing.parse_rational``."""
     if type(q) is int:
         return q
     if type(q) is not Fraction:
+        if type(q) is float:  # its binary value is rarely the number meant
+            raise ParseError(f"bad rational literal {q!r}: write it as a string")
         q = Fraction(q)
     return q.numerator if q.denominator == 1 else q
 

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from fractions import Fraction
 
 from .constants import Constant
 from .errors import DegenerateDomainError, NotEquitableError, ParseError
-from .exppoly import BivariateExpPoly, ExpPoly
+from .exppoly import BivariateExpPoly, ExpPoly, Freq, _freq
 from .operators import Operator
 from .parsing import (_decode, _derivative_order, _fields, _list, _nonnegative_int,
                       parse_bivariate, parse_exppoly, parse_rational)
@@ -57,8 +56,7 @@ _LATEX = {
 }
 
 
-def _shift_text(var: str, p) -> str:
-    p = Fraction(p)
+def _shift_text(var: str, p: Freq) -> str:
     if p == 0:
         return var
     return f"{var} - {p}" if p > 0 else f"{var} + {-p}"
@@ -80,7 +78,7 @@ class GreensFunction:
     __slots__ = ("breakpoints", "_branches", "dirac", "diagonal", "_operator")
 
     def __init__(self, breakpoints, branches, dirac=(), diagonal=()):
-        pts = sorted({Fraction(p) for p in breakpoints})
+        pts = sorted({_freq(p) for p in breakpoints})
         if len(pts) < 2:
             raise DegenerateDomainError("degenerate domain: supply explicit interval")
         self.breakpoints = tuple(pts)
@@ -93,7 +91,7 @@ class GreensFunction:
                              f"1..{len(pts) - 1} and region {REGION_LOWER!r} or {REGION_UPPER!r}")
         self._branches.update(branches)
         self.dirac = tuple(sorted(
-            ((Fraction(p), _nonnegative_int(i, "derivative order"), c)
+            ((_freq(p), _nonnegative_int(i, "derivative order"), c)
              for p, i, c in dirac if not c.is_zero()),
             key=lambda t: (t[0], t[1]),
         ))
@@ -122,7 +120,7 @@ class GreensFunction:
     def has_distributional_part(self) -> bool:
         return bool(self.dirac or self.diagonal)
 
-    def dirac_orders(self) -> set[tuple[Fraction, int]]:
+    def dirac_orders(self) -> set[tuple[Freq, int]]:
         return {(p, i) for p, i, _c in self.dirac}
 
     def scale(self, c) -> "GreensFunction":
@@ -175,7 +173,7 @@ class GreensFunction:
         The interval is selected by xi (ties at interior breakpoints go to
         the left interval) and the diagonal tie xi = x uses the lower region.
         """
-        x, xi = Fraction(x), Fraction(xi)
+        x, xi = _freq(x), _freq(xi)
         lo, hi = self.breakpoints[0], self.breakpoints[-1]
         if not (lo <= x <= hi and lo <= xi <= hi):
             raise ValueError("point outside the domain of the Green's function")
@@ -292,12 +290,12 @@ def extract(op: Operator, interval=None) -> GreensFunction:
     """
     if not op.is_equitable():
         raise NotEquitableError("operator not in equitable form")
-    points: set[Fraction] = set(op.basepoints())
+    points: set[Freq] = set(op.basepoints())
     points.update(op.boundary_points())
     if interval is not None:
         a, b = interval
-        points.add(Fraction(a))
-        points.add(Fraction(b))
+        points.add(_freq(a))
+        points.add(_freq(b))
     breakpoints = sorted(points)
     tensors = [(a, BivariateExpPoly.tensor(left, right)) for a, left, right in op.integral_part]
     branches: dict[tuple[int, str], BivariateExpPoly] = {}

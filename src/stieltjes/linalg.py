@@ -1,11 +1,11 @@
 """Small exact linear algebra over the Constant field: determinants and inverses
-from tables of minors, kernels by Gauss-Jordan elimination."""
+from tables of minors, with no elimination."""
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .constants import Constant
+from .constants import Constant, _sum, _times_units
 
 Matrix = tuple  # tuple of row tuples of Constant
 
@@ -58,35 +58,7 @@ def mat_inv(m: Matrix) -> Matrix:
     return tuple(tuple(cofactors[i][j] * inv for i in range(n)) for j in range(n))
 
 
-def left_kernel(m: Matrix) -> list[tuple[Constant, ...]]:
-    """Basis of {x : x*m = 0}: Gauss-Jordan elimination brings the transpose
-    to reduced row echelon form, and each free column gives one vector."""
-    nrows = len(m)
-    # transpose: one equation per column of m over the x coordinates
-    rows = [list(col) for col in zip(*m)]
-    pivots: list[int] = []
-    for col in range(nrows):
-        r = len(pivots)
-        pivot = next((k for k in range(r, len(rows)) if not rows[k][col].is_zero()), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][col].inverse()
-        rows[r] = [entry * inv for entry in rows[r]]
-        for k, row in enumerate(rows):
-            if k != r and not row[col].is_zero():
-                factor = row[col]
-                rows[k] = [a - factor * b for a, b in zip(row, rows[r])]
-        pivots.append(col)
-    basis = []
-    for f in (c for c in range(nrows) if c not in pivots):
-        vec = [Constant.zero()] * nrows
-        vec[f] = Constant.one()
-        for i, p in enumerate(pivots):
-            vec[p] = -rows[i][f]
-        basis.append(tuple(vec))
-    return basis
-
-
 def mat_vec(m: Matrix, v) -> tuple[Constant, ...]:
-    return tuple(Constant.sum(a * b for a, b in zip(row, v)) for row in m)
+    """M v: each entry one ``_sum`` of unfinished products, reduced once."""
+    return tuple(_sum([_times_units(a, b, 1, 1, 0, 1)
+                       for a, b in zip(row, v) if a._num and b._num]) for row in m)

@@ -114,6 +114,18 @@ def gauss_jordan(m, rhs):
     return det, [tuple(r[n:]) for r in rows]
 
 
+def relations_by_elimination(matrix):
+    """The left kernel basis ``(-X[:, k], e_k)``, k < n, of the 2n x n
+    ``matrix = [W(a); W(b)]``, with ``X = W(a)^-T W(b)^T`` solved by the
+    reference ``gauss_jordan``: the reduced row echelon form of the
+    transposed system ``[W(a)^T | W(b)^T]``."""
+    n = len(matrix) // 2
+    _det, x = gauss_jordan(list(zip(*matrix[:n])), list(zip(*matrix[n:])))
+    return [tuple(-row[k] for row in x) + tuple(Constant.from_rational(int(j == k))
+                                                 for j in range(n))
+            for k in range(n)]
+
+
 def solve_directly(problem: BoundaryProblem, f: ExpPoly, basepoint) -> ExpPoly:
     """Independent oracle: variation of constants plus a linear solve.
 

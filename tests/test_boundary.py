@@ -8,6 +8,7 @@ from conftest import (
     intro_problem,
     nonlocal_problem,
     random_regular_problem,
+    relations_by_elimination,
     solve_directly,
     forcing_functions,
 )
@@ -83,6 +84,18 @@ class TestFundamentalSystem:
         T = Operator.derivative(2) - Operator.multiplication(ExpPoly.const(2))
         with pytest.raises(FundamentalSystemError, match="must be supplied"):
             fundamental_system(T)
+
+    @pytest.mark.parametrize("T, cause", [
+        (Operator.integral(0), "not a differential operator"),
+        (Operator.identity(), "has order 0"),
+    ], ids=["integral", "order-0"])
+    def test_operators_without_a_basis_rejected(self, T, cause):
+        with pytest.raises(FundamentalSystemError, match=f"{cause}: fundamental system must be"):
+            fundamental_system(T)
+
+    def test_empty_system_rejected(self):
+        with pytest.raises(FundamentalSystemError, match="must be supplied"):
+            FundamentalSystem(())
 
     def test_user_supplied_system(self):
         fs = FundamentalSystem([ExpPoly.exponential(1), ExpPoly.exponential(-1)])
@@ -340,6 +353,46 @@ class TestKernelRelations:
         assert any(c.as_rational() is None for c in flat)
 
 
+def _system_of_roots(roots):
+    """The computed fundamental system of prod (D - r) over ``roots``."""
+    T = Operator.identity()
+    for r in roots:
+        T = (Operator.derivative() - Operator.multiplication(ExpPoly.const(r))) * T
+    return fundamental_system(T)
+
+
+def _kernel_systems():
+    """For each order 1..6 a computed system on seeded rational roots, repeats
+    included, and a supplied one: each u_j plus rational multiples of the
+    later u_k, whose Wronskian is the same exponential monomial."""
+    rng = random.Random(39)
+    pool = [F(0), F(1), F(-1), F(2), F(1, 2), F(-1, 3)]
+    for n in range(1, 7):
+        fs = _system_of_roots([rng.choice(pool) for _ in range(n)])
+        yield f"computed-{n}", fs
+        yield f"supplied-{n}", FundamentalSystem(
+            [ExpPoly.sum([u] + [v * ExpPoly.const(rng.choice(pool)) for v in fs.u[j + 1:]])
+             for j, u in enumerate(fs.u)])
+
+
+KERNEL_POINTS = [(0, 1), (-1, 2), (F(1, 2), F(-1, 3)), (0, F(3, 2)), (1, 1), (F(2, 3), F(2, 3))]
+
+
+@pytest.mark.parametrize("fs", [pytest.param(fs, id=name) for name, fs in _kernel_systems()])
+def test_kernel_relations_are_the_reduced_echelon_basis(fs):
+    # integral, non-integral and equal points: the basis is (-X[:, k], e_k)
+    # with X = W(a)^-T W(b)^T from the reference elimination
+    n = fs.size
+    for a, b in KERNEL_POINTS:
+        matrix, basis = kernel_relations(fs, a, b)
+        assert len(matrix) == 2 * n and basis == relations_by_elimination(matrix)
+        for x in basis:
+            assert all(Constant.sum(x[i] * matrix[i][j] for i in range(2 * n)).is_zero()
+                       for j in range(n))
+        if a == b:  # W(b) W(a)^-1 = I
+            assert all(x[:n] == tuple(-c for c in x[n:]) for x in basis)
+
+
 def _in_span(target, basis):
     """Solve sum_i c_i basis_i = target exactly over the Constant field."""
     if not basis:
@@ -390,6 +443,8 @@ class TestProblemClassification:
         assert not nonlocal_problem().is_local()
 
     def test_validation(self):
+        with pytest.raises(ValueError, match="purely differential"):
+            BoundaryProblem(Operator.integral(0), [])
         with pytest.raises(ValueError, match="monic"):
             BoundaryProblem(Operator.derivative(2, ExpPoly.const(2)),
                             [StieltjesCondition([(0, 0, 1)])] * 2)

@@ -272,6 +272,14 @@ class TestKernel:
         assert "extended evaluation matrix:" in out
         assert "relations:" in out
 
+    def test_exponential_monomial_sides(self, tmp_path, capsys):
+        # u' = u: u(1) = e u(0), the monomial e on the positive side
+        doc = {"operator": {"coeffs": ["-1", "1"]},
+               "conditions": [{"local": [{"point": "0", "order": 0, "coeff": "1"}]}]}
+        assert main(["kernel", write_spec(tmp_path, doc), "0", "1"]) == 0
+        assert capsys.readouterr().out == ("extended evaluation matrix:\n[1]\n[exp(1)]\n"
+                                           "relations:\n  u(1) = (exp(1))*u(0)\n")
+
 
 def test_parse_problem_validation():
     import pytest
@@ -588,6 +596,12 @@ def test_division_by_zero_exit_2(tmp_path, capsys, field, expr):
     assert main(["solve", write_spec(tmp_path, doc), *options]) == 2
     err = capsys.readouterr().err
     assert err == "error: division by zero\n"
+
+
+def test_exp_without_parentheses_exit_2(tmp_path, capsys):
+    doc = dict(INTRO_SPEC, operator={"coeffs": ["exp x", "0", "1"]})
+    assert main(["solve", write_spec(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == "error: expected '(', got 'x'\n"
 
 
 @pytest.mark.parametrize("text", [

@@ -23,6 +23,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import relations_by_elimination
+
 from stieltjes import GreensFunction, Operator, ParseError, boundary
 from stieltjes.boundary import (
     BoundaryProblem,
@@ -33,7 +35,6 @@ from stieltjes.boundary import (
     kernel_relations,
 )
 from stieltjes.cli import main, parse_problem, solve_problem
-from stieltjes.linalg import left_kernel
 from stieltjes.parsing import parse_exppoly
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -176,7 +177,7 @@ def test_kernel_relations_read_the_wronskian_rows(monkeypatch, a, b):
     for fs, reference in zip(systems, expected):
         matrix, basis = kernel_relations(fs, a, b)
         assert matrix == reference
-        assert basis == left_kernel(reference)
+        assert basis == relations_by_elimination(reference)
 
 
 def test_is_regular_reads_the_kept_evaluation_pair(monkeypatch):

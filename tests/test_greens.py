@@ -21,6 +21,7 @@ from stieltjes import (
     GreensFunction,
     NotEquitableError,
     Operator,
+    ParseError,
     apply_greens,
     eval_functional,
     extract,
@@ -119,6 +120,16 @@ class TestEvalFunctional:
             eval_functional(g, 2, F(1, 2))
         with pytest.raises(ValueError, match="domain"):
             eval_functional(g, F(1, 2), -1)
+
+    def test_points_read_alike_as_int_fraction_and_str(self):
+        g = intro_function()
+        value = eval_functional(g, F(3, 4), F(1, 2))
+        assert eval_functional(g, "3/4", "1/2") == eval_functional(g, F(3, 4), " 1/2 ") == value
+        assert eval_functional(g, 1, F(1, 2)) == eval_functional(g, "1", "1/2")
+
+    def test_float_points_are_refused(self):
+        with pytest.raises(ParseError, match=r"bad rational literal 0\.5: write it as a string"):
+            eval_functional(intro_function(), 0.5, F(1, 2))
 
     def test_intro_symmetry_spot_check(self):
         g = intro_function()
@@ -389,6 +400,36 @@ def test_branch_keys_outside_the_intervals_are_rejected():
     g = GreensFunction([0, 1], {(1, REGION_LOWER): term})
     assert g.branch(1, REGION_LOWER) == term
     assert g.branch(1, REGION_UPPER).is_zero()
+
+
+def test_dirac_points_must_be_breakpoints():
+    with pytest.raises(ValueError, match="^dirac point 2 is not a breakpoint$"):
+        GreensFunction([0, 1], {}, dirac=[(2, 0, ONE)])
+    doc = {"breakpoints": ["0", "1"], "dirac": [{"point": "2", "order": 0, "coeff": "1"}]}
+    with pytest.raises(ParseError, match="^bad Green's function document: dirac point 2 is "
+                                         "not a breakpoint$"):
+        GreensFunction.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("breakpoints, dirac", [
+    ([0, 0.1], []),
+    ([0, 1], [(0.0, 0, ONE)]),
+], ids=["breakpoint", "dirac-point"])
+def test_float_points_are_refused(breakpoints, dirac):
+    # 0.1 used to be stored as 3602879701896397/36028797018963968
+    with pytest.raises(ParseError, match="bad rational literal 0.[01]: write it as a string"):
+        GreensFunction(breakpoints, {}, dirac=dirac)
+
+
+def test_int_fraction_and_str_points_read_alike():
+    term = parse_bivariate("x*xi")
+    g = GreensFunction([0, "1/2", F(1)], {(2, REGION_LOWER): term}, dirac=[("1/2", 1, X)])
+    assert g.breakpoints == (0, F(1, 2), 1)
+    assert [type(p) for p in g.breakpoints] == [int, F, int]
+    assert g.dirac == ((F(1, 2), 1, X),)
+    assert g == GreensFunction([F(0), F(1, 2), "1"], {(2, REGION_LOWER): term},
+                               dirac=[(F(1, 2), 1, X)])
+    assert g.to_json_dict()["breakpoints"] == ["0", "1/2", "1"]
 
 
 @pytest.mark.parametrize("dirac, diagonal", [

@@ -81,7 +81,7 @@ def test_apply_to_matches_quadrature():
                 u = numeric(g.apply_to(f))
                 f_terms = numeric(f)
                 for lo, hi in zip(pts, pts[1:]):
-                    x = lo + (hi - lo) / 3
+                    x = lo + F(hi - lo) / 3
                     expected = numeric_apply(g, f_terms, x)
                     got = evaluate(u, mp(x))
                     assert abs(got - expected) <= mpmath.mpf(10) ** -30 * (1 + abs(expected))

@@ -1,7 +1,7 @@
 """``mat_det`` and ``mat_inv`` read ``(det M, adj M)`` off tables of minors,
-and ``left_kernel`` runs Gauss-Jordan elimination; each is checked against
-definitions that share nothing with it: the Leibniz formula and the
-reference elimination ``conftest.gauss_jordan``."""
+with no elimination; each is checked against definitions that share nothing
+with it: the Leibniz formula and the reference elimination
+``conftest.gauss_jordan``."""
 
 import random
 from fractions import Fraction as F
@@ -14,7 +14,7 @@ from test_certificate import document_problems, suite_problems
 
 from stieltjes import Constant, evaluation_matrix
 from stieltjes.cli import parse_problem
-from stieltjes.linalg import left_kernel, mat_det, mat_from_rows, mat_inv, mat_vec
+from stieltjes.linalg import mat_det, mat_from_rows, mat_inv, mat_vec
 
 
 def c(q):
@@ -63,22 +63,6 @@ def test_inverse_times_matrix_is_the_identity(name):
 def test_singular_matrix_has_no_inverse():
     with pytest.raises(ValueError, match="singular matrix"):
         mat_inv(mat_from_rows(MATRICES["singular"]))
-
-
-@pytest.mark.parametrize("name, dimension", [("swaps", 0), ("singular", 1)])
-def test_left_kernel_spans_the_relations(name, dimension):
-    m = mat_from_rows(MATRICES[name])
-    basis = left_kernel(m)
-    assert len(basis) == dimension
-    for x in basis:
-        assert all(Constant.sum(x[i] * m[i][j] for i in range(len(m))).is_zero()
-                   for j in range(len(m[0])))
-
-
-def test_left_kernel_of_a_wide_matrix():
-    # three rows in two columns: at least one relation, here x = (1, 1, -1)
-    m = mat_from_rows([[c(1), c(0)], [c(0), c(1)], [c(1), c(1)]])
-    assert left_kernel(m) == [(c(-1), c(-1), c(1))]
 
 
 def _local_problem(coeffs, conditions):
@@ -139,6 +123,14 @@ def random_matrices():
     rng = random.Random(27)
     return [random_matrix(rng, n, singular) for n in range(1, 7) for singular in (False, True)
             for _ in range(4)]
+
+
+def test_mat_vec_is_the_row_times_column_sum():
+    # one sum of unfinished products per entry, zero entries skipped
+    rng = random.Random(39)
+    for m in random_matrices():
+        v = [rng.choice(ENTRY_POOL) for _ in m]
+        assert mat_vec(m, v) == tuple(Constant.sum([a * b for a, b in zip(row, v)]) for row in m)
 
 
 MATRIX_SETS = {

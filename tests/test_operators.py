@@ -226,6 +226,30 @@ def test_constructors_refuse_orders_that_are_not_nonnegative_ints(build):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Operator.evaluation(0.1),
+    lambda: Operator.integral(0.1),
+    lambda: ExpPoly.monomial(0.1, 0),
+], ids=["evaluation", "integral", "monomial"])
+def test_constructors_refuse_float_points(build):
+    # 0.1 used to be keyed as 3602879701896397/36028797018963968
+    with pytest.raises(ParseError, match=r"^bad rational literal 0\.1: write it as a string$"):
+        build()
+
+
+@pytest.mark.parametrize("point, value", [
+    (2, F(2)), (F(2), F(2)), ("2", F(2)), (F(-3, 4), F(-3, 4)), (" -3/4 ", F(-3, 4)),
+])
+def test_int_fraction_and_str_points_key_alike(point, value):
+    # an int key when integral, else a Fraction
+    kind = int if value.denominator == 1 else F
+    ((_f, p, _i),) = Operator.evaluation(point, 1, X).local_boundary
+    assert p == value and type(p) is kind
+    ((freq, _n, _c),) = ExpPoly.monomial(point, 0).terms()
+    assert freq == value and type(freq) is kind
+    assert Operator.evaluation(point) == Operator.evaluation(value)
+
+
 def test_products_may_exceed_the_loader_cap():
     # the cap bounds input documents, not the orders a product builds
     assert Operator.derivative(30) * Operator.derivative(30) == Operator.derivative(60)
