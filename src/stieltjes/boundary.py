@@ -31,7 +31,7 @@ from functools import cache, reduce
 from math import gcd, lcm
 
 from . import linalg
-from .constants import Constant, _times_units
+from .constants import Constant, _instance, _times_units
 from .errors import (
     FundamentalSystemError,
     NotRegularError,
@@ -113,7 +113,7 @@ class StieltjesCondition:
         _fields(data, "condition", (), ("local", "global"))
         local = [
             (parse_rational(entry["point"]), _derivative_order(entry["order"]),
-             Constant.from_rational(parse_rational(entry["coeff"])))
+             Constant.from_rational(entry["coeff"]))
             for entry in _list(data, "condition", "local", ("point", "order", "coeff"))
         ]
         glob = [
@@ -330,7 +330,8 @@ class BoundaryProblem:
         if len(conditions) != n:
             raise ValueError(f"expected {n} conditions, got {len(conditions)}")
         if basis is not None:
-            u = basis.u if isinstance(basis, FundamentalSystem) else tuple(basis)
+            u = basis.u if isinstance(basis, FundamentalSystem) else tuple(
+                _instance(uj, ExpPoly, "basis function") for uj in basis)
             if len(u) != n:
                 raise ValueError(f"expected a fundamental system of {n} functions, got {len(u)}")
             for uj in u:

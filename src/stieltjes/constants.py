@@ -26,8 +26,9 @@ only a rational sum or product skips it.
 ``Fraction`` appears only at the boundary: the constructors and the
 ``num``/``den``/``as_rational``/``as_monomial`` views.  ``Constant(num,
 den)`` is built by the field itself: the ``Constant.sum`` of the
-``e_power`` terms of ``num`` times the inverse of that of ``den``.  A JSON
-document's literals are read by ``parsing.parse_rational``.
+``e_power`` terms of ``num`` times the inverse of that of ``den``.  Every
+number a caller hands the package is read by ``parse_rational`` (rationals)
+or ``_nonnegative_int`` (orders), defined here and re-exported by ``parsing``.
 
 Sums.  Every sum, ``+`` and ``-`` included, is one ``_sum`` of unit
 multiples ``c * p/q * e^(k/m)`` (the unit 1 for ``Constant.sum``; ``c = 1``
@@ -87,6 +88,56 @@ from .errors import ParseError
 
 Poly = dict  # integer Laurent polynomial in t: int exponent -> nonzero int coefficient
 Terms = tuple  # stored form of a Poly: ((exponent, coefficient), ...), largest exponent first
+
+# Python prints no int of over 4300 digits (int_max_str_digits), but
+# Fraction("1e9999") builds one; so a rational literal is capped there.
+MAX_LITERAL_DIGITS = 4300
+_LITERAL_BOUND = 10 ** MAX_LITERAL_DIGITS
+# A rational literal: a sign, then p/q (spaces allowed around the '/') or a
+# decimal with an exponent.  No underscores, as in expressions: Fraction's
+# own grammar took them from Python 3.11 and the spaces from 3.12.
+_RATIONAL = re.compile(r"[-+]?(?:\d+\s*/\s*\d+|(?=\.?\d)\d*(?:\.\d*)?(?:[eE]([-+]?\d+))?)")
+
+
+def parse_rational(text) -> int | Fraction:
+    """The value of a rational literal (see ``_RATIONAL``), between spaces;
+    an ``int`` (not a ``bool``) or a ``Fraction`` is taken as it is."""
+    if type(text) is int or type(text) is Fraction:
+        return text
+    if type(text) is float:  # its binary value is rarely the number meant
+        raise ParseError(f"bad rational literal {text!r}: write it as a string")
+    text = str(text).strip()
+    quoted = repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
+    m = _RATIONAL.fullmatch(text)
+    try:
+        # a run of over 4300 digits is refused here, not by a setting of int()
+        if m is None or max(map(len, re.findall(r"\d+", text))) > MAX_LITERAL_DIGITS:
+            raise ValueError(text)
+        # Fraction builds 10^e first; past twice the cap the literal is too long anyway
+        if abs(int(m[1] or 0)) <= 2 * MAX_LITERAL_DIGITS:
+            # with no spaces, every Python since 3.10 reads the literal alike
+            q = Fraction("".join(text.split()))
+            if max(abs(q.numerator), q.denominator) < _LITERAL_BOUND:
+                return q
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad rational literal {quoted}") from exc
+    raise ParseError(f"rational literal {quoted} has over {MAX_LITERAL_DIGITS} digits")
+
+
+def _nonnegative_int(value, what: str) -> int:
+    # bool is an int subclass, int() truncates 1.5, and -1 would silently
+    # act as order 0
+    if type(value) is not int or value < 0:
+        raise ParseError(f"{what} must be a nonnegative integer, got {value!r}")
+    return value
+
+
+def _instance(value, cls: type, what: str):
+    """``value`` when a ``cls``, else a ``TypeError`` naming ``what``: the check
+    of a function handed to a constructor."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{what} must be of type {cls.__name__}, got {value!r}")
+    return value
 
 
 def _padd(a: Poly, b: Poly) -> Poly:
@@ -445,8 +496,8 @@ class Constant:
     __slots__ = ("_n", "_num", "_den")
 
     def __init__(self, num: dict, den: dict | None = None):
-        num, den = (Constant.sum([Constant.e_power(Fraction(q), Fraction(c))
-                                  for q, c in terms.items()])
+        """``num / den``, maps of exponents to coefficients read by ``parse_rational``."""
+        num, den = (Constant.sum([Constant.e_power(q, c) for q, c in terms.items()])
                     for terms in (num, {0: 1} if den is None else den))
         c = num * den.inverse()
         self._n, self._num, self._den = c._n, c._num, c._den
@@ -463,15 +514,16 @@ class Constant:
 
     @classmethod
     def from_rational(cls, q) -> "Constant":
-        c = _SMALL.get(q)
+        """The rational ``q``, read by ``parse_rational``."""
+        c = _SMALL.get(q := parse_rational(q))
         if c is None:
-            q = Fraction(q)
             c = _stored(1, ((0, q.numerator),), ((0, q.denominator),))
         return c
 
     @classmethod
     def e_power(cls, q, coeff=1) -> "Constant":
-        """The scalar ``coeff * e^q``, for ``int`` or ``Fraction`` q and coeff."""
+        """The scalar ``coeff * e^q``, q and coeff read by ``parse_rational``."""
+        q, coeff = parse_rational(q), parse_rational(coeff)
         if not coeff:
             return _ZERO
         return _stored(q.denominator, ((q.numerator, coeff.numerator),),
@@ -520,7 +572,7 @@ class Constant:
     def _coerce(other):
         if isinstance(other, Constant):
             return other
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int or type(other) is Fraction:  # a bool is not a scalar
             return Constant.from_rational(other)
         return None
 
@@ -651,6 +703,11 @@ class Constant:
             return cls(_rational_terms(data, doc, "num"), _rational_terms(data, doc, "den"))
         except ZeroDivisionError as exc:
             raise ParseError(f"{doc} field 'den' is zero") from exc
+
+
+def _scalar(c) -> Constant:
+    """``c`` when a ``Constant``, else the rational ``c`` read by ``parse_rational``."""
+    return c if isinstance(c, Constant) else Constant.from_rational(c)
 
 
 def _ga_markup(terms: Terms, n: int, lead: int, fmt: dict) -> str:

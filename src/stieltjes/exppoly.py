@@ -35,9 +35,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, gcd, perm
 
-from .constants import (_ONE, _ZERO, Constant, _join_signed, _part_value, _ratio_latex,
-                        _ratio_text, _sum, _times_units)
-from .errors import ParseError
+from .constants import (_ONE, _ZERO, Constant, _join_signed, _nonnegative_int, _part_value,
+                        _ratio_latex, _ratio_text, _scalar, _sum, _times_units, parse_rational)
 
 # A frequency key: an int when integral, else a Fraction (see above).
 Freq = int | Fraction
@@ -46,14 +45,13 @@ Monomial = tuple[Freq, int]
 
 
 def _freq(q) -> Freq:
-    """The frequency key of a rational: an int when its denominator is 1.  A
-    ``float`` is refused, as by ``parsing.parse_rational``."""
+    """The frequency key of a rational: an int when its denominator is 1.  An
+    ``int`` or ``Fraction`` is taken as it is, anything else read by
+    ``parse_rational``."""
     if type(q) is int:
         return q
     if type(q) is not Fraction:
-        if type(q) is float:  # its binary value is rarely the number meant
-            raise ParseError(f"bad rational literal {q!r}: write it as a string")
-        q = Fraction(q)
+        q = parse_rational(q)
     return q.numerator if q.denominator == 1 else q
 
 
@@ -178,7 +176,7 @@ class ExpPoly:
 
     @classmethod
     def one(cls) -> "ExpPoly":
-        return cls.const(1)
+        return cls({(0, 0): _ONE})
 
     @classmethod
     def x(cls) -> "ExpPoly":
@@ -186,7 +184,7 @@ class ExpPoly:
 
     @classmethod
     def const(cls, c) -> "ExpPoly":
-        return cls({(0, 0): Constant._coerce(c)})
+        return cls({(0, 0): _scalar(c)})
 
     @classmethod
     def exponential(cls, freq) -> "ExpPoly":
@@ -194,7 +192,7 @@ class ExpPoly:
 
     @classmethod
     def monomial(cls, freq, power: int, coeff=_ONE) -> "ExpPoly":
-        return cls({(_freq(freq), power): Constant._coerce(coeff)})
+        return cls({(_freq(freq), _nonnegative_int(power, "power")): _scalar(coeff)})
 
     # -- views ------------------------------------------------------------
 
@@ -204,7 +202,7 @@ class ExpPoly:
             yield freq, power, c
 
     def coefficient(self, freq, power: int) -> Constant:
-        return self._terms.get((freq, power), _ZERO)
+        return self._terms.get((_freq(freq), _nonnegative_int(power, "power")), _ZERO)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -260,12 +258,12 @@ class ExpPoly:
 
     def derive(self, times: int = 1) -> "ExpPoly":
         """The derivative of order ``times``, by ``_derived``."""
-        return _accumulate(_derived(_scaled(self), times))
+        return _accumulate(_derived(_scaled(self), _nonnegative_int(times, "derivative order")))
 
     def derivatives(self, n: int) -> list["ExpPoly"]:
         """``[f, f', ..., f^(n)]``, each derived once from the one before."""
         out = [self]
-        for _ in range(n):
+        for _ in range(_nonnegative_int(n, "derivative order")):
             out.append(out[-1].derive())
         return out
 

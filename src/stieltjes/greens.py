@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 
-from .constants import Constant
+from .constants import Constant, _instance, _scalar
 from .errors import DegenerateDomainError, NotEquitableError, ParseError
 from .exppoly import BivariateExpPoly, ExpPoly, Freq, _freq
 from .operators import Operator
@@ -89,16 +89,17 @@ class GreensFunction:
         if unknown:
             raise ValueError(f"branch keys {', '.join(map(repr, unknown))} name no interval "
                              f"1..{len(pts) - 1} and region {REGION_LOWER!r} or {REGION_UPPER!r}")
-        self._branches.update(branches)
-        self.dirac = tuple(sorted(
-            ((_freq(p), _nonnegative_int(i, "derivative order"), c)
-             for p, i, c in dirac if not c.is_zero()),
-            key=lambda t: (t[0], t[1]),
-        ))
-        self.diagonal = tuple(sorted(
-            ((_nonnegative_int(i, "derivative order"), c) for i, c in diagonal if not c.is_zero()),
-            key=lambda t: t[0],
-        ))
+        self._branches.update(((_nonnegative_int(i, "interval"), region),
+                               _instance(b, BivariateExpPoly, "branch"))
+                              for (i, region), b in branches.items())
+        # every term is read, a zero one's too, before the zero terms are dropped
+        dirac = [(_freq(p), _nonnegative_int(i, "derivative order"),
+                  _instance(c, ExpPoly, "dirac coefficient")) for p, i, c in dirac]
+        diagonal = [(_nonnegative_int(i, "derivative order"),
+                     _instance(c, ExpPoly, "diagonal coefficient")) for i, c in diagonal]
+        self.dirac = tuple(sorted((t for t in dirac if not t[2].is_zero()), key=lambda t: t[:2]))
+        self.diagonal = tuple(sorted((t for t in diagonal if not t[1].is_zero()),
+                                     key=lambda t: t[0]))
         for p, _i, _c in self.dirac:
             if p not in self.breakpoints:
                 raise ValueError(f"dirac point {p} is not a breakpoint")
@@ -115,7 +116,7 @@ class GreensFunction:
         return 2 * self.interval_count
 
     def branch(self, i: int, region: str) -> BivariateExpPoly:
-        return self._branches[(i, region)]
+        return self._branches[(_nonnegative_int(i, "interval"), region)]
 
     def has_distributional_part(self) -> bool:
         return bool(self.dirac or self.diagonal)
@@ -124,7 +125,7 @@ class GreensFunction:
         return {(p, i) for p, i, _c in self.dirac}
 
     def scale(self, c) -> "GreensFunction":
-        c = Constant._coerce(c)
+        c = _scalar(c)
         return GreensFunction(
             self.breakpoints,
             {key: b * c for key, b in self._branches.items()},

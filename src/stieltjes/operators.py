@@ -58,7 +58,7 @@ from __future__ import annotations
 from itertools import chain
 from math import comb
 
-from .constants import _ONE, Constant, _join_signed
+from .constants import _ONE, Constant, _instance, _join_signed
 from .exppoly import (ExpPoly, Freq, Monomial, _accumulate, _antiderivative, _derived, _freq,
                       _integral, _products, _scaled, _shift, _values)
 from .parsing import (_derivative_order, _fields, _list, _nonnegative_int, parse_exppoly,
@@ -75,6 +75,11 @@ GlobalKey = tuple[Freq, Freq, Monomial]     # (point, basepoint, monomial)
 
 def _mono(m: Monomial) -> ExpPoly:
     return ExpPoly({m: _ONE})
+
+
+def _factor(f, what: str) -> ExpPoly:
+    """A constructor's function ``what``: 1 when omitted, else an ExpPoly."""
+    return ExpPoly.one() if f is None else _instance(f, ExpPoly, what)
 
 
 def _leibniz(n: int, pairs):
@@ -95,15 +100,19 @@ class Operator:
         self._integ: dict[IntKey, ExpPoly] = {}
         self._local: dict[LocalKey, ExpPoly] = {}
         self._global: dict[GlobalKey, ExpPoly] = {}
+        # each key is read, a zero term's too, before the zero terms are dropped
         for i, f in (diff or {}).items():
+            i = _nonnegative_int(i, "derivative order")
             if not f.is_zero():
-                self._diff[_nonnegative_int(i, "derivative order")] = f
+                self._diff[i] = f
         for (a, mono), f in (integ or {}).items():
+            a = _freq(a)
             if not f.is_zero():
-                self._integ[(_freq(a), mono)] = f
+                self._integ[(a, mono)] = f
         for (p, i), f in (local or {}).items():
+            key = (_freq(p), _nonnegative_int(i, "derivative order"))
             if not f.is_zero():
-                self._local[(_freq(p), _nonnegative_int(i, "derivative order"))] = f
+                self._local[key] = f
         for (p, a, mono), f in (glob or {}).items():
             p, a = _freq(p), _freq(a)
             if p != a and not f.is_zero():
@@ -122,32 +131,30 @@ class Operator:
 
     @classmethod
     def derivative(cls, order: int = 1, coeff: ExpPoly | None = None) -> "Operator":
-        return cls(diff={order: coeff if coeff is not None else ExpPoly.one()})
+        return cls(diff={order: _factor(coeff, "coeff")})
 
     @classmethod
     def multiplication(cls, f: ExpPoly) -> "Operator":
-        return cls(diff={0: f})
+        return cls(diff={0: _instance(f, ExpPoly, "f")})
 
     @classmethod
     def integral(cls, basepoint, left: ExpPoly | None = None,
                  right: ExpPoly | None = None) -> "Operator":
         """The term ``left * int_basepoint * right``."""
-        left = left if left is not None else ExpPoly.one()
-        right = right if right is not None else ExpPoly.one()
+        basepoint, left, right = _freq(basepoint), _factor(left, "left"), _factor(right, "right")
         return cls(integ={(basepoint, m): left * c for m, c in right._terms.items()})
 
     @classmethod
     def evaluation(cls, point, order: int = 0, left: ExpPoly | None = None) -> "Operator":
         """The term ``left * <point> * d^order``."""
-        left = left if left is not None else ExpPoly.one()
-        return cls(local={(point, order): left})
+        return cls(local={(point, order): _factor(left, "left")})
 
     @classmethod
     def global_term(cls, point, basepoint, left: ExpPoly | None = None,
                     integrand: ExpPoly | None = None) -> "Operator":
         """The term ``left * <point> * int_basepoint * integrand``."""
-        left = left if left is not None else ExpPoly.one()
-        integrand = integrand if integrand is not None else ExpPoly.one()
+        point, basepoint = _freq(point), _freq(basepoint)
+        left, integrand = _factor(left, "left"), _factor(integrand, "integrand")
         return cls(glob={(point, basepoint, m): left * c for m, c in integrand._terms.items()})
 
     # -- views --------------------------------------------------------------
@@ -251,10 +258,8 @@ class Operator:
         return Operator.multiplication(f) * self
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError(f"negative exponent {n}: an operator has no inverse power")
         result = Operator.identity()
-        for _ in range(n):
+        for _ in range(_nonnegative_int(n, "exponent")):
             result = result * self
         return result
 

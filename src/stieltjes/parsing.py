@@ -22,7 +22,9 @@ argument of ``exp`` and the degree cap read the keys.  The ``ExpPoly`` or
 
 Documents.  ``_decode`` reads every JSON text and refuses a repeated key.
 Every reader declares its fields to ``_fields`` and its list fields to
-``_list``, and reads each rational literal by ``parse_rational``.
+``_list``.  Each rational literal is read by ``parse_rational`` and each
+order by ``_nonnegative_int``, the two rules by which the library reads a
+caller's number too; they live in ``constants`` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from collections import Counter
 from fractions import Fraction
 from functools import reduce
 
-from .constants import _ONE, Constant, _stored, _sum, _times_units
+from .constants import (_ONE, MAX_LITERAL_DIGITS, Constant,  # noqa: F401  (the cap stays here)
+                        _nonnegative_int, _stored, _sum, _times_units, parse_rational)
 from .errors import ParseError
 from .exppoly import BivariateExpPoly, ExpPoly, _freq
 
@@ -50,15 +53,6 @@ MAX_POWER = 50
 # 1000 does not finish in minutes.  The worked examples and the seeded test problems
 # use orders up to 4.
 MAX_DERIVATIVE_ORDER = 40
-
-# Python prints no int of over 4300 digits (int_max_str_digits), but
-# Fraction("1e9999") builds one; so a rational literal is capped there.
-MAX_LITERAL_DIGITS = 4300
-_LITERAL_BOUND = 10 ** MAX_LITERAL_DIGITS
-# A rational literal: a sign, then p/q (spaces allowed around the '/') or a
-# decimal with an exponent.  No underscores, as in expressions: Fraction's
-# own grammar took them from Python 3.11 and the spaces from 3.12.
-_RATIONAL = re.compile(r"[-+]?(?:\d+\s*/\s*\d+|(?=\.?\d)\d*(?:\.\d*)?(?:[eE]([-+]?\d+))?)")
 
 _TOKEN = re.compile(r"\s*(?:(\d+|xi?|exp|[()+\-*/^])|(\S))")
 _ONE_KEY = (0, 0, 0, 0)  # the key of the monomial 1
@@ -234,36 +228,6 @@ def parse_exppoly(text: str) -> ExpPoly:
     """Parse an expression in x alone into an ExpPoly."""
     # xi was rejected during parsing, so every key has nu = m = 0
     return ExpPoly({key[:2]: c for key, c in _Parser(text, allow_xi=False).parse().items()})
-
-
-def parse_rational(text: str) -> Fraction:
-    """The value of a rational literal (see ``_RATIONAL``), between spaces."""
-    if type(text) is float:  # its binary value is rarely the number meant
-        raise ParseError(f"bad rational literal {text!r}: write it as a string")
-    text = str(text).strip()
-    quoted = repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
-    m = _RATIONAL.fullmatch(text)
-    try:
-        # a run of over 4300 digits is refused here, not by a setting of int()
-        if m is None or max(map(len, re.findall(r"\d+", text))) > MAX_LITERAL_DIGITS:
-            raise ValueError(text)
-        # Fraction builds 10^e first; past twice the cap the literal is too long anyway
-        if abs(int(m[1] or 0)) <= 2 * MAX_LITERAL_DIGITS:
-            # with no spaces, every Python since 3.10 reads the literal alike
-            q = Fraction("".join(text.split()))
-            if max(abs(q.numerator), q.denominator) < _LITERAL_BOUND:
-                return q
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational literal {quoted}") from exc
-    raise ParseError(f"rational literal {quoted} has over {MAX_LITERAL_DIGITS} digits")
-
-
-def _nonnegative_int(value, what: str) -> int:
-    # bool is an int subclass, int() truncates 1.5, and -1 would silently
-    # act as order 0
-    if type(value) is not int or value < 0:
-        raise ParseError(f"{what} must be a nonnegative integer, got {value!r}")
-    return value
 
 
 def _derivative_order(order) -> int:

@@ -36,10 +36,16 @@ The two ``_standard`` rows patch the name ``boundary._standard`` that
 equitable forms and never calls it.  Each changes the ``Geq`` of the 8
 problems with an integral condition whose lower limit is not the basepoint.
 
+The three ``_psi`` evaluation rows change the ``Geq`` of 15, 11 and 11
+problems: ``closed[l]``'s integral terms evaluated at their basepoint a
+instead of the condition's point p, the differential part of ``closed[l]``
+dropped (the part that gives the Dirac terms of an ill-posed problem), and
+the by-parts value ``W_j(b)`` read at a.
+
 With the last comparison of ``certify`` replaced by ``return True``, the
 rows of the closed form fail this module: the two ``_standard`` rows,
-``_row``, ``fri_derivative``, the by-parts term and the two
-``greens_operator`` rows.
+``_row``, ``fri_derivative``, the by-parts term, the three ``_psi``
+evaluation rows and the two ``greens_operator`` rows.
 """
 
 from __future__ import annotations
@@ -91,6 +97,14 @@ ROWS = [
     ("fri_derivative without its rho terms", boundary, "_fri_closed",
      "enumerate(residues[:k], start=1)", "enumerate(residues[:0], start=1)"),
     ("by-parts term negated", boundary, "_psi", "_products(-r, W)", "_products(r, W)"),
+    # _values(_scaled(g), p) occurs twice in _psi, so the next two rows name whole lines
+    ("closed[l]'s integral terms evaluated at a", boundary, "_psi",
+     "_extend(glob, (p, a, m), _products(c, _values(_scaled(g), p)))",
+     "_extend(glob, (p, a, m), _products(c, _values(_scaled(g), a)))"),
+    ("differential part of closed[l] dropped", boundary, "_psi",
+     "_extend(local, (p, k), _products(c, _values(_scaled(g), p)))", "pass"),
+    ("by-parts value W_j(b) read at a", boundary, "_psi",
+     "((b, e), _products(r, _values(W, b)))", "((b, e), _products(r, _values(W, a)))"),
     ("greens_operator skips its last condition", boundary, "greens_operator",
      "enumerate(problem.conditions)", "enumerate(problem.conditions[:-1])"),
     ("greens_operator reads minv[i][j]", boundary, "greens_operator", "minv[j][i]", "minv[i][j]"),

@@ -16,6 +16,14 @@
   and the entries of ``M^-1`` of the 15 benchmark documents read back equal.
 - A digit is any Unicode decimal digit, as for ``int()``, in expressions,
   rational literals and constant documents alike.
+- Every public entry point that takes a number reads it by one of two rules:
+  a point, frequency, exponent or coefficient by ``parse_rational``, an
+  order, power or exponent of ``**`` by ``_nonnegative_int``.  A ``bool``, a
+  ``float``, ``None`` or ``"1_0"`` is refused by a ``ParseError`` naming the
+  value, and ``1``, ``F(1)`` and ``"1"`` (or ``F(1, 2)``, ``"1/2"`` and
+  ``"1 / 2"``) give equal values.  A function handed to a constructor that
+  is not an ``ExpPoly`` (a ``BivariateExpPoly`` for a branch) is refused by
+  a ``TypeError`` naming the argument.
 """
 
 import io
@@ -31,11 +39,13 @@ from pathlib import Path
 import pytest
 from test_cli_fuzz import value_at, with_key_twice
 
-from stieltjes import Constant, GreensFunction, Operator, ParseError
+from stieltjes import (BoundaryProblem, Constant, ExpPoly, GreensFunction, Operator, ParseError,
+                       StieltjesCondition, eval_functional, extract, greens_operator,
+                       to_standard)
 from stieltjes.cli import main, parse_problem, solve_problem
 from stieltjes.constants import _make, _poly_gcd
 from stieltjes.greens import REGION_LOWER
-from stieltjes.parsing import _decode, parse_exppoly, parse_rational
+from stieltjes.parsing import _decode, parse_bivariate, parse_exppoly, parse_rational
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -352,3 +362,182 @@ def test_a_digit_is_any_unicode_decimal_digit():
     assert (Constant.from_json({"num": {"٠": "٣/٤"}, "den": {"0": "１"}})
             == Constant.from_json({"num": {"0": "3/4"}, "den": {"0": "1"}})
             == Constant.from_rational(F(3, 4)))
+
+
+# -- numbers and functions handed to the library ------------------------------------
+
+X = ExpPoly.x()
+_ZERO = ExpPoly.zero()
+_XXI = parse_bivariate("x*xi")
+_KERNEL_01 = GreensFunction([0, 1], {(1, REGION_LOWER): _XXI})
+_TWO_POINT = BoundaryProblem(Operator.derivative(2), [StieltjesCondition([(0, 0, 1)]),
+                                                     StieltjesCondition([(1, 0, 1)])])
+_GEQ = greens_operator(_TWO_POINT).to_equitable()
+
+# (id, the entry point called with a point or rational r in (0, 1], the same entry
+# point with its function or coefficient zero, or None when it takes none)
+RATIONAL_ENTRIES = [
+    ("parse_rational", parse_rational, None),
+    ("Constant.from_rational", Constant.from_rational, None),
+    ("Constant-exponent", lambda r: Constant({r: 1}), lambda r: Constant({r: 0})),
+    ("Constant-coefficient", lambda r: Constant({0: r}), None),
+    ("Constant-denominator", lambda r: Constant({0: 1}, {r: 1}), None),
+    ("Constant.e_power-exponent", Constant.e_power, lambda r: Constant.e_power(r, 0)),
+    ("Constant.e_power-coefficient", lambda r: Constant.e_power(0, r), None),
+    ("ExpPoly.const", ExpPoly.const, None),
+    ("ExpPoly.exponential", ExpPoly.exponential, None),
+    ("ExpPoly.monomial-frequency", lambda r: ExpPoly.monomial(r, 1),
+     lambda r: ExpPoly.monomial(r, 1, 0)),
+    ("ExpPoly.monomial-coefficient", lambda r: ExpPoly.monomial(0, 1, r), None),
+    ("ExpPoly.coefficient", lambda r: X.coefficient(r, 1), None),
+    ("ExpPoly.integrate_from", X.integrate_from, None),
+    ("ExpPoly.eval_at", X.eval_at, None),
+    ("BivariateExpPoly.ix", _XXI.ix, None),
+    ("BivariateExpPoly.iy", _XXI.iy, None),
+    ("BivariateExpPoly.eval_at-x", lambda r: _XXI.eval_at(r, 0), None),
+    ("BivariateExpPoly.eval_at-xi", lambda r: _XXI.eval_at(0, r), None),
+    ("Operator-local-key", lambda r: Operator(local={(r, 0): X}),
+     lambda r: Operator(local={(r, 0): _ZERO})),
+    ("Operator.evaluation", Operator.evaluation, lambda r: Operator.evaluation(r, 0, _ZERO)),
+    ("Operator.integral", Operator.integral, lambda r: Operator.integral(r, None, _ZERO)),
+    ("Operator.global_term-point", lambda r: Operator.global_term(r, 0),
+     lambda r: Operator.global_term(r, 0, None, _ZERO)),
+    ("Operator.global_term-basepoint", lambda r: Operator.global_term(2, r),
+     lambda r: Operator.global_term(2, r, None, _ZERO)),
+    ("to_standard", lambda r: to_standard(Operator.integral(0), r), None),
+    ("StieltjesCondition-point", lambda r: StieltjesCondition([(r, 0, 1)]),
+     lambda r: StieltjesCondition([(r, 0, 0)])),
+    ("StieltjesCondition-coefficient", lambda r: StieltjesCondition([(0, 0, r)]), None),
+    ("StieltjesCondition-lower", lambda r: StieltjesCondition([], [(r, 2, X)]),
+     lambda r: StieltjesCondition([], [(r, 2, _ZERO)])),
+    ("StieltjesCondition-upper", lambda r: StieltjesCondition([], [(0, r, X)]),
+     lambda r: StieltjesCondition([], [(0, r, _ZERO)])),
+    ("GreensFunction-breakpoint", lambda r: GreensFunction([0, r], {}), None),
+    ("GreensFunction-dirac-point",
+     lambda r: GreensFunction([0, F(1, 2), 1], {}, dirac=[(r, 0, X)]),
+     lambda r: GreensFunction([0, F(1, 2), 1], {}, dirac=[(r, 0, _ZERO)])),
+    ("GreensFunction.scale", _KERNEL_01.scale, None),
+    ("eval_functional-x", lambda r: eval_functional(_KERNEL_01, r, 0), None),
+    ("eval_functional-xi", lambda r: eval_functional(_KERNEL_01, 1, r), None),
+    ("extract-interval", lambda r: extract(_GEQ, (0, r)), None),
+    ("greens_operator-basepoint", lambda r: greens_operator(_TWO_POINT, r), None),
+]
+_RATIONAL_IDS = [row[0] for row in RATIONAL_ENTRIES]
+# None means the default basepoint of greens_operator
+_NONE_IS_A_DEFAULT = {"greens_operator-basepoint"}
+
+# (value, the literal as the ParseError shows it)
+BAD_RATIONALS = [(True, "'True'"), (0.1, "0.1"), (1.0, "1.0"), ("1_0", "'1_0'"), (None, "'None'")]
+
+
+@pytest.mark.parametrize("value, shown", BAD_RATIONALS,
+                         ids=[repr(value) for value, _shown in BAD_RATIONALS])
+@pytest.mark.parametrize("name, entry, zero_entry", RATIONAL_ENTRIES, ids=_RATIONAL_IDS)
+def test_a_point_or_rational_that_is_no_rational_is_refused_naming_it(name, entry, zero_entry,
+                                                                      value, shown):
+    if value is None and name in _NONE_IS_A_DEFAULT:
+        entry(value)
+        return
+    # a zero function or coefficient, whose term is dropped, does not skip the reading
+    for call in filter(None, (entry, zero_entry)):
+        with pytest.raises(ParseError, match=f"^bad rational literal {re.escape(shown)}"):
+            call(value)
+
+
+@pytest.mark.parametrize("name, entry", [row[:2] for row in RATIONAL_ENTRIES], ids=_RATIONAL_IDS)
+def test_an_int_a_fraction_and_a_literal_key_alike(name, entry):
+    assert entry(1) == entry(F(1)) == entry("1") == entry(" 1 ")
+    assert entry(F(1, 2)) == entry("1/2") == entry("1 / 2") == entry("0.5")
+
+
+def test_an_integral_point_is_keyed_as_an_int():
+    for point in (1, F(1), "1", "1 / 1"):
+        assert [type(p) for _f, p, _i in Operator.evaluation(point).local_boundary] == [int]
+    assert Operator.evaluation("1 / 2") == Operator.evaluation(F(1, 2))
+
+
+def test_a_bool_is_not_a_scalar():
+    assert (Constant.from_rational(1) == True) is False  # noqa: E712
+    assert (Constant.from_rational(0) == False) is False  # noqa: E712
+    with pytest.raises(TypeError):
+        Constant.from_rational(1) * True
+    with pytest.raises(TypeError):
+        X * True
+
+
+# (id, the entry point called with an order, power or exponent n, the same entry point
+# with its function or coefficient zero or None, the name it gives n)
+COUNT_ENTRIES = [
+    ("ExpPoly.monomial", lambda n: ExpPoly.monomial(0, n), lambda n: ExpPoly.monomial(0, n, 0),
+     "power"),
+    ("ExpPoly.coefficient", lambda n: X.coefficient(0, n), None, "power"),
+    ("ExpPoly.derive", X.derive, _ZERO.derive, "derivative order"),
+    ("ExpPoly.derivatives", X.derivatives, _ZERO.derivatives, "derivative order"),
+    ("Operator-diff-key", lambda n: Operator(diff={n: X}), lambda n: Operator(diff={n: _ZERO}),
+     "derivative order"),
+    ("Operator.derivative", Operator.derivative, lambda n: Operator.derivative(n, _ZERO),
+     "derivative order"),
+    ("Operator.evaluation", lambda n: Operator.evaluation(0, n),
+     lambda n: Operator.evaluation(0, n, _ZERO), "derivative order"),
+    ("Operator-power", lambda n: Operator.derivative() ** n, lambda n: Operator.zero() ** n,
+     "exponent"),
+    ("StieltjesCondition", lambda n: StieltjesCondition([(0, n, 1)]),
+     lambda n: StieltjesCondition([(0, n, 0)]), "derivative order"),
+    ("GreensFunction-dirac", lambda n: GreensFunction([0, 1], {}, dirac=[(0, n, X)]),
+     lambda n: GreensFunction([0, 1], {}, dirac=[(0, n, _ZERO)]), "derivative order"),
+    ("GreensFunction-diagonal", lambda n: GreensFunction([0, 1], {}, diagonal=[(n, X)]),
+     lambda n: GreensFunction([0, 1], {}, diagonal=[(n, _ZERO)]), "derivative order"),
+    ("GreensFunction.branch", lambda n: _KERNEL_01.branch(n, REGION_LOWER), None, "interval"),
+]
+
+
+@pytest.mark.parametrize("value", [-1, 1.5, True], ids=repr)
+@pytest.mark.parametrize("entry, zero_entry, what", [row[1:] for row in COUNT_ENTRIES],
+                         ids=[row[0] for row in COUNT_ENTRIES])
+def test_an_order_power_or_exponent_that_is_no_count_is_refused_naming_it(entry, zero_entry,
+                                                                          what, value):
+    for call in filter(None, (entry, zero_entry)):
+        with pytest.raises(ParseError, match=re.escape(f"{what} must be a nonnegative integer, "
+                                                       f"got {value!r}")):
+            call(value)
+
+
+def test_the_well_formed_counts_of_the_table_are_read():
+    assert ExpPoly.monomial(0, 2) == X * X
+    assert X.derivatives(1) == [X, ExpPoly.one()]
+    assert Operator.derivative() ** 0 == Operator.identity()
+    assert _KERNEL_01.branch(1, REGION_LOWER) == _XXI
+
+
+# (id, the entry point called with a function h, the name it gives h)
+FUNCTION_ENTRIES = [
+    ("Operator.derivative", lambda h: Operator.derivative(1, h), "coeff"),
+    ("Operator.multiplication", Operator.multiplication, "f"),
+    ("Operator.integral-left", lambda h: Operator.integral(0, h), "left"),
+    ("Operator.integral-right", lambda h: Operator.integral(0, None, h), "right"),
+    ("Operator.evaluation", lambda h: Operator.evaluation(0, 0, h), "left"),
+    ("Operator.global_term-left", lambda h: Operator.global_term(1, 0, h), "left"),
+    ("Operator.global_term-integrand", lambda h: Operator.global_term(1, 0, None, h),
+     "integrand"),
+    ("StieltjesCondition-integrand", lambda h: StieltjesCondition([], [(0, 1, h)]), "integrand"),
+    ("BoundaryProblem-basis",
+     lambda h: BoundaryProblem(Operator.derivative(2), _TWO_POINT.conditions, basis=[h, X]),
+     "basis function"),
+    ("GreensFunction-branch", lambda h: GreensFunction([0, 1], {(1, REGION_LOWER): h}),
+     "branch"),
+    ("GreensFunction-dirac", lambda h: GreensFunction([0, 1], {}, dirac=[(0, 0, h)]),
+     "dirac coefficient"),
+    ("GreensFunction-diagonal", lambda h: GreensFunction([0, 1], {}, diagonal=[(0, h)]),
+     "diagonal coefficient"),
+]
+
+
+@pytest.mark.parametrize("value", [2, "x", Constant.one(), _XXI], ids=repr)
+@pytest.mark.parametrize("entry, what", [row[1:] for row in FUNCTION_ENTRIES],
+                         ids=[row[0] for row in FUNCTION_ENTRIES])
+def test_a_function_of_the_wrong_type_is_refused_naming_the_argument(entry, what, value):
+    if what == "branch" and value is _XXI:
+        entry(value)  # the one right type of a branch
+        return
+    with pytest.raises(TypeError, match=f"^{what} must be of type "):
+        entry(value)
